@@ -16,7 +16,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadSpec, RestrictNotSubset, TooLarge
-from .ground import ModP
 from .setops import MODP, CountTable, GSet, combine
 
 # Default cap on |A-A| for the double-sum kernel; |A-A|^2 pairs are iterated,
@@ -61,18 +60,6 @@ def t_k(A: GSet, k: int, *, sum_table: CountTable | None = None) -> int:
     return sum(c * c for c in sum_table.entries.values())
 
 
-def _int_diff_items(table: CountTable) -> list[tuple[int, int]]:
-    items = table.int_items()
-    if items is not None:
-        return items
-    # Fractional support: scale by the common denominator; r-values and all
-    # additive coincidences among differences are preserved.
-    scale = 1
-    for v in table.entries:
-        scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    return [(int(v * scale), c) for v, c in table.entries.items()]
-
-
 def sigma_sum(A: GSet, *, table: CountTable | None = None, max_support: int = SIGMA_SUPPORT_CAP) -> int:
     """The weighted double sum  sum_{d,d'} r(d) r(d') r(d-d')^2  over A-A.
 
@@ -85,7 +72,7 @@ def sigma_sum(A: GSet, *, table: CountTable | None = None, max_support: int = SI
     support = table.support_size()
     if support > max_support:
         raise TooLarge(f"|A-A| = {support} exceeds the sigma_sum guard {max_support}")
-    items = _int_diff_items(table)
+    items = table.int_items()
     p = table.p if table.kind == MODP else None
     rmap = dict(items)
     total = 0
@@ -116,7 +103,7 @@ def difference_triple_count(A: GSet, restrict: GSet | None = None, *, table: Cou
     """
     if table is None:
         table = difference_table(A)
-    values = [v for v, _ in _int_diff_items(table)]
+    values = [v for v, _ in table.int_items()]
     p = table.p if table.kind == MODP else None
     if restrict is None:
         rvals = values
@@ -127,13 +114,9 @@ def difference_triple_count(A: GSet, restrict: GSet | None = None, *, table: Cou
         for x in restrict.elements:
             if x not in supp_elems:
                 raise RestrictNotSubset(f"{x} not in the difference set")
-        if p is None:
-            scale = 1
-            for v in table.entries:
-                scale = scale * v.denominator // math.gcd(scale, v.denominator)
-            rvals = [int(x * scale) for x in restrict.elements]
-        else:
-            rvals = [x.value for x in restrict.elements]
+        # restrict lies in D, so its scale divides the table's
+        r_ints, r_scale = restrict.int_view()
+        rvals = [v * (table.scale // r_scale) for v in r_ints]
     if p is not None:
         # |D ^ (D + d')| per shift; boolean counting, so still exact.
         ind = np.zeros(p, dtype=bool)
@@ -222,43 +205,3 @@ def tail_decompose(A: GSet, delta, *, table: CountTable | None = None) -> tuple[
             e_high += c * c
             heavy += 1
     return e_low, e_high, heavy
-
-
-@dataclass(frozen=True)
-class EnergyProfile:
-    """Bundle of the standard functionals for one set."""
-
-    size: int
-    energy: int
-    energy3: int
-    energy32: float
-    tk: tuple  # ((k, T_k), ...)
-    sigma: int | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "size": str(self.size),
-            "energy": str(self.energy),
-            "energy3": str(self.energy3),
-            "energy32": repr(self.energy32),
-            "tk": {str(k): str(v) for k, v in self.tk},
-            "sigma": None if self.sigma is None else str(self.sigma),
-        }
-
-
-def energy_profile(A: GSet, ks: tuple[int, ...] = (2, 3), *, with_sigma: bool = True,
-                   max_support: int = SIGMA_SUPPORT_CAP) -> EnergyProfile:
-    table = difference_table(A)
-    sigma: int | None
-    if with_sigma and table.support_size() <= max_support:
-        sigma = sigma_sum(A, table=table)
-    else:
-        sigma = None
-    return EnergyProfile(
-        size=A.size,
-        energy=energy_pair(A, table=table),
-        energy3=moment_energy(A, 3, table=table),
-        energy32=moment_energy(A, Fraction(3, 2), table=table),
-        tk=tuple((k, t_k(A, k)) for k in ks),
-        sigma=sigma,
-    )

@@ -68,9 +68,6 @@ class ModP:
     def __pow__(self, exponent: int) -> "ModP":
         return mod_pow(self, exponent)
 
-    def is_zero(self) -> bool:
-        return self.value == 0
-
     def __str__(self) -> str:
         return f"{self.value} mod {self.p}"
 

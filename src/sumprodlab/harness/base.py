@@ -246,21 +246,11 @@ def run_suite(check_ids_: Sequence[str], inputs: Iterable[SetStats], *,
     """
     inputs = list(inputs)
     if jobs <= 1:
-        results = []
-        for stats in inputs:
-            for cid in check_ids_:
-                spec = _REGISTRY[cid] if cid in _REGISTRY else None
-                if spec is None:
-                    raise UnknownCheck(f"unknown check id {cid!r}")
-                if spec.applies(stats):
-                    results.append(run_check(cid, stats, options=options))
-        return results
+        return [run_check(cid, s, options=options)
+                for stats in inputs for cid, s in feasible_pairs(check_ids_, [stats])]
     payloads = []
     for stats in inputs:
-        cids = [cid for cid in check_ids_ if cid in _REGISTRY and _REGISTRY[cid].applies(stats)]
-        missing = [cid for cid in check_ids_ if cid not in _REGISTRY]
-        if missing:
-            raise UnknownCheck(f"unknown check id {missing[0]!r}")
+        cids = [cid for cid, _ in feasible_pairs(check_ids_, [stats])]
         ctx_params = (stats.ctx.p, stats.ctx.t) if stats.ctx is not None else None
         payloads.append((stats.A, stats.name, ctx_params, cids, options or {}))
     merged: list[CheckResult] = []

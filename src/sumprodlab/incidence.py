@@ -1,5 +1,5 @@
-"""Lines through Cartesian grids: canonical line keys, k-point profiles,
-ordered collinear triple counts, and lines meeting subgroup grids.
+"""Lines through Cartesian grids: canonical line keys, k-point profiles and
+ordered collinear triple counts.
 
 Works over the rationals (keys are integer triples with cleared denominators)
 and over F_p (keys are scaled so the first nonzero coefficient is 1).
@@ -14,19 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import (
-    BadSpec,
     CrossCheckMismatch,
     MixedKinds,
     TooLarge,
     ZeroCoefficient,
 )
-from .ground import ModP
-from .setops import MODP, RATIONAL, GSet
+from .setops import MODP, GSet
 
 # Spec-level guard on grid size, plus a practical guard on the number of
 # elementary operations (about N^2 for an N-point grid).
@@ -47,29 +44,6 @@ class LineKey:
     b: int
     c: int
     p: int | None = None
-
-    @classmethod
-    def through(cls, p1, p2, p: int | None = None) -> "LineKey":
-        if p1 == p2:
-            raise BadSpec("two distinct points are needed to fix a line")
-        x1, y1 = p1
-        x2, y2 = p2
-        if p is None:
-            a = Fraction(y2) - Fraction(y1)
-            b = Fraction(x1) - Fraction(x2)
-            c = a * Fraction(x1) + b * Fraction(y1)
-            den = math.lcm(a.denominator, b.denominator, c.denominator)
-            return cls(*_canon_rational(int(a * den), int(b * den), int(c * den)))
-        a = (y2 - y1) % p
-        b = (x1 - x2) % p
-        c = (a * x1 + b * y1) % p
-        return cls(*_canon_modp(a, b, c, p), p=p)
-
-    def contains(self, point) -> bool:
-        x, y = point
-        if self.p is None:
-            return Fraction(self.a) * x + Fraction(self.b) * y == self.c
-        return (self.a * x + self.b * y - self.c) % self.p == 0
 
 
 def _canon_rational(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -120,14 +94,6 @@ class LineProfile:
         return sorted((key.a, key.b, key.c, k) for key, k in self.counts.items())
 
 
-def _axis_values(X: GSet) -> tuple[list, int | None]:
-    """(coordinate list, modulus): scaled ints for rational, residues for modp."""
-    if X.kind == MODP:
-        return list(X.values()), X.p
-    vals, _ = X.scaled_int_values()
-    return list(vals), None
-
-
 def line_profile(X: GSet, Y: GSet | None = None, *, max_grid: int = GRID_CAP,
                  max_ops: int = OPS_CAP) -> LineProfile:
     """Exact line -> k table for the grid X x Y (Y defaults to X)."""
@@ -149,8 +115,8 @@ def line_profile(X: GSet, Y: GSet | None = None, *, max_grid: int = GRID_CAP,
 
 
 def _profile_rational(X: GSet, Y: GSet) -> LineProfile:
-    xs, sx = X.scaled_int_values()
-    ys, sy = Y.scaled_int_values()
+    xs, sx = X.int_view()
+    ys, sy = Y.int_view()
     nx, ny = len(xs), len(ys)
     counts: dict[LineKey, int] = {}
     if ny >= 2:
@@ -189,8 +155,8 @@ def _profile_rational(X: GSet, Y: GSet) -> LineProfile:
 
 def _profile_modp(X: GSet, Y: GSet) -> LineProfile:
     p = X.p
-    xs = list(X.values())
-    ys = list(Y.values())
+    xs, _ = X.int_view()
+    ys, _ = Y.int_view()
     nx, ny = len(xs), len(ys)
     counts: dict[LineKey, int] = {}
     if ny >= 2:
@@ -241,10 +207,10 @@ def collinear_triples(X: GSet, Y: GSet | None = None, *, include_degenerate: boo
         raise TooLarge(f"anchor scan needs about {n * n} steps, cap is {max_ops}")
     if n == 0:
         return 0
-    xs, p = _axis_values(X)
-    ys, _ = _axis_values(Y)
-    if p is not None:
-        t = _triples_modp(xs, ys, p)
+    xs, _ = X.int_view()
+    ys, _ = Y.int_view()
+    if X.p is not None:
+        t = _triples_modp(xs, ys, X.p)
     elif max(max(map(abs, xs)), max(map(abs, ys))) < (1 << 60):
         t = _triples_numpy(xs, ys)
     else:
@@ -352,24 +318,4 @@ def _triples_modp(xs: list[int], ys: list[int], p: int) -> int:
             for m in slopes.values():
                 c += m * (m - 1)
             total += c if sym and i == j else (2 * c if sym else c)
-    return total
-
-
-def subgroup_line_counts(ctx, pairs, exponent: int = 1) -> int:
-    """sum over (u, v) of l_{u,v}^exponent, where l_{u,v} counts x in Gamma
-    with y = (1 - u x) / v also in Gamma (the line u x + v y = 1)."""
-    p = ctx.p
-    members = set(ctx.gamma)
-    total = 0
-    for u, v in pairs:
-        u %= p
-        v %= p
-        if u == 0 or v == 0:
-            raise ZeroCoefficient(f"line coefficients must be nonzero mod {p}")
-        vinv = pow(v, -1, p)
-        l = 0
-        for x in ctx.gamma:
-            if ((1 - u * x) * vinv) % p in members:
-                l += 1
-        total += l**exponent
     return total

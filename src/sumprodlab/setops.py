@@ -6,18 +6,24 @@ derived from differences (supports, popular-difference sets) may contain 0
 and are built with allow_zero=True.  All combine/count operations are plain
 O(|A||B|) pairwise enumeration -- exactness over speed, no FFT.
 
-Counting kernels drop to raw machine integers whenever the elements allow it
-(integer-valued rationals, residues); results are identical to the generic
-Fraction path and are cross-checked in the test suite.
+Counting works on one integer view of each set, (ints, scale) with every
+element equal to int / scale: residues with scale 1 mod p, and for a rational
+set the lcm of its denominators.  One pair kernel computes a op b on those
+ints for every op and kind; combine, support_size and combined_set only
+decode its keys back to Fraction or ModP elements, and each CountTable
+records the scale its keys were built with.  The test suite compares every
+op against a Fraction/ModP brute-force route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from operator import floordiv
 from pathlib import Path
-from typing import Iterable, Sequence, TYPE_CHECKING
+from typing import Iterable, TYPE_CHECKING
 
 from .errors import (
     BadSpec,
@@ -25,7 +31,7 @@ from .errors import (
     MixedKinds,
     ZeroDenominator,
 )
-from .ground import GroundElement, ModP, format_element, parse_element
+from .ground import GroundElement, ModP, format_element, is_zero, parse_element
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only, avoids an import cycle
     from .subgroups import SubgroupCtx
@@ -89,10 +95,8 @@ class GSet:
         if kind is not None and kind != seen_kind:
             raise MixedKinds(f"declared kind {kind!r} but elements are {seen_kind!r}")
         dedup = sorted(set(coerced))
-        if not allow_zero:
-            for x in dedup:
-                if (isinstance(x, ModP) and x.value == 0) or x == 0:
-                    raise BadSpec("0 is excluded from input sets")
+        if not allow_zero and any(map(is_zero, dedup)):
+            raise BadSpec("0 is excluded from input sets")
         return cls(tuple(dedup), seen_kind, seen_p)
 
     @property
@@ -117,38 +121,24 @@ class GSet:
 
     def values(self) -> tuple:
         """Raw values: ints (residues) for mod-p sets, Fractions for rational."""
-        if self.kind == MODP:
-            return tuple(x.value for x in self.elements)
-        return self.elements
+        return self.int_view()[0] if self.kind == MODP else self.elements
 
-    def int_values(self) -> tuple[int, ...] | None:
-        """Integer view when every element is an integer (or a residue)."""
-        cached = self.__dict__.get("_ints", False)
-        if cached is False:
+    def int_view(self) -> tuple[tuple[int, ...], int]:
+        """(ints, scale) with every element equal to int / scale.
+
+        A mod-p set gives its residues and scale 1; a rational set scales by
+        the lcm of its denominators.  Scaling by a nonzero constant keeps
+        every additive coincidence, so counting kernels work on these ints.
+        """
+        cached = self.__dict__.get("_ints")
+        if cached is None:
             if self.kind == MODP:
-                cached = tuple(x.value for x in self.elements)
-            elif all(x.denominator == 1 for x in self.elements):
-                cached = tuple(x.numerator for x in self.elements)
+                cached = tuple(x.value for x in self.elements), 1
             else:
-                cached = None
+                scale = math.lcm(*(x.denominator for x in self.elements))
+                cached = tuple(x.numerator * (scale // x.denominator) for x in self.elements), scale
             self.__dict__["_ints"] = cached
         return cached
-
-    def scaled_int_values(self) -> tuple[tuple[int, ...], int]:
-        """(k*x for x in set, k) with k the lcm of denominators (rational only).
-
-        Scaling by a nonzero constant preserves all additive coincidence
-        counts, so counting kernels may work on the scaled integers.
-        """
-        if self.kind != RATIONAL:
-            raise MixedKinds("scaled_int_values is for rational sets")
-        ints = self.int_values()
-        if ints is not None:
-            return ints, 1
-        scale = 1
-        for x in self.elements:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        return tuple(int(x * scale) for x in self.elements), scale
 
     def label(self) -> str:
         if self.kind == MODP:
@@ -172,6 +162,7 @@ class CountTable:
     total: int
     kind: str = RATIONAL
     p: int | None = None
+    scale: int | None = 1  # keys times scale are integers; None for rational quotients
 
     def __post_init__(self) -> None:
         s = sum(self.entries.values())
@@ -195,58 +186,77 @@ class CountTable:
     def support_set(self) -> GSet:
         return GSet.from_elements(self.entries.keys(), allow_zero=True, kind=self.kind, p=self.p)
 
-    def int_items(self) -> list[tuple[int, int]] | None:
-        """(value, count) with integer values, or None if values are not integral."""
+    def int_items(self) -> list[tuple[int, int]]:
+        """(scale * value, count): the table on the integer scale it was built with."""
         if self.kind == MODP:
             return [(k.value, c) for k, c in self.entries.items()]
-        out = []
-        for k, c in self.entries.items():
-            if k.denominator != 1:
-                return None
-            out.append((k.numerator, c))
-        return out
+        if self.scale is None:
+            raise BadSpec("a table of rational quotients has no common integer scale")
+        return [(k.numerator * (self.scale // k.denominator), c) for k, c in self.entries.items()]
 
 
-def _combine_int(av: Sequence[int], bv: Sequence[int], op: str, p: int | None) -> dict:
-    counts: dict = {}
+def _element(p: int | None, scale: int | None):
+    """Decoder from a key to its element: k mod p, k / scale, or, for
+    scale None, a reduced (numerator, denominator) pair."""
+    if p is not None:
+        return lambda k: ModP(k, p)
+    if scale is None:
+        return lambda k: Fraction(*k)
+    return Fraction if scale == 1 else lambda k: Fraction(k, scale)
+
+
+def _pair_keys(A: GSet, B: GSet, op: str, into) -> int | None:
+    """Feed the key of a op b, for every ordered pair in (a, b) order, into
+    ``into`` (a Counter or a set); return the scale of those keys.
+
+    The keys are computed on the integer views, brought to one scale s when
+    A and B are rational.  Mod p they are residues (scale 1); over the
+    rationals sums and differences are keyed at scale s and products at s^2,
+    while a quotient is keyed by its reduced (numerator, denominator) pair,
+    which has no common scale (None).
+    """
+    if op not in _OPS:
+        raise BadSpec(f"op must be one of {_OPS}, got {op!r}")
+    if A.kind != B.kind or A.p != B.p:
+        raise MixedKinds(f"cannot combine {A.kind} (p={A.p}) with {B.kind} (p={B.p})")
+    if op == "/" and any(map(is_zero, B.elements)):
+        raise ZeroDenominator("division by a set containing 0")
+    (av, sa), (bv, sb) = A.int_view(), B.int_view()
+    p = A.p
     if p is None:
-        if op == "+":
-            for a in av:
-                for b in bv:
-                    k = a + b
-                    counts[k] = counts.get(k, 0) + 1
-        elif op == "-":
-            for a in av:
-                for b in bv:
-                    k = a - b
-                    counts[k] = counts.get(k, 0) + 1
-        elif op == "*":
-            for a in av:
-                for b in bv:
-                    k = a * b
-                    counts[k] = counts.get(k, 0) + 1
-        else:
-            raise BadSpec(f"no integer kernel for op {op!r}")
-        return counts
-    if op == "/":
+        s = math.lcm(sa, sb)
+        av = [a * (s // sa) for a in av]
+        bv = [b * (s // sb) for b in bv]
+    # a - b = a + (-b), and mod p a / b = a * b^-1.  The rows are list
+    # comprehensions, which run faster here than chains of map calls.
+    if op == "-":
+        bv = [-b for b in bv]
+    elif op == "/" and p is not None:
         bv = [pow(b, -1, p) for b in bv]
-        op = "*"
-    if op == "+":
-        for a in av:
-            for b in bv:
-                k = (a + b) % p
-                counts[k] = counts.get(k, 0) + 1
-    elif op == "-":
-        for a in av:
-            for b in bv:
-                k = (a - b) % p
-                counts[k] = counts.get(k, 0) + 1
+    additive = op in "+-"
+    if p is not None:
+        def row(a):
+            return [(a + b) % p for b in bv] if additive else [a * b % p for b in bv]
+
+        scale = 1
+    elif op == "/":
+        signs = [1 if b > 0 else -1 for b in bv]
+        mags = list(map(abs, bv))
+
+        def row(a):
+            nums = [a * sign for sign in signs]
+            g = list(map(math.gcd, nums, mags))
+            return zip(map(floordiv, nums, g), map(floordiv, mags, g))
+
+        scale = None
     else:
-        for a in av:
-            for b in bv:
-                k = (a * b) % p
-                counts[k] = counts.get(k, 0) + 1
-    return counts
+        def row(a):
+            return [a + b for b in bv] if additive else [a * b for b in bv]
+
+        scale = s if additive else s * s
+    for a in av:
+        into.update(row(a))
+    return scale
 
 
 def combine(A: GSet, B: GSet, op: str) -> CountTable:
@@ -255,157 +265,43 @@ def combine(A: GSet, B: GSet, op: str) -> CountTable:
     total is always |A||B|; support gives the sumset/difference/product/ratio
     set.  Division requires 0 not in B.
     """
-    if op not in _OPS:
-        raise BadSpec(f"op must be one of {_OPS}, got {op!r}")
-    if A.kind != B.kind or A.p != B.p:
-        raise MixedKinds(f"cannot combine {A.kind} (p={A.p}) with {B.kind} (p={B.p})")
-    total = A.size * B.size
-    if op == "/":
-        for b in B.elements:
-            if (isinstance(b, ModP) and b.value == 0) or b == 0:
-                raise ZeroDenominator("division by a set containing 0")
-    if A.kind == MODP:
-        counts = _combine_int(A.values(), B.values(), op, A.p)
-        entries = {ModP(v, A.p): c for v, c in counts.items()}
-        return CountTable(entries, total, MODP, A.p)
-    ia, ib = A.int_values(), B.int_values()
-    if ia is not None and ib is not None and op != "/":
-        counts = _combine_int(ia, ib, op, None)
-        entries = {Fraction(v): c for v, c in counts.items()}
-        return CountTable(entries, total, RATIONAL)
-    entries = {}
-    if op == "+":
-        for a in A.elements:
-            for b in B.elements:
-                k = a + b
-                entries[k] = entries.get(k, 0) + 1
-    elif op == "-":
-        for a in A.elements:
-            for b in B.elements:
-                k = a - b
-                entries[k] = entries.get(k, 0) + 1
-    elif op == "*":
-        for a in A.elements:
-            for b in B.elements:
-                k = a * b
-                entries[k] = entries.get(k, 0) + 1
-    else:
-        for a in A.elements:
-            for b in B.elements:
-                k = a / b
-                entries[k] = entries.get(k, 0) + 1
-    return CountTable(entries, total, RATIONAL)
+    counts: Counter = Counter()
+    scale = _pair_keys(A, B, op, counts)
+    element = _element(A.p, scale)
+    entries = {element(k): c for k, c in counts.items()}
+    return CountTable(entries, A.size * B.size, A.kind, A.p, scale)
 
 
 def support_size(A: GSet, B: GSet, op: str) -> int:
     """|A op B| without keeping the multiplicity table."""
-    if A.kind != B.kind or A.p != B.p:
-        raise MixedKinds(f"cannot combine {A.kind} with {B.kind}")
-    if op == "/":
-        for b in B.elements:
-            if (isinstance(b, ModP) and b.value == 0) or b == 0:
-                raise ZeroDenominator("division by a set containing 0")
-    if A.kind == MODP:
-        p = A.p
-        av, bv = A.values(), B.values()
-        if op == "/":
-            bv = [pow(b, -1, p) for b in bv]
-            op = "*"
-        if op == "+":
-            return len({(a + b) % p for a in av for b in bv})
-        if op == "-":
-            return len({(a - b) % p for a in av for b in bv})
-        return len({(a * b) % p for a in av for b in bv})
-    ia, ib = A.int_values(), B.int_values()
-    if ia is not None and ib is not None:
-        if op == "+":
-            return len({a + b for a in ia for b in ib})
-        if op == "-":
-            return len({a - b for a in ia for b in ib})
-        if op == "*":
-            return len({a * b for a in ia for b in ib})
-        return len({Fraction(a, b) for a in ia for b in ib})
-    if op == "+":
-        return len({a + b for a in A.elements for b in B.elements})
-    if op == "-":
-        return len({a - b for a in A.elements for b in B.elements})
-    if op == "*":
-        return len({a * b for a in A.elements for b in B.elements})
-    return len({a / b for a in A.elements for b in B.elements})
+    keys: set = set()
+    _pair_keys(A, B, op, keys)
+    return len(keys)
 
 
 def combined_set(A: GSet, B: GSet, op: str, *, allow_zero: bool = True) -> GSet:
     """The set A op B itself (support of the combine table)."""
-    if A.kind == MODP:
-        p = A.p
-        av, bv = A.values(), B.values()
-        if op == "/":
-            for b in bv:
-                if b == 0:
-                    raise ZeroDenominator("division by a set containing 0")
-            bv = [pow(b, -1, p) for b in bv]
-            op = "*"
-        if op == "+":
-            vals = {(a + b) % p for a in av for b in bv}
-        elif op == "-":
-            vals = {(a - b) % p for a in av for b in bv}
-        else:
-            vals = {(a * b) % p for a in av for b in bv}
-        return GSet.from_elements(vals, allow_zero=allow_zero, p=p)
-    if op == "/":
-        for b in B.elements:
-            if b == 0:
-                raise ZeroDenominator("division by a set containing 0")
-        vals = {a / b for a in A.elements for b in B.elements}
-    elif op == "+":
-        vals = {a + b for a in A.elements for b in B.elements}
-    elif op == "-":
-        vals = {a - b for a in A.elements for b in B.elements}
-    else:
-        vals = {a * b for a in A.elements for b in B.elements}
-    return GSet.from_elements(vals, allow_zero=allow_zero, kind=RATIONAL)
-
-
-def doubling_stats(A: GSet) -> tuple[Fraction, Fraction, Fraction]:
-    """(|AA|/|A|, |A/A|/|A|, |A+A|/|A|) as exact rationals.  Needs |A| >= 2."""
-    if A.size < 2:
-        raise BadSpec("doubling statistics need at least two elements")
-    n = A.size
-    m_mult = Fraction(support_size(A, A, "*"), n)
-    m_div = Fraction(support_size(A, A, "/"), n)
-    m_add = Fraction(support_size(A, A, "+"), n)
-    return m_mult, m_div, m_add
+    keys: set = set()
+    element = _element(A.p, _pair_keys(A, B, op, keys))
+    return GSet.from_elements(map(element, keys), allow_zero=allow_zero, kind=A.kind, p=A.p)
 
 
 def iterated_sum_counts(A: GSet, k: int) -> CountTable:
     """Multiplicity table of the k-fold sumset kA, ordered k-tuples."""
     if k < 1:
         raise BadSpec(f"k must be >= 1, got {k}")
-    if A.kind == MODP:
-        p = A.p
-        vals = A.values()
-        cur = {v: 1 for v in vals}
-        for _ in range(k - 1):
-            nxt: dict = {}
-            for s, c in cur.items():
-                for v in vals:
-                    key = (s + v) % p
-                    nxt[key] = nxt.get(key, 0) + c
-            cur = nxt
-        entries = {ModP(v, p): c for v, c in cur.items()}
-        return CountTable(entries, A.size**k, MODP, p)
-    ints = A.int_values()
-    vals = ints if ints is not None else A.elements
-    cur = {v: 1 for v in vals}
+    vals, scale = A.int_view()
+    p = A.p
+    cur = dict.fromkeys(vals, 1)
     for _ in range(k - 1):
-        nxt = {}
+        nxt: dict = {}
         for s, c in cur.items():
             for v in vals:
-                key = s + v
+                key = s + v if p is None else (s + v) % p
                 nxt[key] = nxt.get(key, 0) + c
         cur = nxt
-    entries = {Fraction(v): c for v, c in cur.items()}
-    return CountTable(entries, A.size**k, RATIONAL)
+    element = _element(p, scale)
+    return CountTable({element(v): c for v, c in cur.items()}, A.size**k, A.kind, p, scale)
 
 
 def translate_intersect(A: GSet, d: GroundElement) -> GSet:

@@ -90,6 +90,16 @@ def primitive_root(p: int) -> int:
     raise NotPrime(f"no primitive root found for {p}")  # unreachable for prime p
 
 
+def _dlog_table(p: int, g: int) -> np.ndarray:
+    """ind[x] = k with g^k = x mod p, for x in [1, p-1]; entry 0 is unused."""
+    ind = np.zeros(p, dtype=np.int64)
+    x = 1
+    for k in range(p - 1):
+        ind[x] = k
+        x = x * g % p
+    return ind
+
+
 @dataclass
 class SubgroupCtx:
     p: int
@@ -110,12 +120,7 @@ class SubgroupCtx:
     def dlog(self) -> np.ndarray:
         """dlog()[x] = k with g^k = x, for x in [1, p-1]; entry 0 is unused."""
         if self._dlog is None:
-            ind = np.zeros(self.p, dtype=np.int64)
-            x = 1
-            for k in range(self.p - 1):
-                ind[x] = k
-                x = x * self.g % self.p
-            self._dlog = ind
+            self._dlog = _dlog_table(self.p, self.g)
         return self._dlog
 
     def coset_of(self, x: int) -> int:
@@ -205,14 +210,8 @@ def scan_gaps(primes: Iterable[int], *,
     the filter.  One discrete-log table per prime, vectorized bucketing per
     divisor, so a full sweep of small primes stays cheap."""
     for p in primes:
-        g = primitive_root(p)
-        ind = np.zeros(p, dtype=np.int64)
-        x = 1
-        for k in range(p - 1):
-            ind[x] = k
-            x = x * g % p
+        dlog = _dlog_table(p, primitive_root(p))[1:]
         res = np.arange(1, p, dtype=np.int64)
-        dlog = ind[1:]
         for t in divisors(p - 1):
             if t_filter is not None and not t_filter(p, t):
                 continue
@@ -258,11 +257,6 @@ def window_counts(ctx: SubgroupCtx, h: int) -> tuple[int, list[int]]:
         raise CrossCheckMismatch(
             f"window count routes disagree: {direct} vs {total}")
     return total, counts
-
-
-def interval_count(ctx: SubgroupCtx, bound: int) -> int:
-    """#(Gamma intersect [1, bound])."""
-    return sum(1 for x in ctx.gamma if x <= bound)
 
 
 # -- exponential sums --------------------------------------------------------

@@ -5,6 +5,7 @@ package's fast kernels have something independent to be measured against.
 Values here never come from the implementations under test.
 """
 
+import operator
 from fractions import Fraction
 from itertools import product
 
@@ -22,6 +23,18 @@ def diff_counts(vals, p=None) -> dict:
         for b in vals:
             d = (a - b) % p if p is not None else a - b
             out[d] = out.get(d, 0) + 1
+    return out
+
+
+def pair_counts(avals, bvals, op) -> dict:
+    """r_{A op B} from the elements' own Fraction or ModP arithmetic, keyed in
+    the order each value first occurs (a outer, b inner)."""
+    f = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[op]
+    out: dict = {}
+    for a in avals:
+        for b in bvals:
+            k = f(a, b)
+            out[k] = out.get(k, 0) + 1
     return out
 
 
@@ -121,16 +134,6 @@ def line_pair_sum(xvals, yvals=None) -> int:
     yvals = xvals if yvals is None else yvals
     n = len(xvals) * len(yvals)
     return n * (n - 1)
-
-
-def subgroup_lines(p, gamma, pairs, exponent=1) -> int:
-    members = set(gamma)
-    total = 0
-    for u, v in pairs:
-        vinv = pow(v, -1, p)
-        hits = sum(1 for x in gamma if ((1 - u * x) * vinv) % p in members)
-        total += hits**exponent
-    return total
 
 
 def window_total(p, gamma, h) -> int:

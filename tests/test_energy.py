@@ -104,6 +104,11 @@ def test_triple_count_restricted():
     assert got == 5
     with pytest.raises(RestrictNotSubset):
         energy.difference_triple_count(A123, restrict=gset_rational([7]))
+    # fractional set: the restriction's scale (1 or 6) differs from the table's (6)
+    half = [Fraction(1, 2), Fraction(3, 2), Fraction(7, 3)]
+    for R in ([1], [1, Fraction(-5, 6)]):
+        got = energy.difference_triple_count(gset_rational(half), restrict=gset_rational(R))
+        assert got == oracles.difference_triples(half, [Fraction(r) for r in R])
 
 
 def test_sigma_guard():
@@ -139,11 +144,3 @@ def test_tail_decompose_partitions_energy():
         assert low + high == e
         table = energy.difference_table(A)
         assert heavy == sum(1 for c in table.entries.values() if c > delta)
-
-
-def test_energy_profile_bundles_consistently():
-    prof = energy.energy_profile(A123)
-    assert prof.energy == 19
-    assert prof.energy3 == 45
-    assert dict(prof.tk)[3] == 141
-    assert prof.sigma == 319

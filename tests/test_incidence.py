@@ -97,23 +97,3 @@ def test_line_profile_grid_guard():
     A = gset_rational(range(1, 400))
     with pytest.raises(TooLarge):
         incidence.line_profile(A)
-
-
-def test_subgroup_line_counts_identity():
-    from sumprodlab.subgroups import subgroup_context
-
-    ctx = subgroup_context(7, 3)
-    pairs = [(u, v) for u in range(1, 7) for v in range(1, 7)]
-    total = incidence.subgroup_line_counts(ctx, pairs)
-    assert total == oracles.subgroup_lines(7, ctx.gamma, pairs)
-    # frozen: sum over all 36 nonzero (u, v) of l_{u,v} = t^2 (p - 2) = 45
-    assert total == 45
-
-
-def test_subgroup_line_counts_rejects_zero_coefficients():
-    from sumprodlab.errors import ZeroCoefficient
-    from sumprodlab.subgroups import subgroup_context
-
-    ctx = subgroup_context(7, 3)
-    with pytest.raises(ZeroCoefficient):
-        incidence.subgroup_line_counts(ctx, [(0, 1)])

@@ -7,10 +7,36 @@ from hypothesis import strategies as st
 import oracles
 from sumprodlab import setops
 from sumprodlab.errors import BadSpec, MixedKinds, RestrictNotSubset, ZeroCoefficient
+from sumprodlab.ground import ModP
 from sumprodlab.setops import GSet, combine, gset_modp, gset_rational
 
 small_int_sets = st.lists(st.integers(min_value=-50, max_value=50).filter(lambda x: x != 0),
                           min_size=1, max_size=8, unique=True)
+
+# Negative, fractional (so denominators differ between two draws) and past
+# 2^63, as geo(q=2,n=64) is.
+rationals = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.builds(Fraction, st.integers(min_value=-2**70, max_value=2**70),
+              st.integers(min_value=1, max_value=9)),
+).filter(lambda x: x != 0)
+
+# (modulus, prime): small primes, primes either side of 2^31, and lifts to p^2,
+# whose sets hold units as the lifted subgroups do.
+MODULI = [(7, 7), (101, 101), (2**31 - 1, 2**31 - 1), (2**31 + 11, 2**31 + 11),
+          (49, 7), (101 * 101, 101)]
+
+
+@st.composite
+def ground_sets(draw, count=1):
+    """count sets of one kind: rational, or residues mod one modulus."""
+    if draw(st.booleans()):
+        return [gset_rational(draw(st.lists(rationals, min_size=1, max_size=6)))
+                for _ in range(count)]
+    m, q = draw(st.sampled_from(MODULI))
+    units = st.integers(min_value=1, max_value=m - 1).filter(lambda x: x % q != 0)
+    return [gset_modp(draw(st.lists(units, min_size=1, max_size=6)), m) for _ in range(count)]
 
 
 def test_gset_sorts_and_dedupes():
@@ -32,31 +58,48 @@ def test_gset_allow_zero_for_derived_sets():
 
 
 def test_modp_and_rational_do_not_mix():
-    with pytest.raises(MixedKinds):
-        combine(gset_rational([1, 2]), gset_modp([1, 2], 5), "+")
+    Q, R = gset_rational([1, 2]), gset_modp([1, 2], 5)
+    for fn in (combine, setops.support_size, setops.combined_set):
+        for op in "+-*/":
+            with pytest.raises(MixedKinds):
+                fn(Q, R, op)
+            with pytest.raises(MixedKinds):
+                fn(R, Q, op)
 
 
-@given(small_int_sets)
+def test_unknown_op_is_rejected():
+    for A in (gset_rational([1, 2, 3]), gset_modp([1, 2, 4], 7)):
+        for fn in (combine, setops.support_size, setops.combined_set):
+            with pytest.raises(BadSpec):
+                fn(A, A, "^")
+
+
+@given(ground_sets())
 @settings(max_examples=60, deadline=None)
-def test_combine_difference_matches_oracle(vals):
-    A = gset_rational(vals)
+def test_combine_difference_matches_oracle(sets):
+    (A,) = sets
     table = combine(A, A, "-")
-    want = oracles.diff_counts([Fraction(v) for v in vals])
+    want = oracles.diff_counts(A.elements)
     assert {k: v for k, v in table.entries.items()} == want
     assert table.total == A.size**2
-    assert table.get(Fraction(0)) == A.size
+    zero = A.elements[0] - A.elements[0]
+    assert table.get(zero) == A.size
+    # the integer view energy counts on: every key is int / scale (or int mod p)
+    decode = (lambda k: ModP(k, A.p)) if A.p else (lambda k: Fraction(k, table.scale))
+    assert [decode(k) for k, _ in table.int_items()] == list(table.entries)
 
 
-@given(small_int_sets, small_int_sets)
-@settings(max_examples=40, deadline=None)
-def test_combine_all_ops_totals(avals, bvals):
-    A, B = gset_rational(avals), gset_rational(bvals)
-    for op in "+-*":
+@given(ground_sets(count=2))
+@settings(max_examples=80, deadline=None)
+def test_combine_all_ops_totals(sets):
+    A, B = sets
+    for op in "+-*/":
+        want = oracles.pair_counts(A.elements, B.elements, op)
         table = combine(A, B, op)
+        assert list(table.entries.items()) == list(want.items())  # counts and order
         assert table.total == A.size * B.size
-        assert sum(table.entries.values()) == table.total
-    quot = combine(A, B, "/")
-    assert quot.total == A.size * B.size
+        assert setops.support_size(A, B, op) == len(want)
+        assert setops.combined_set(A, B, op).elements == tuple(sorted(want))
 
 
 def test_combine_division_modp_uses_inverses():
@@ -76,26 +119,17 @@ def test_support_size_agrees_with_combined_set():
         assert setops.support_size(A, A, op) == setops.combined_set(A, A, op).size
 
 
-def test_doubling_stats_worked_example():
-    # powers of two: |A+A| = 2n - 1 additive, |AA| = 2n - 1 multiplicative
-    A = gset_rational([1, 2, 4, 8, 16, 32, 64, 128])
-    mult, div, add = setops.doubling_stats(A)
-    assert mult == Fraction(15, 8)
-    assert div == Fraction(15, 8)
-    # sums 2^i + 2^j are pairwise distinct for i <= j
-    assert add == Fraction(36, 8)
-
-
 def test_iterated_sum_counts_matches_brute():
-    A = gset_rational([1, 2, 3, 10])
-    table = setops.iterated_sum_counts(A, 3)
-    want = {}
-    for a in A.values():
-        for b in A.values():
-            for c in A.values():
-                s = a + b + c
-                want[s] = want.get(s, 0) + 1
-    assert dict(table.entries) == want
+    for A in (gset_rational([1, 2, 3, 10]), gset_rational([Fraction(-1, 2), 1, Fraction(7, 3)]),
+              gset_modp([1, 2, 4, 5], 7)):
+        table = setops.iterated_sum_counts(A, 3)
+        want = {}
+        for a in A.elements:
+            for b in A.elements:
+                for c in A.elements:
+                    s = a + b + c
+                    want[s] = want.get(s, 0) + 1
+        assert dict(table.entries) == want
 
 
 def test_translate_intersect_sizes_are_multiplicities():

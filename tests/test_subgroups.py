@@ -7,9 +7,8 @@ import oracles
 from sumprodlab import energy, subgroups
 from sumprodlab.errors import (BadSpec, NotPrime, OrderDoesNotDivide, TooLarge)
 from sumprodlab.subgroups import (char_moment_report, gap_H, gamma_energy,
-                                  interval_count, ks_criterion, lifted_context,
-                                  mod_p2_subgroup, scan_gaps, subgroup_context,
-                                  tk_cyclic, window_counts)
+                                  ks_criterion, lifted_context, mod_p2_subgroup,
+                                  scan_gaps, subgroup_context, tk_cyclic, window_counts)
 
 
 def test_is_prime_small_table():
@@ -108,12 +107,6 @@ def test_window_radius_guard():
         window_counts(ctx, 4)
     with pytest.raises(BadSpec):
         window_counts(ctx, 0)
-
-
-def test_interval_count():
-    ctx = subgroup_context(7, 3)
-    assert interval_count(ctx, 2) == 2  # {1, 2}
-    assert interval_count(ctx, 6) == 3
 
 
 def test_char_sums_moment_identities():
