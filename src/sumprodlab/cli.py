@@ -46,15 +46,6 @@ def _inputs_from_args(args) -> tuple[list[SetStats], str]:
     return inputs, label
 
 
-def _suite_options(args) -> dict:
-    opts: dict = {}
-    if getattr(args, "profile", None):
-        opts["rect_profile"] = profile_by_name(args.profile)
-    if getattr(args, "max_grid", None):
-        opts["line_ops"] = args.max_grid**2  # grids of up to N points
-    return opts
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -81,7 +72,8 @@ def _cmd_stats(args) -> int:
 def _cmd_verify(args) -> int:
     inputs, label = _inputs_from_args(args)
     ids = check_ids(args.checks)
-    results = run_suite(ids, inputs, options=_suite_options(args), jobs=args.jobs)
+    results = run_suite(ids, inputs, options={"rect_profile": profile_by_name(args.profile)},
+                        jobs=args.jobs)
     rep = build_report(results, corpus=label, deterministic=args.deterministic)
     for r in rep.results:
         print(f"{r.check_id:22s} {r.inputs:32s} {r.verdict:12s} "
@@ -284,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="process pool size (inputs are distributed)")
     p.add_argument("--deterministic", action="store_true",
                    help="zero all timings and drop the timestamp")
-    p.add_argument("--max-grid", type=int, dest="max_grid",
-                   help="allow line-counting grids of up to N points")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("subgroup", help="inspect one multiplicative subgroup")

@@ -18,9 +18,9 @@ import numpy as np
 from .errors import BadSpec, RestrictNotSubset, TooLarge
 from .setops import MODP, CountTable, GSet, combine
 
-# Default cap on |A-A| for the double-sum kernel; |A-A|^2 pairs are iterated,
-# so 4000 keeps a single call under ~20s of pure Python.  Override per call.
-SIGMA_SUPPORT_CAP = 4000
+# Cap on |A-A| for the double-sum kernel, which iterates |A-A|^2 support
+# pairs in pure Python; the checks that need Sigma skip inputs above it.
+SIGMA_SUPPORT_CAP = 5000
 
 
 def difference_table(A: GSet) -> CountTable:
@@ -60,18 +60,18 @@ def t_k(A: GSet, k: int, *, sum_table: CountTable | None = None) -> int:
     return sum(c * c for c in sum_table.entries.values())
 
 
-def sigma_sum(A: GSet, *, table: CountTable | None = None, max_support: int = SIGMA_SUPPORT_CAP) -> int:
+def sigma_sum(A: GSet, *, table: CountTable | None = None) -> int:
     """The weighted double sum  sum_{d,d'} r(d) r(d') r(d-d')^2  over A-A.
 
     Equivalently: ordered 8-tuples (a1,...,a8) from A solving
     a1 - a2 = a3 - a4 = (a5 - a6) - (a7 - a8).
-    Iterates |A-A|^2 support pairs; guarded by max_support.
+    Iterates |A-A|^2 support pairs; guarded by SIGMA_SUPPORT_CAP.
     """
     if table is None:
         table = difference_table(A)
     support = table.support_size()
-    if support > max_support:
-        raise TooLarge(f"|A-A| = {support} exceeds the sigma_sum guard {max_support}")
+    if support > SIGMA_SUPPORT_CAP:
+        raise TooLarge(f"|A-A| = {support} exceeds the sigma_sum guard {SIGMA_SUPPORT_CAP}")
     items = table.int_items()
     p = table.p if table.kind == MODP else None
     rmap = dict(items)

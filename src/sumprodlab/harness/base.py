@@ -25,8 +25,6 @@ from ..setops import GSet
 
 log = logging.getLogger("sumprodlab.harness")
 
-SIGMA_CAP = energy.SIGMA_SUPPORT_CAP
-
 PROVED_EXACT = "proved-exact"
 RATIO_ONLY = "ratio-only"
 FAILED = "failed"
@@ -111,9 +109,8 @@ class SetStats:
     def t3(self) -> int:
         return self.memo("t3", lambda: energy.t_k(self.A, 3))
 
-    def sigma(self, max_support: int = SIGMA_CAP) -> int:
-        return self.memo(
-            "sigma", lambda: energy.sigma_sum(self.A, table=self.table(), max_support=max_support))
+    def sigma(self) -> int:
+        return self.memo("sigma", lambda: energy.sigma_sum(self.A, table=self.table()))
 
     def tri(self) -> int:
         return self.memo("tri", lambda: energy.difference_triple_count(self.A, table=self.table()))

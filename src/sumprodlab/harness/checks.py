@@ -32,8 +32,8 @@ from ..setops import GSet
 from . import rect as rect_mod
 from .base import CheckSpec, SetStats, register
 
-LINE_OPS = 300_000_000
-SIGMA_SUPPORT = 5000
+NUMERIC_TOL = 1e-6
+INVARIANT_PAIRS = 500_000  # cap on the |Q| * t difference pairs of lemma18_invariant
 
 
 # -- small helpers -------------------------------------------------------------
@@ -58,13 +58,6 @@ def _grid_sizes_ok(stats: SetStats) -> bool:
     quot = stats.memo(
         "a_over_aa", lambda: setops.support_size(stats.A, stats.combined("*"), "/"))
     return quot <= cap
-
-
-def _gamma_e3(ctx) -> int:
-    gamma = np.asarray(ctx.gamma, dtype=np.int64)
-    diffs = (gamma[:, None] - gamma[None, :]) % ctx.p
-    _, counts = np.unique(diffs, return_counts=True)
-    return int((counts.astype(np.int64) ** 3).sum())
 
 
 def _gamma_t3(ctx) -> int:
@@ -144,7 +137,6 @@ def _chk_dyadic_level(stats: SetStats, opts: dict):
 
 def _chk_lemma_t3_lines(stats: SetStats, opts: dict):
     A = stats.A
-    max_ops = opts.get("line_ops", LINE_OPS)
     aa = stats.combined("*")
     a_over_aa = setops.combined_set(A, aa, "/")
     aa_over_a = setops.combined_set(aa, A, "/")
@@ -158,8 +150,7 @@ def _chk_lemma_t3_lines(stats: SetStats, opts: dict):
     def trip(B: GSet) -> int:
         key = B.elements
         if key not in seen:
-            seen[key] = incidence.collinear_triples(B, include_degenerate=True,
-                                                    max_ops=max_ops)
+            seen[key] = incidence.collinear_triples(B, include_degenerate=True)
         return seen[key]
 
     branch1 = a_over_aa.size**2 * aa.size**2 * trip(a_over_aa) * trip(aa)
@@ -171,7 +162,7 @@ def _chk_lemma_t3_lines(stats: SetStats, opts: dict):
 def _chk_lemma_spectral_final(stats: SetStats, opts: dict):
     table = stats.table()
     e3 = stats.energy3()
-    sig = stats.sigma(opts.get("sigma_support", SIGMA_SUPPORT))
+    sig = stats.sigma()
     n6 = stats.size**6
     top = stats.max_r()
     worst = None
@@ -190,8 +181,7 @@ def _chk_spectral_chain(stats: SetStats, opts: dict):
     ok = True
     worst = None
     for delta in sorted({_half_delta(stats), stats.max_r()}):
-        chain = spectral.spectral_chain(
-            stats.A, delta=delta, max_support=opts.get("sigma_support", SIGMA_SUPPORT))
+        chain = spectral.spectral_chain(stats.A, delta=delta)
         ok = ok and chain.ok
         if worst is None or Fraction(chain.lhs_exact, chain.rhs_exact) > worst[0]:
             worst = (Fraction(chain.lhs_exact, chain.rhs_exact), chain)
@@ -201,24 +191,23 @@ def _chk_spectral_chain(stats: SetStats, opts: dict):
 
 
 def _chk_psd_witness(stats: SetStats, opts: dict):
-    sweep = spectral.psd_sweep(stats.A, vectors=opts.get("psd_vectors", 1000),
-                               seed=opts.get("psd_seed", 1))
+    sweep = spectral.psd_sweep(stats.A)
     return (sweep.min_quadratic, sweep.max_route_gap, 1.0, sweep.ok)
 
 
 def _chk_trace_routes(stats: SetStats, opts: dict):
     direct, comb = spectral.trace_m2r(stats.A)
-    if abs(direct - comb) > 1e-6 * max(1.0, abs(direct), abs(comb)):
+    if abs(direct - comb) > NUMERIC_TOL * max(1.0, abs(direct), abs(comb)):
         raise CrossCheckMismatch(f"trace routes disagree: {direct} vs {comb}")
-    bound = math.sqrt(stats.energy3() * stats.sigma(opts.get("sigma_support", SIGMA_SUPPORT)))
-    ok = comb <= bound * (1.0 + 1e-6)
+    bound = math.sqrt(stats.energy3() * stats.sigma())
+    ok = comb <= bound * (1.0 + NUMERIC_TOL)
     return comb, bound, comb / bound, ok
 
 
 def _chk_holder_rem4(stats: SetStats, opts: dict):
     lhs = stats.energy() ** 3
     rhs = stats.energy3() * stats.energy32() ** 2
-    ok = lhs <= rhs * (1.0 + 1e-6)
+    ok = lhs <= rhs * (1.0 + NUMERIC_TOL)
     return lhs, rhs, lhs / rhs, ok
 
 
@@ -238,7 +227,7 @@ def _chk_rect_structure(stats: SetStats, opts: dict):
 def _sum_stats(stats: SetStats, opts: dict) -> rect_mod.SumStats:
     def build():
         cover = None
-        if stats.size >= 4 and stats.size <= rect_mod.RECT_SET_CAP:
+        if rect_mod.RECT_MIN_SIZE <= stats.size <= rect_mod.RECT_SET_CAP:
             cover = rect_mod.rect_decompose(
                 stats.A, profile=opts.get("rect_profile", rect_mod.PAPER_PROFILE))
         return rect_mod.sum_construction_stats(stats.A, cover=cover)
@@ -258,7 +247,7 @@ def _chk_thm21_chain(stats: SetStats, opts: dict):
     # exactly; the used lines then witness that many distinct triples in SxS.
     st = _sum_stats(stats, opts)
     s_set = stats.combined("+")
-    grid_triples = incidence.collinear_triples(s_set, max_ops=opts.get("line_ops", LINE_OPS))
+    grid_triples = incidence.collinear_triples(s_set)
     ok = st.triples_lower <= grid_triples
     ok = ok and max(st.q_sizes.values(), default=0) ** 3 <= st.line_bound
     lhs = st.sum_q_cubes
@@ -340,13 +329,13 @@ def _chk_cor11_t3(stats: SetStats, opts: dict):
 
 
 def _chk_sig_estimate(stats: SetStats, opts: dict):
-    lhs = stats.sigma(opts.get("sigma_support", SIGMA_SUPPORT))
+    lhs = stats.sigma()
     rhs = stats.size ** (23 / 5)
     return lhs, rhs, lhs / rhs, True
 
 
 def _chk_trip_bound(stats: SetStats, opts: dict):
-    lhs = incidence.collinear_triples(stats.A, max_ops=opts.get("line_ops", LINE_OPS))
+    lhs = incidence.collinear_triples(stats.A)
     rhs = stats.size**4 * stats.log2()
     return lhs, rhs, lhs / rhs, True
 
@@ -417,7 +406,7 @@ def _chk_modp2_t3(stats: SetStats, opts: dict):
 
 
 def _chk_ks_margin(stats: SetStats, opts: dict):
-    rep = subgroups.ks_criterion(stats.ctx, opts.get("ks_h", 1))
+    rep = subgroups.ks_criterion(stats.ctx, 1)
     return rep.value, rep.threshold, rep.value / rep.threshold, True
 
 
@@ -435,9 +424,8 @@ def _chk_subgr_energy(stats: SetStats, opts: dict):
 
 
 def _chk_lemma5_b2(stats: SetStats, opts: dict):
-    ctx = stats.ctx
-    lhs = _gamma_e3(ctx)
-    rhs = ctx.t**3 * math.log2(ctx.t)
+    lhs = stats.energy3()
+    rhs = stats.ctx.t**3 * math.log2(stats.ctx.t)
     return lhs, rhs, lhs / rhs, True
 
 
@@ -451,8 +439,7 @@ def _chk_subgr_t3_bound(stats: SetStats, opts: dict):
 def _chk_thm17_ranges(stats: SetStats, opts: dict):
     ctx = stats.ctx
     t, p = ctx.t, ctx.p
-    grid_triples = incidence.collinear_triples(ctx.gamma_set(),
-                                               max_ops=opts.get("line_ops", LINE_OPS))
+    grid_triples = incidence.collinear_triples(ctx.gamma_set())
     if t >= p ** (2 / 3):
         stratum = math.sqrt(p) * t**3.5
     elif t >= math.sqrt(p) * math.log2(p):
@@ -475,7 +462,7 @@ def _chk_thm19_energy(stats: SetStats, opts: dict):
 def _chk_lemma18_invariant(stats: SetStats, opts: dict):
     ctx = stats.ctx
     t, p = ctx.t, ctx.p
-    cosets = max(1, min(ctx.cosets, opts.get("invariant_budget", 500_000) // (t * t)))
+    cosets = max(1, min(ctx.cosets, INVARIANT_PAIRS // (t * t)))
     q_set = setops.invariant_union(ctx, range(cosets))
     qv = np.asarray(q_set.values(), dtype=np.int64)
     gv = np.asarray(ctx.gamma, dtype=np.int64)
@@ -501,7 +488,7 @@ def _chk_subgr_int_bound(stats: SetStats, opts: dict):
 
 
 def _needs_sigma(stats: SetStats) -> bool:
-    return stats.support("-") <= SIGMA_SUPPORT
+    return stats.support("-") <= energy.SIGMA_SUPPORT_CAP
 
 
 def _taa(stats: SetStats):
@@ -551,9 +538,10 @@ _SET_CHECKS = [
     ("psd_witness", True, _chk_psd_witness, lambda s: s.size <= 128,
      "lhs = worst quadratic, rhs = worst route gap"),
     ("trace_routes", True, _chk_trace_routes,
-     lambda s: s.size <= 128 and _needs_sigma(s), "numeric, tol 1e-6"),
+     lambda s: s.size <= spectral.TRACE_CAP and _needs_sigma(s), "numeric, tol 1e-6"),
     ("holder_rem4", True, _chk_holder_rem4, None, "numeric, tol 1e-6"),
-    ("rect_structure", True, _chk_rect_structure, lambda s: 4 <= s.size <= 512, ""),
+    ("rect_structure", True, _chk_rect_structure,
+     lambda s: rect_mod.RECT_MIN_SIZE <= s.size <= rect_mod.RECT_SET_CAP, ""),
     ("sum_stats", True, _chk_sum_stats, _needs_sum_stats, ""),
     ("thm21_chain", True, _chk_thm21_chain, _needs_sum_grid, ""),
     ("prop7", True, _chk_prop7, _needs_prop7, ""),
@@ -580,7 +568,7 @@ _SUBGROUP_CHECKS = [
      lambda s: s.ctx.p <= 2_000_000, "numeric, tol 1e-6; strict fourth-moment bound"),
     ("parseval_gamma", True, _chk_parseval_gamma,
      lambda s: s.ctx.p <= 2_000_000, "numeric, tol 1e-6"),
-    ("modp2_t3", True, _chk_modp2_t3, lambda s: s.ctx.t <= 64, ""),
+    ("modp2_t3", True, _chk_modp2_t3, lambda s: s.ctx.t <= subgroups.LIFT_T_CAP, ""),
     ("ks_margin", False, _chk_ks_margin, lambda s: s.ctx.p <= 2_000_000, ""),
     ("thm20_gap", False, _chk_thm20_gap, lambda s: s.ctx.p <= 1_000_000, ""),
     ("subgr_energy", False, _chk_subgr_energy,

@@ -56,6 +56,9 @@ EXACT_SUBGROUP_SAMPLED = ((1009, (2, 4, 7, 12, 16, 28)),)
 
 WINDOW_PRIMES = (7, 11, 13, 101, 1009)
 
+SMOOTH_STEP = 2520  # smooth primes are p = SMOOTH_STEP * k + 1
+SCAN_T_CAP = 1024  # largest subgroup order subgroup_scan picks
+
 
 def subgroup_stats(p: int, t: int) -> SetStats:
     ctx = subgroups.subgroup_context(p, t)
@@ -101,9 +104,9 @@ def series_corpus() -> list[SetStats]:
     return _from_labels(SERIES_LABELS)
 
 
-def smooth_primes(limit: int, *, base: int = 2520) -> list[int]:
+def smooth_primes(limit: int) -> list[int]:
     """Primes p = 2520k + 1, whose p - 1 is rich in small divisors."""
-    return [p for p in range(base + 1, limit + 1, base) if subgroups.is_prime(p)]
+    return [p for p in range(SMOOTH_STEP + 1, limit + 1, SMOOTH_STEP) if subgroups.is_prime(p)]
 
 
 def _pick_divisor(divs, target: float, cap: int) -> int | None:
@@ -113,7 +116,7 @@ def _pick_divisor(divs, target: float, cap: int) -> int | None:
     return min(cands, key=lambda d: (abs(math.log(d) - math.log(target)), d))
 
 
-def subgroup_scan(limit: int = 100_000, *, t_cap: int = 1024) -> list[SetStats]:
+def subgroup_scan(limit: int = 100_000) -> list[SetStats]:
     """Subgroups across smooth primes, with t near p^(1/4), p^(1/2), p^(2/3).
 
     The three anchors put inputs on both sides of every range split the
@@ -125,7 +128,7 @@ def subgroup_scan(limit: int = 100_000, *, t_cap: int = 1024) -> list[SetStats]:
         divs = subgroups.divisors(p - 1)
         picked = set()
         for exponent in (0.25, 0.5, 2 / 3):
-            t = _pick_divisor(divs, p**exponent, t_cap)
+            t = _pick_divisor(divs, p**exponent, SCAN_T_CAP)
             if t is not None:
                 picked.add(t)
         out.extend(subgroup_stats(p, t) for t in sorted(picked))

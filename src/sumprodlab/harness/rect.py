@@ -30,8 +30,9 @@ from .. import energy, setops
 from ..errors import CrossCheckMismatch, DegenerateInput, InfeasibleSize, TooLarge
 from ..setops import GSet
 
+RECT_MIN_SIZE = 4
 RECT_SET_CAP = 512
-RATIO_SET_CAP = 10_000
+RATIO_SET_CAP = 10_000  # |A/A| for sum_construction_stats
 
 
 @dataclass(frozen=True)
@@ -134,20 +135,16 @@ def _point_set(B: GSet, members) -> list:
     return [(a, b) for a in B.elements for b in B.elements if a - b in members]
 
 
-def rect_decompose(A: GSet, *, profile: RectProfile = PAPER_PROFILE,
-                   max_rounds: int | None = None) -> RectCover:
-    if A.size < 4:
-        raise DegenerateInput("rectangle decomposition needs at least 4 elements")
+def rect_decompose(A: GSet, *, profile: RectProfile = PAPER_PROFILE) -> RectCover:
+    if A.size < RECT_MIN_SIZE:
+        raise DegenerateInput(f"rectangle decomposition needs at least {RECT_MIN_SIZE} elements")
     if A.size > RECT_SET_CAP:
         raise TooLarge(f"rectangle decomposition caps at {RECT_SET_CAP} elements")
-    rounds_cap = max_rounds if max_rounds is not None else _log_ceil(A.size) ** 5
-    if rounds_cap < 1:
-        raise DegenerateInput("need at least one decomposition round")
     current = A
     ledger: list[int] = []
     last_state = None
     rounds = 0
-    for _ in range(rounds_cap):
+    for _ in range(_log_ceil(A.size) ** 5):
         rounds += 1
         table = energy.difference_table(current)
         ledger.append(sum(c * c for c in table.entries.values()))
@@ -189,7 +186,7 @@ def rect_decompose(A: GSet, *, profile: RectProfile = PAPER_PROFILE,
             drop.update(r.ordinates)
         remaining = [x for x in current.elements if x not in drop]
         last_state = (lvl, mass, rich, rich_points, current, loads)
-        if len(remaining) < 4:
+        if len(remaining) < RECT_MIN_SIZE:
             break
         current = GSet(tuple(remaining), current.kind, current.p)
     lvl, mass, rich, rich_points, final, loads = last_state
@@ -246,8 +243,7 @@ class SumStats:
     triples_lower: int  # sum over used lines of k (k-1) (k-2)
 
 
-def sum_construction_stats(A: GSet, *, cover: RectCover | None = None,
-                           max_ratio_set: int = RATIO_SET_CAP) -> SumStats:
+def sum_construction_stats(A: GSet, *, cover: RectCover | None = None) -> SumStats:
     """Slope-sliced point statistics on the grid (A+A) x (A+A).
 
     For each ratio lambda in A/A, the construction places, for every a' in
@@ -261,8 +257,8 @@ def sum_construction_stats(A: GSet, *, cover: RectCover | None = None,
     every constructed point in (A+A) x (A+A) with offset in P.
     """
     quot = setops.combined_set(A, A, "/")
-    if quot.size > max_ratio_set:
-        raise InfeasibleSize(f"|A/A| = {quot.size} exceeds {max_ratio_set}")
+    if quot.size > RATIO_SET_CAP:
+        raise InfeasibleSize(f"|A/A| = {quot.size} exceeds {RATIO_SET_CAP}")
     if cover is not None and cover.case == "case1":
         aprime, adouble = cover.Aprime, cover.Adoubleprime
         level_members = cover.level.member_set()

@@ -25,10 +25,12 @@ from .errors import (
 )
 from .setops import MODP, GSet
 
-# Spec-level guard on grid size, plus a practical guard on the number of
-# elementary operations (about N^2 for an N-point grid).
+# line_profile refuses grids above GRID_CAP points or PAIR_CAP point pairs;
+# collinear_triples refuses anchor scans above TRIPLE_CAP steps (N^2 for an
+# N-point grid).
 GRID_CAP = 100_000
-OPS_CAP = 20_000_000
+PAIR_CAP = 20_000_000
+TRIPLE_CAP = 300_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -94,8 +96,7 @@ class LineProfile:
         return sorted((key.a, key.b, key.c, k) for key, k in self.counts.items())
 
 
-def line_profile(X: GSet, Y: GSet | None = None, *, max_grid: int = GRID_CAP,
-                 max_ops: int = OPS_CAP) -> LineProfile:
+def line_profile(X: GSet, Y: GSet | None = None) -> LineProfile:
     """Exact line -> k table for the grid X x Y (Y defaults to X)."""
     if Y is None:
         Y = X
@@ -104,11 +105,11 @@ def line_profile(X: GSet, Y: GSet | None = None, *, max_grid: int = GRID_CAP,
     if X.size == 0 or Y.size == 0:
         return LineProfile({}, X.size, Y.size)
     n = X.size * Y.size
-    if n > max_grid:
-        raise TooLarge(f"grid has {n} points, cap is {max_grid}")
+    if n > GRID_CAP:
+        raise TooLarge(f"grid has {n} points, cap is {GRID_CAP}")
     pairs = (X.size * (X.size - 1) // 2) * Y.size * Y.size
-    if pairs > max_ops:
-        raise TooLarge(f"about {pairs} point pairs, cap is {max_ops}")
+    if pairs > PAIR_CAP:
+        raise TooLarge(f"about {pairs} point pairs, cap is {PAIR_CAP}")
     if X.kind == MODP:
         return _profile_modp(X, Y)
     return _profile_rational(X, Y)
@@ -190,8 +191,7 @@ def _profile_modp(X: GSet, Y: GSet) -> LineProfile:
     return profile
 
 
-def collinear_triples(X: GSet, Y: GSet | None = None, *, include_degenerate: bool = False,
-                      max_ops: int = OPS_CAP) -> int:
+def collinear_triples(X: GSet, Y: GSet | None = None, *, include_degenerate: bool = False) -> int:
     """Ordered triples of pairwise-distinct collinear grid points.
 
     include_degenerate=True adds the triples with a repeated point (all of
@@ -203,8 +203,8 @@ def collinear_triples(X: GSet, Y: GSet | None = None, *, include_degenerate: boo
         raise MixedKinds("grid axes must share a kind")
     nx, ny = X.size, Y.size
     n = nx * ny
-    if n * n > max_ops:
-        raise TooLarge(f"anchor scan needs about {n * n} steps, cap is {max_ops}")
+    if n * n > TRIPLE_CAP:
+        raise TooLarge(f"anchor scan needs about {n * n} steps, cap is {TRIPLE_CAP}")
     if n == 0:
         return 0
     xs, _ = X.int_view()

@@ -21,7 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import floordiv
+from operator import attrgetter, floordiv
 from pathlib import Path
 from typing import Iterable, TYPE_CHECKING
 
@@ -94,7 +94,9 @@ class GSet:
             seen_p = p
         if kind is not None and kind != seen_kind:
             raise MixedKinds(f"declared kind {kind!r} but elements are {seen_kind!r}")
-        dedup = sorted(set(coerced))
+        # one modulus per set, so residue order is the ModP order, without
+        # a dataclass __lt__ call per comparison
+        dedup = sorted(set(coerced), key=attrgetter("value") if seen_kind == MODP else None)
         if not allow_zero and any(map(is_zero, dedup)):
             raise BadSpec("0 is excluded from input sets")
         return cls(tuple(dedup), seen_kind, seen_p)

@@ -24,8 +24,12 @@ from .errors import BadSpec, DimensionMismatch, NoConvergence, TooLarge
 from .families import Lcg
 from .setops import GSet
 
-MATRIX_CAP = 512
-FACTOR_CAP = 10_000_000
+MATRIX_CAP = 512  # |A| for build_matrices
+FACTOR_CAP = 10_000_000  # cells of the incidence factor
+TRACE_CAP = 128  # |A| for trace_m2r, whose combinatorial route is cubic
+EIGEN_TOL = 1e-12  # relative change at which power iteration stops
+EIGEN_STEPS = 100_000  # power-iteration steps before NoConvergence
+CHAIN_SLACK = 1e-6  # relative slack on the floating steps of spectral_chain
 
 
 @dataclass
@@ -42,12 +46,11 @@ class EnergyMatrices:
         return self.base.size
 
 
-def build_matrices(A: GSet, *, delta: int | None = None,
-                   max_size: int = MATRIX_CAP) -> EnergyMatrices:
+def build_matrices(A: GSet, *, delta: int | None = None) -> EnergyMatrices:
     """R, M and the delta-truncated Mt for A (delta defaults to max r)."""
     n = A.size
-    if n > max_size:
-        raise TooLarge(f"set has {n} elements, matrix cap is {max_size}")
+    if n > MATRIX_CAP:
+        raise TooLarge(f"set has {n} elements, matrix cap is {MATRIX_CAP}")
     table = energy.difference_table(A)
     if delta is None:
         delta = table.max_count()
@@ -66,7 +69,7 @@ def build_matrices(A: GSet, *, delta: int | None = None,
     return EnergyMatrices(A, R, np.sqrt(R), delta, Mt, dict(table.entries))
 
 
-def incidence_factor(A: GSet, *, max_cells: int = FACTOR_CAP) -> np.ndarray:
+def incidence_factor(A: GSet) -> np.ndarray:
     """0/1 matrix N with N[i, w] = 1 iff a_i + w_j in A, columns over A - A.
 
     Satisfies N @ N.T = R exactly.
@@ -74,7 +77,7 @@ def incidence_factor(A: GSet, *, max_cells: int = FACTOR_CAP) -> np.ndarray:
     table = energy.difference_table(A)
     diffs = sorted(table.entries, key=str)
     n = A.size
-    if n * len(diffs) > max_cells:
+    if n * len(diffs) > FACTOR_CAP:
         raise TooLarge("incidence factor would exceed the cell cap")
     members = A.member_set()
     N = np.zeros((n, len(diffs)), dtype=np.float64)
@@ -127,15 +130,13 @@ def psd_sweep(A: GSet, *, vectors: int = 1000, seed: int = 1) -> PsdWitness:
     return PsdWitness(vectors, worst, gap)
 
 
-def trace_m2r(A: GSet, *, mats: EnergyMatrices | None = None,
-              max_size: int = 128) -> tuple[float, float]:
+def trace_m2r(A: GSet) -> tuple[float, float]:
     """tr(M^2 R) by two routes: the matrix product, and the combinatorial sum
     over difference pairs sum_{d,d'} w(d,d') sqrt(r(d) r(d')) r(d'-d), where
     w(d,d') counts x in A with x-d and x-d' both in A."""
-    if A.size > max_size:
+    if A.size > TRACE_CAP:
         raise TooLarge("combinatorial trace route is cubic in |A|")
-    if mats is None:
-        mats = build_matrices(A)
+    mats = build_matrices(A)
     direct = float(np.sum((mats.M @ mats.M) * mats.R))
     table = energy.difference_table(A)
     w: dict = {}
@@ -151,13 +152,12 @@ def trace_m2r(A: GSet, *, mats: EnergyMatrices | None = None,
     return direct, comb
 
 
-def principal_eigen(S: np.ndarray, *, tol: float = 1e-12,
-                    max_iter: int = 100_000) -> tuple[float, np.ndarray]:
+def principal_eigen(S: np.ndarray) -> tuple[float, np.ndarray]:
     """Top eigenpair of a symmetric matrix by shifted power iteration.
 
     The shift s = max absolute row sum makes S + sI positive semidefinite
     with the wanted eigenvalue on top; the Rayleigh quotient of S itself is
-    tracked and iteration stops when it settles to tol.
+    tracked and iteration stops when it settles to EIGEN_TOL.
     """
     n = S.shape[0]
     if n == 1:
@@ -166,14 +166,14 @@ def principal_eigen(S: np.ndarray, *, tol: float = 1e-12,
     B = S + shift * np.eye(n)
     v = np.ones(n) / np.sqrt(n)
     last = float(v @ S @ v)
-    for _ in range(max_iter):
+    for _ in range(EIGEN_STEPS):
         w = B @ v
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             return 0.0, v  # S = -shift * I edge: any unit vector works
         v = w / norm
         ray = float(v @ S @ v)
-        if abs(ray - last) <= tol * max(1.0, abs(ray)):
+        if abs(ray - last) <= EIGEN_TOL * max(1.0, abs(ray)):
             for coord in v:
                 if coord != 0.0:
                     if coord < 0.0:
@@ -181,7 +181,7 @@ def principal_eigen(S: np.ndarray, *, tol: float = 1e-12,
                     break
             return ray, v
         last = ray
-    raise NoConvergence(f"power iteration did not settle in {max_iter} steps")
+    raise NoConvergence(f"power iteration did not settle in {EIGEN_STEPS} steps")
 
 
 @dataclass
@@ -209,8 +209,7 @@ class SpectralChain:
                 and self.ok_exact)
 
 
-def spectral_chain(A: GSet, *, delta: int | None = None, slack: float = 1e-6,
-                   max_support: int = energy.SIGMA_SUPPORT_CAP) -> SpectralChain:
+def spectral_chain(A: GSet, *, delta: int | None = None) -> SpectralChain:
     """Checks the eigenvalue chain at truncation level delta:
 
       (i)   mu1(Mt) >= E'(delta) / (|A| sqrt(delta))   [Rayleigh at all-ones]
@@ -219,8 +218,8 @@ def spectral_chain(A: GSet, *, delta: int | None = None, slack: float = 1e-6,
       (iii) E'^6 <= |A|^6 E_3 delta^2 Sigma            [exact integers]
 
     E'(delta) = sum of r(d)^2 over d with r(d) <= delta.  (i) and (ii) hold
-    up to slack * max(1, values); (iii) is asserted in exact arithmetic and
-    combines (i), (ii) and the trace bound tr(Mt^2 R) <= sqrt(E_3 Sigma) / delta.
+    up to CHAIN_SLACK * max(1, values); (iii) is asserted in exact arithmetic
+    and combines (i), (ii) and the trace bound tr(Mt^2 R) <= sqrt(E_3 Sigma) / delta.
     """
     mats = build_matrices(A, delta=delta)
     delta = mats.delta
@@ -228,13 +227,13 @@ def spectral_chain(A: GSet, *, delta: int | None = None, slack: float = 1e-6,
     mu1, v1 = principal_eigen(mats.Mt)
     lower = eprime / (A.size * np.sqrt(float(delta)))
     quad = float(v1 @ mats.R @ v1)
-    tol = slack * max(1.0, mu1, quad)
+    tol = CHAIN_SLACK * max(1.0, mu1, quad)
     ok_i = mu1 >= lower - tol
     ok_ii = quad >= np.sqrt(float(delta)) * mu1 - tol
     ok_chain = quad >= eprime / A.size - tol
     table = energy.difference_table(A)
     e3 = energy.moment_energy(A, 3, table=table)
-    sig = energy.sigma_sum(A, table=table, max_support=max_support)
+    sig = energy.sigma_sum(A, table=table)
     lhs = eprime**6
     rhs = A.size**6 * e3 * delta**2 * sig
     return SpectralChain(delta, eprime, mu1, lower, quad, e3, sig,

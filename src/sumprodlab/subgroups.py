@@ -28,6 +28,9 @@ from .setops import GSet, gset_modp
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17)
 _MR_LIMIT = 340_000_000_000_000
 
+MOMENT_TOL = 1e-6  # relative tolerance of the character-sum moment identities
+LIFT_T_CAP = 64  # largest t that mod_p2_subgroup accepts
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -278,19 +281,18 @@ class CharReport:
     fourth_moment: float      # sum over coset reps of |S_j|^4
     second_moment: float      # sum over coset reps of |S_j|^2
     energy: int               # E(Gamma)
-    tol: float
 
     @property
     def parseval_ok(self) -> bool:
         lhs = self.t * self.second_moment
         rhs = self.t * (self.p - self.t)
-        return abs(lhs - rhs) <= self.tol * max(1.0, rhs)
+        return abs(lhs - rhs) <= MOMENT_TOL * max(1.0, rhs)
 
     @property
     def fourth_ok(self) -> bool:
         lhs = self.t * self.fourth_moment
         rhs = self.p * self.energy - self.t**4
-        return abs(lhs - rhs) <= self.tol * max(1.0, abs(rhs))
+        return abs(lhs - rhs) <= MOMENT_TOL * max(1.0, abs(rhs))
 
     @property
     def strict_bound_ok(self) -> bool:
@@ -317,22 +319,22 @@ def char_sums(ctx: SubgroupCtx) -> np.ndarray:
     S = phase.sum(axis=1)
     absS = np.abs(S)
     second = t * float((absS**2).sum())
-    if abs(second - t * (p - t)) > 1e-6 * max(1.0, t * (p - t)):
+    if abs(second - t * (p - t)) > MOMENT_TOL * max(1.0, t * (p - t)):
         raise CrossCheckMismatch(
             f"second moment {second} != t(p-t) = {t * (p - t)}")
     fourth = t * float((absS**4).sum())
     target = p * gamma_energy(ctx) - t**4
-    if abs(fourth - target) > 1e-6 * max(1.0, abs(target)):
+    if abs(fourth - target) > MOMENT_TOL * max(1.0, abs(target)):
         raise CrossCheckMismatch(
             f"fourth moment {fourth} != pE - t^4 = {target}")
     ctx._chars = S
     return S
 
 
-def char_moment_report(ctx: SubgroupCtx, *, tol: float = 1e-6) -> CharReport:
+def char_moment_report(ctx: SubgroupCtx) -> CharReport:
     S = np.abs(char_sums(ctx))
     return CharReport(ctx.p, ctx.t, float((S**4).sum()), float((S**2).sum()),
-                      gamma_energy(ctx), tol)
+                      gamma_energy(ctx))
 
 
 @dataclass(frozen=True)
@@ -395,37 +397,23 @@ def lifted_context(p: int, t: int) -> LiftedCtx:
 
 
 def tk_cyclic(members: Iterable[int], m: int, k: int) -> int:
-    """T_k inside Z/m, by whichever of two exact kernels fits in memory.
+    """T_k inside Z/m: enumerate all t^k k-fold sums and count collisions
+    with a sort (memory t^k, independent of m, which matters when m = p^2).
 
-    Few members: enumerate all t^k k-fold sums and count collisions with a
-    sort (memory t^k, independent of m, which matters when m = p^2).  Many
-    members: k-1 rounds of shift-and-accumulate on a dense length-m array.
-    Both are independent routes to the dictionary counter in ``energy.t_k``
-    and the test suite cross-checks them.
+    An independent route to the dictionary counter in ``energy.t_k``; the
+    test suite cross-checks them.  Its caller, ``mod_p2_subgroup``, keeps
+    t <= LIFT_T_CAP, so there are at most 64^3 sums for k <= 3.
     """
-    members = [x % m for x in members]
-    t = len(members)
-    if t**k <= 2_000_000:
-        arr = np.asarray(members, dtype=np.int64)
-        sums = arr
-        for _ in range(k - 1):
-            sums = ((sums[:, None] + arr[None, :]) % m).ravel()
-        _, counts = np.unique(sums, return_counts=True)
-        return int((counts * counts).sum())
-    acc = np.zeros(m, dtype=np.int64)
-    for x in members:
-        acc[x] += 1
+    arr = np.asarray([x % m for x in members], dtype=np.int64)
+    sums = arr
     for _ in range(k - 1):
-        nxt = np.zeros(m, dtype=np.int64)
-        for x in members:
-            nxt += np.roll(acc, x)
-        acc = nxt
-    return int((acc * acc).sum())
+        sums = ((sums[:, None] + arr[None, :]) % m).ravel()
+    _, counts = np.unique(sums, return_counts=True)
+    return int((counts * counts).sum())
 
 
-def mod_p2_subgroup(p: int, t: int, *, ks: tuple[int, ...] = (2, 3),
-                    max_t: int = 64) -> tuple[LiftedCtx, dict[int, tuple[int, int]]]:
-    """Lift plus the T_k comparison table {k: (T_k mod p^2, T_k mod p)}.
+def mod_p2_subgroup(p: int, t: int) -> tuple[LiftedCtx, dict[int, tuple[int, int]]]:
+    """Lift plus the T_k comparison table {k: (T_k mod p^2, T_k mod p)}, k = 2, 3.
 
     Reduction mod p sends solutions to solutions injectively, so each lifted
     T_k can never exceed its base value; a violation means a counting bug.
@@ -433,11 +421,11 @@ def mod_p2_subgroup(p: int, t: int, *, ks: tuple[int, ...] = (2, 3),
     """
     from . import energy as energy_mod
 
-    if t > max_t:
-        raise TooLarge(f"T_k comparison wants t <= {max_t}, got {t}")
+    if t > LIFT_T_CAP:
+        raise TooLarge(f"T_k comparison wants t <= {LIFT_T_CAP}, got {t}")
     lift = lifted_context(p, t)
     table: dict[int, tuple[int, int]] = {}
-    for k in ks:
+    for k in (2, 3):
         upstairs = tk_cyclic(lift.gamma2, p * p, k)
         downstairs = energy_mod.t_k(lift.base.gamma_set(), k)
         if upstairs > downstairs:

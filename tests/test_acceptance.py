@@ -3,8 +3,9 @@
 Ten criteria, one test each, run in order; every test prints a single
 PASS line with its headline numbers (visible under pytest -rA or -s).
 Exactness criteria tolerate nothing; numerical criteria pin 1e-6 relative
-error and -1e-9 on the PSD witness; the stated wall-clock budgets are
-asserted at the end from the per-criterion timings.
+error and -1e-9 on the PSD witness.  Criteria 1-5 and 9 each assert their
+own time against their group's wall-clock budget, and the last test asserts
+each group's total when the whole module has run.
 """
 
 import itertools
@@ -22,6 +23,21 @@ from sumprodlab.harness import (check_ids, named_corpus, rect_decompose,
 from sumprodlab.setops import gset_modp, gset_rational
 
 TIMINGS: dict[str, float] = {}
+
+# criterion keys -> wall-clock budget in seconds for the group's total
+BUDGETS = {
+    "identity": (("c1", "c2", "c3"), 60.0),
+    "inequalities": (("c4", "c5"), 300.0),
+    "gap scan": (("c9",), 600.0),
+}
+
+
+def _record(key: str, t0: float) -> None:
+    """Store a criterion's elapsed time and assert its group's budget."""
+    TIMINGS[key] = time.monotonic() - t0
+    budget = next(b for keys, b in BUDGETS.values() if key in keys)
+    assert TIMINGS[key] <= budget, (key, TIMINGS[key], budget)
+
 
 WINDOW_PRIMES = (7, 11, 13, 101, 1009)
 
@@ -99,7 +115,7 @@ def test_criterion_01_cubic_energy_three_routes():
         by_slice_energy = sum(energy.energy_pair(A, S) for S in slices.values())
         assert by_moment == by_intersections == by_slice_energy, stats.name
         assert by_moment == energy.moment_energy(A, 3)
-    TIMINGS["c1"] = time.monotonic() - t0
+    _record("c1", t0)
     print(f"ACCEPTANCE 1 PASS: cubic-energy identity exact by 3 routes "
           f"on {len(corpus)} sets ({TIMINGS['c1']:.1f}s)")
 
@@ -123,7 +139,7 @@ def test_criterion_02_window_counts_dual_route():
                 if (p, t, h) == (7, 3, 2):
                     assert total == 8
                 cases += 1
-    TIMINGS["c2"] = time.monotonic() - t0
+    _record("c2", t0)
     print(f"ACCEPTANCE 2 PASS: window counts match the congruence count on "
           f"{cases} (p,t,h) cases incl. N=8 at (7,3,2) ({TIMINGS['c2']:.1f}s)")
 
@@ -164,7 +180,7 @@ def test_criterion_03_small_set_oracle_equivalence():
     assert energy.t_k(worked, 3) == 141
     assert energy.sigma_sum(worked) == 319
     assert incidence.collinear_triples(worked) == 48
-    TIMINGS["c3"] = time.monotonic() - t0
+    _record("c3", t0)
     print(f"ACCEPTANCE 3 PASS: E, E3, T3, Sigma, grid triples equal naive "
           f"enumeration on {len(inputs)} small sets ({TIMINGS['c3']:.1f}s)")
 
@@ -175,7 +191,7 @@ def test_criterion_04_exact_inequality_suite():
     t0 = time.monotonic()
     inputs = named_corpus("exact")
     results = run_suite(check_ids("all-exact"), inputs)
-    TIMINGS["c4"] = time.monotonic() - t0
+    _record("c4", t0)
     bad = [r for r in results if r.verdict != "proved-exact"]
     assert not bad, [(r.check_id, r.inputs) for r in bad]
     ran = {r.check_id for r in results}
@@ -200,7 +216,7 @@ def test_criterion_05_mod_p2_monotonicity():
         assert up <= down, (p, t, up, down)
         if (p, t) == (3, 2):
             assert (up, down) == (20, 22)
-    TIMINGS["c5"] = time.monotonic() - t0
+    _record("c5", t0)
     print("ACCEPTANCE 5 PASS: lifted T3 <= reduced T3 on 4 subgroup pairs "
           "incl. 20 <= 22 at (3,2)")
 
@@ -308,7 +324,7 @@ def test_criterion_09_gap_scan_to_ten_thousand():
     t0 = time.monotonic()
     primes = [p for p in range(3, 10_001, 2) if subgroups.is_prime(p)]
     rows = list(subgroups.scan_gaps(primes, t_filter=lambda p, t: t * t >= p))
-    TIMINGS["c9"] = time.monotonic() - t0
+    _record("c9", t0)
     assert rows and all(gap >= 1 for _, _, gap in rows)
     # spot-check the streaming scan against the single-subgroup route
     for p, t, gap in rows[:: max(1, len(rows) // 7)]:
@@ -359,11 +375,16 @@ def test_criterion_10_rectangle_cover_structure():
 # -- stated wall-clock budgets ----------------------------------------------------
 
 def test_criterion_budgets():
-    identity_suite = sum(TIMINGS.get(k, 0.0) for k in ("c1", "c2", "c3"))
-    inequality_suite = sum(TIMINGS.get(k, 0.0) for k in ("c4", "c5"))
-    assert identity_suite <= 60.0, TIMINGS
-    assert inequality_suite <= 300.0, TIMINGS
-    assert TIMINGS.get("c9", 0.0) <= 600.0, TIMINGS
-    print(f"ACCEPTANCE BUDGETS PASS: identity {identity_suite:.1f}s <= 60s, "
-          f"inequalities {inequality_suite:.1f}s <= 300s, "
-          f"gap scan {TIMINGS.get('c9', 0.0):.1f}s <= 600s")
+    missing = []
+    lines = []
+    for group, (keys, budget) in BUDGETS.items():
+        if not all(k in TIMINGS for k in keys):
+            missing.append(group)
+            continue
+        total = sum(TIMINGS[k] for k in keys)
+        assert total <= budget, (group, TIMINGS)
+        lines.append(f"{group} {total:.1f}s <= {budget:.0f}s")
+    if missing:
+        pytest.skip(f"no timings for the {', '.join(missing)} group(s): "
+                    f"their criteria did not run in this pytest session")
+    print(f"ACCEPTANCE BUDGETS PASS: {', '.join(lines)}")

@@ -6,7 +6,7 @@ import pytest
 
 import sumprodlab.harness.base as hbase
 from sumprodlab import cli
-from sumprodlab.harness import read_report
+from sumprodlab.harness import read_report, stats_from_spec
 
 
 def run_ok(capsys, argv):
@@ -162,6 +162,18 @@ def test_spectral_smoke(capsys):
     assert "chain holds: True" in out and "ok = True" in out
 
 
+def test_spectral_runs_wherever_verify_proves_the_chain(capsys):
+    # |A-A| = 4,029 lies just under energy.SIGMA_SUPPORT_CAP, which the
+    # command and the check share
+    stats = stats_from_spec("rand(n=64,seed=19)")
+    row = hbase.run_check("spectral_chain", stats)
+    assert row.verdict == "proved-exact"
+    out = run_ok(capsys, ["spectral", "--family", "rand(n=64,seed=19)"])
+    # the check reports its worst delta, here the default max r = 64
+    assert "delta = 64" in out
+    assert f"E'^6 = {row.lhs} <= n^6 E3 delta^2 Sigma = {row.rhs}" in out
+
+
 def test_rect_smoke_and_sums(capsys):
     out = run_ok(capsys, ["rect", "--family", "ap(n=16)", "--sums"])
     assert "case1 after 1 round(s)" in out
@@ -198,4 +210,7 @@ def test_report_missing_and_malformed(tmp_path, capsys):
 def test_argparse_rejects_unknown_command():
     with pytest.raises(SystemExit) as exc:
         cli.run(["frobnicate"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["verify", "--family", "ap(n=4)", "--max-grid", "5"])
     assert exc.value.code == 2

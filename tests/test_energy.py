@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from sumprodlab import energy
 from sumprodlab.errors import RestrictNotSubset, TooLarge
+from sumprodlab.families import generate_from_string
 from sumprodlab.setops import gset_modp, gset_rational
 
 A123 = gset_rational([1, 2, 3])
@@ -112,9 +113,10 @@ def test_triple_count_restricted():
 
 
 def test_sigma_guard():
-    A = gset_rational(range(1, 40))
+    A = generate_from_string("geo(q=2,n=72)")  # |A-A| = 5,113
+    assert energy.difference_table(A).support_size() > energy.SIGMA_SUPPORT_CAP
     with pytest.raises(TooLarge):
-        energy.sigma_sum(A, max_support=10)
+        energy.sigma_sum(A)
 
 
 def test_popular_differences_majority_mass():

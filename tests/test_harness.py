@@ -188,8 +188,6 @@ def test_rect_guards():
     with pytest.raises(TooLarge):
         rect_decompose(gset_rational(range(1, 514)))
     with pytest.raises(DegenerateInput):
-        rect_decompose(generate_from_string("ap(n=8)"), max_rounds=0)
-    with pytest.raises(DegenerateInput):
         profile_by_name("fancy")
     assert profile_by_name("desk") is DESK_PROFILE
 
@@ -206,8 +204,9 @@ def test_sum_construction_stats_identities():
     assert st.energy_times * st.ratio_count >= st.pair_mass**2
     assert st.sum_q_cubes <= st.ratio_count * st.line_bound
     assert st.triples_lower >= 0
+    big = generate_from_string("rand(n=110,seed=1)")  # |A/A| = 11,991
     with pytest.raises(InfeasibleSize):
-        sum_construction_stats(A, max_ratio_set=2)
+        sum_construction_stats(big)
 
 
 # -- reports -------------------------------------------------------------------

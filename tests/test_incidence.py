@@ -88,9 +88,9 @@ def test_pair_sum_identity_always():
 
 
 def test_ops_guard_raises():
-    A = gset_rational(range(1, 40))
+    A = gset_rational(range(1, 133))  # (132^2)^2 anchor steps, above TRIPLE_CAP
     with pytest.raises(TooLarge):
-        incidence.collinear_triples(A, max_ops=100)
+        incidence.collinear_triples(A)
 
 
 def test_line_profile_grid_guard():

@@ -175,7 +175,7 @@ def test_mod_p2_worked_example():
 
 def test_mod_p2_guard():
     with pytest.raises(TooLarge):
-        mod_p2_subgroup(1009, 1008, max_t=64)
+        mod_p2_subgroup(1009, 1008)
 
 
 def test_gamma_energy_matches_generic_counter():
