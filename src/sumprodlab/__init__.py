@@ -12,13 +12,13 @@ floating point appears only where an eigenvalue or an exponential sum is
 itself the object under study, always with an exact cross-check alongside.
 """
 
+__version__ = "0.1.0"  # before the subpackages: harness.report reads it
+
 from . import (energy, errors, families, ground, harness, incidence, setops,
                spectral, subgroups)
 from .errors import LabError
 from .families import generate_from_string, parse_family
 from .setops import GSet, gset_modp, gset_rational, read_gset, write_gset
-
-__version__ = "0.1.0"
 
 __all__ = [
     "energy", "errors", "families", "ground", "harness", "incidence",

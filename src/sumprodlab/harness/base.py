@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -30,7 +29,7 @@ RATIO_ONLY = "ratio-only"
 FAILED = "failed"
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckResult:
     check_id: str
     inputs: str
@@ -250,6 +249,8 @@ def run_suite(check_ids_: Sequence[str], inputs: Iterable[SetStats], *,
         cids = [cid for cid, _ in feasible_pairs(check_ids_, [stats])]
         ctx_params = (stats.ctx.p, stats.ctx.t) if stats.ctx is not None else None
         payloads.append((stats.A, stats.name, ctx_params, cids, options or {}))
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     merged: list[CheckResult] = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         for batch in pool.map(_run_input_batch, payloads):

@@ -16,23 +16,16 @@ import json
 import platform
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
+from .. import __version__
 from ..errors import BadSpec, IoFailure
 from .base import CheckResult
 
 SCHEMA = "sumprodlab-report-v1"
 _CSV_HEADER = ("check_id", "input", "lhs", "rhs", "ratio", "pass", "ms")
-
-
-def _own_version() -> str:
-    try:
-        return metadata.version("sumprodlab")
-    except metadata.PackageNotFoundError:
-        return "0.1.0"
 
 
 @dataclass
@@ -64,7 +57,7 @@ def build_report(results, *, corpus: str = "custom",
         generated = datetime.now(timezone.utc).isoformat(timespec="seconds")
     versions = {"python": platform.python_version(),
                 "numpy": np.__version__,
-                "sumprodlab": _own_version()}
+                "sumprodlab": __version__}
     total = 0.0 if deterministic else sum(r.elapsed_ms for r in results)
     return Report(SCHEMA, generated, versions, corpus, total, results)
 

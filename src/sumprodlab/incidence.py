@@ -5,9 +5,10 @@ Works over the rationals (keys are integer triples with cleared denominators)
 and over F_p (keys are scaled so the first nonzero coefficient is 1).
 
 Two independent routes exist on purpose: line_profile builds the full
-line -> k table from pair counts, while collinear_triples uses a per-anchor
-direction count that never materializes the line table.  The test suite pins
-them against each other and against brute force.
+line -> k table from pair counts, while collinear_triples counts from the axes
+alone, by the ratio-orbit identity in its docstring (about N^3/6 steps per
+N-element axis).  The test suite pins them against each other, against the
+quartic anchor scan and against brute force.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from .errors import (
 from .setops import MODP, GSet
 
 # line_profile refuses grids above GRID_CAP points or PAIR_CAP point pairs;
-# collinear_triples refuses anchor scans above TRIPLE_CAP steps (N^2 for an
-# N-point grid).
+# collinear_triples refuses grids of N points with N^2 > TRIPLE_CAP (at most
+# 131 elements per axis of a square grid).  Its ratio table could go further;
+# raising the cap adds report rows, so it changes with the reports' pins.
 GRID_CAP = 100_000
 PAIR_CAP = 20_000_000
 TRIPLE_CAP = 300_000_000
@@ -91,9 +93,6 @@ class LineProfile:
             n = self.grid_points
             t += 3 * n * (n - 1) + n
         return t
-
-    def rows(self) -> list[tuple[int, int, int, int]]:
-        return sorted((key.a, key.b, key.c, k) for key, k in self.counts.items())
 
 
 def line_profile(X: GSet, Y: GSet | None = None) -> LineProfile:
@@ -194,6 +193,13 @@ def _profile_modp(X: GSet, Y: GSet) -> LineProfile:
 def collinear_triples(X: GSet, Y: GSet | None = None, *, include_degenerate: bool = False) -> int:
     """Ordered triples of pairwise-distinct collinear grid points.
 
+    Points off the axis-parallel lines are collinear when they share the ratio
+    lam = (x2 - x1)/(x3 - x1) = (y2 - y1)/(y3 - y1), so T = |X| (|Y|)_3 +
+    |Y| (|X|)_3 + sum_lam R_X(lam) R_Y(lam), R counting an axis's ordered
+    triples with ratio lam.  R is constant on the anharmonic orbit O of lam
+    (its images as the triple is permuted), so the sum is sum_O (36/|O|)
+    U_X(O) U_Y(O), U counting 3-subsets.
+
     include_degenerate=True adds the triples with a repeated point (all of
     which are trivially collinear): + 3N(N-1) + N for an N-point grid.
     """
@@ -204,118 +210,118 @@ def collinear_triples(X: GSet, Y: GSet | None = None, *, include_degenerate: boo
     nx, ny = X.size, Y.size
     n = nx * ny
     if n * n > TRIPLE_CAP:
-        raise TooLarge(f"anchor scan needs about {n * n} steps, cap is {TRIPLE_CAP}")
+        raise TooLarge(f"grid of {n} points is above the triple cap ({n * n} > {TRIPLE_CAP})")
     if n == 0:
         return 0
     xs, _ = X.int_view()
     ys, _ = Y.int_view()
+    # vertical and horizontal lines: |X| (|Y|)_3 + |Y| (|X|)_3
+    t = n * ((nx - 1) * (nx - 2) + (ny - 1) * (ny - 2))
     if X.p is not None:
-        t = _triples_modp(xs, ys, X.p)
-    elif max(max(map(abs, xs)), max(map(abs, ys))) < (1 << 60):
-        t = _triples_numpy(xs, ys)
-    else:
-        t = _triples_bigint(xs, ys)
+        t += _triples_modp(xs, ys, X.p)
+    elif xs == ys and xs[-1] - xs[0] < (1 << 52):
+        t += _triples_numpy(xs)
+    else:  # also every grid with two different axes, see _slanted
+        t += _triples_bigint(xs, ys)
     if include_degenerate:
         t += 3 * n * (n - 1) + n
     return t
 
 
-def _same_direction_pairs(z: np.ndarray) -> int:
-    """sum m(m-1) over the multiplicity classes of a 1-d array."""
-    if z.size < 2:
-        return 0
-    z = np.sort(z)
-    starts = np.flatnonzero(np.r_[True, z[1:] != z[:-1]])
-    m = np.diff(np.r_[starts, z.size])
-    return int((m * (m - 1)).sum())
+def _slanted(xs, ys, key, size, probe) -> int:
+    """Sum over the anharmonic orbits O of (36/|O|) U_X(O) U_Y(O).
 
-
-def _triples_numpy(xs: list[int], ys: list[int]) -> int:
-    """Anchor kernel on int64 coordinates (safe for |values| < 2^60).
-
-    Reduced directions whose components stay below 2^52 are packed into one
-    complex128 value per direction (both parts are then exact in a double),
-    which replaces the row-wise unique by a plain 1-d sort.
+    key(u, w) is the orbit key of x1 < x2 < x3 with u = x2 - x1, w = x3 - x1;
+    size(k) = |O|; probe(vals, k) = R(lam) for one lam in O.  A longer axis is
+    tabulated only at the shorter one's orbits, bounding memory by the latter.
     """
-    ax = np.asarray(xs, dtype=np.int64)
-    ay = np.asarray(ys, dtype=np.int64)
-    nx, ny = len(ax), len(ay)
-    axis = (ny - 1) * (ny - 2) + (nx - 1) * (nx - 2)
-    total = nx * ny * axis
-    packable = (nx < 2 or int(ax.max() - ax.min()) < (1 << 52)) and \
-               (ny < 2 or int(ay.max() - ay.min()) < (1 << 52))
-    # For a square grid, (x0, y0) and (y0, x0) see mirrored direction classes
-    # with identical multiplicities, so the upper anchor triangle suffices.
-    sym = nx == ny and bool(np.array_equal(ax, ay))
-    for i in range(nx):
-        dx = np.delete(ax, i) - ax[i]
-        for j in range(i if sym else 0, ny):
-            dy = np.delete(ay, j) - ay[j]
-            gx = np.gcd(dx[:, None], dy[None, :])
-            ux = dx[:, None] // gx
-            uy = dy[None, :] // gx
-            neg = ux < 0
-            ux = np.where(neg, -ux, ux)
-            uy = np.where(neg, -uy, uy)
-            if packable:
-                c = _same_direction_pairs((ux + 1j * uy).ravel())
-            else:
-                dirs = np.stack([ux.ravel(), uy.ravel()], axis=1)
-                _, m = np.unique(dirs, axis=0, return_counts=True)
-                c = int((m * (m - 1)).sum())
-            total += c if sym and i == j else (2 * c if sym else c)
-    return total
+    if xs == ys:
+        return sum(36 // size(k) * u * u for k, u in _orbit_table(xs, key).items())
+    if len(xs) > len(ys):
+        xs, ys = ys, xs
+    tx = _orbit_table(xs, key)
+    if 6 * len(tx) < len(ys) - 2:
+        # Probing costs b(b-1) steps per orbit, tabulating b(b-1)(b-2)/6.
+        # U_Y(O) = |O| R_Y(lam) / 6, so each orbit adds 6 U_X(O) R_Y(lam).
+        return sum(6 * u * probe(ys, k) for k, u in tx.items())
+    ty = _orbit_table(ys, key, tx)
+    return sum(36 // size(k) * u * ty[k] for k, u in tx.items() if k in ty)
 
 
-def _triples_bigint(xs: list[int], ys: list[int]) -> int:
-    """Anchor kernel with arbitrary-precision coordinates."""
-    gcd = math.gcd
-    nx, ny = len(xs), len(ys)
-    axis = (ny - 1) * (ny - 2) + (nx - 1) * (nx - 2)
-    total = nx * ny * axis
-    sym = xs == ys  # square grid: mirror anchors contribute equally
-    for i, x0 in enumerate(xs):
-        dxs = [x - x0 for x in xs if x != x0]
-        for j in range(i if sym else 0, ny):
-            y0 = ys[j]
-            dys = [y - y0 for y in ys if y != y0]
-            dirs: dict[tuple[int, int], int] = {}
-            get = dirs.get
-            for dx in dxs:
-                for dy in dys:
-                    g = gcd(dx, dy)
-                    ux = dx // g
-                    uy = dy // g
-                    if ux < 0:
-                        ux, uy = -ux, -uy
-                    key = (ux, uy)
-                    dirs[key] = get(key, 0) + 1
-            c = 0
-            for m in dirs.values():
-                c += m * (m - 1)
-            total += c if sym and i == j else (2 * c if sym else c)
-    return total
+def _orbit_table(vals, key, keep=None) -> dict:
+    """U(O): the 3-subsets of the sorted vals per orbit key (keys in keep only)."""
+    out: dict = {}
+    get = out.get
+    for i in range(len(vals) - 2):
+        x1 = vals[i]
+        ds = [x - x1 for x in vals[i + 1:]]
+        for b in range(1, len(ds)):
+            w = ds[b]
+            for u in ds[:b]:
+                k = key(u, w)
+                if keep is None or k in keep:
+                    out[k] = get(k, 0) + 1
+    return out
 
 
-def _triples_modp(xs: list[int], ys: list[int], p: int) -> int:
-    """Anchor kernel over F_p: direction classes are slopes."""
-    nx, ny = len(xs), len(ys)
-    total = nx * ny * (ny - 1) * (ny - 2)  # vertical through each anchor
-    inv = {d: pow(d, -1, p) for d in {(x2 - x1) % p for x1 in xs for x2 in xs if x1 != x2}}
-    sym = xs == ys
-    for i, x0 in enumerate(xs):
-        dinv = [inv[(x - x0) % p] for x in xs if x != x0]
-        for j in range(i if sym else 0, ny):
-            y0 = ys[j]
-            dys = [(y - y0) % p for y in ys]
-            slopes: dict[int, int] = {}
-            get = slopes.get
-            for di in dinv:
-                for dy in dys:
-                    s = (dy * di) % p
-                    slopes[s] = get(s, 0) + 1
-            c = 0
-            for m in slopes.values():
-                c += m * (m - 1)
-            total += c if sym and i == j else (2 * c if sym else c)
-    return total
+def _probe(vals, num: int, den: int, p: int | None) -> int:
+    """Ordered pairs (y1, y3) of distinct elements with y1 + (num/den)(y3 - y1)
+    in vals (mod p when p is given, with den = 1)."""
+    members = set(vals)
+    hits = (y1 + num * ((y3 - y1) // den) for y1 in vals for y3 in vals
+            if y3 != y1 and (y3 - y1) % den == 0)
+    return sum((y2 % p if p else y2) in members for y2 in hits)
+
+
+def _triples_numpy(xs) -> int:
+    """Slanted triples of the square grid xs x xs, span below 2^52: orbit keys
+    min(u, w - u)/w in lowest terms pack into one complex128 (both parts exact)."""
+    a = np.asarray([x - xs[0] for x in xs], dtype=np.int64)
+    n = len(a)
+    j, k = np.triu_indices(n, 1)  # pairs j < k, grouped by j
+    start = np.cumsum(np.arange(n, 0, -1)) - n  # first pair with j = i + 1
+    parts = [np.zeros(0, complex)]
+    for i in range(n - 2):
+        u = a[j[start[i + 1]:]] - a[i]
+        w = a[k[start[i + 1]:]] - a[i]
+        m = np.minimum(u, w - u)
+        g = np.gcd(m, w)
+        parts.append(m // g + 1j * (w // g))
+    keys, u = np.unique(np.concatenate(parts), return_counts=True)
+    half = u[keys == 1 + 2j]  # the orbit {-1, 2, 1/2} has 3 elements, weight 12
+    return 6 * (int(u @ u) + int(half @ half))
+
+
+def _triples_bigint(xs, ys) -> int:
+    """Slanted triples of xs x ys with Python integers of any size: the orbit
+    key min(u, w - u)/w in lowest terms is stored as one integer (u' << s) | w'."""
+    s = max(xs[-1] - xs[0], ys[-1] - ys[0]).bit_length()
+    half = 1 << s | 2
+
+    def key(u, w):
+        m = min(u, w - u)
+        g = math.gcd(m, w)
+        return (m // g) << s | (w // g)
+
+    return _slanted(xs, ys, key, lambda k: 3 if k == half else 6,
+                    lambda vals, k: _probe(vals, k >> s, k & ((1 << s) - 1), None))
+
+
+def _triples_modp(xs, ys, p: int) -> int:
+    """Slanted triples of xs x ys over F_p: the orbit key of lam = u/w is the
+    least residue in its orbit, and |O| (1, 2, 3 or 6) is read off the orbit."""
+    inv = {b - a: pow(b - a, -1, p) for v in (xs, ys) for a in v for b in v if a < b}
+    key_of, size = {}, {}  # lam -> orbit key, orbit key -> |O|
+
+    def key(u, w):
+        lam = u * inv[w] % p
+        k = key_of.get(lam)
+        if k is None:
+            li, lj = pow(lam, -1, p), pow(1 - lam, -1, p)
+            orbit = {lam, li, (1 - lam) % p, lj, -lam * lj % p, (1 - li) % p}
+            k = min(orbit)
+            size[k] = len(orbit)
+            key_of.update(dict.fromkeys(orbit, k))
+        return k
+
+    return _slanted(xs, ys, key, size.__getitem__, lambda vals, k: _probe(vals, k, 1, p))

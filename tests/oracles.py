@@ -5,6 +5,7 @@ package's fast kernels have something independent to be measured against.
 Values here never come from the implementations under test.
 """
 
+import math
 import operator
 from fractions import Fraction
 from itertools import product
@@ -127,6 +128,33 @@ def collinear_triples(xvals, yvals=None, include_degenerate=False, p=None) -> in
     if include_degenerate:
         count += 3 * n * (n - 1) + n
     return count
+
+
+def anchor_triples(xvals, yvals=None) -> int:
+    """Ordered collinear triples of pairwise-distinct points of X x Y over the
+    rationals, by counting equal reduced directions around every anchor point.
+
+    A quartic scan that shares nothing with the ratio table of
+    collinear_triples, and reaches axes far beyond the brute force above.
+    """
+    yvals = xvals if yvals is None else yvals
+    scale = math.lcm(*(Fraction(v).denominator for v in list(xvals) + list(yvals)))
+    xs = sorted(int(Fraction(v) * scale) for v in xvals)
+    ys = sorted(int(Fraction(v) * scale) for v in yvals)
+    nx, ny = len(xs), len(ys)
+    total = nx * ny * ((ny - 1) * (ny - 2) + (nx - 1) * (nx - 2))
+    for x0 in xs:
+        dxs = [x - x0 for x in xs if x != x0]
+        for y0 in ys:
+            dys = [y - y0 for y in ys if y != y0]
+            dirs: dict = {}
+            for dx in dxs:
+                for dy in dys:
+                    g = math.gcd(dx, dy)
+                    key = (dx // g, dy // g) if dx > 0 else (-dx // g, -dy // g)
+                    dirs[key] = dirs.get(key, 0) + 1
+            total += sum(m * (m - 1) for m in dirs.values())
+    return total
 
 
 def line_pair_sum(xvals, yvals=None) -> int:

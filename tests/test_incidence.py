@@ -1,5 +1,7 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -42,8 +44,6 @@ def test_triples_with_repeats_convention():
 def test_triples_match_oracle_rational(xvals, yvals):
     X, Y = gset_rational(xvals), gset_rational(yvals)
     got = incidence.collinear_triples(X, Y)
-    from fractions import Fraction
-
     want = oracles.collinear_triples([Fraction(v) for v in xvals],
                                      [Fraction(v) for v in yvals])
     assert got == want
@@ -71,8 +71,6 @@ def test_big_coordinates_use_exact_kernel():
 
 
 def test_fractional_coordinates():
-    from fractions import Fraction
-
     vals = [Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]
     X = gset_rational(vals)
     # an AP with rational step is affinely a 3x3 integer grid
@@ -88,12 +86,77 @@ def test_pair_sum_identity_always():
 
 
 def test_ops_guard_raises():
-    A = gset_rational(range(1, 133))  # (132^2)^2 anchor steps, above TRIPLE_CAP
+    A = gset_rational(range(1, 133))  # (132^2)^2 > TRIPLE_CAP
     with pytest.raises(TooLarge):
         incidence.collinear_triples(A)
+    assert incidence.collinear_triples(gset_rational(range(1, 132))) > 0  # (131^2)^2 is not
 
 
 def test_line_profile_grid_guard():
     A = gset_rational(range(1, 400))
     with pytest.raises(TooLarge):
         incidence.line_profile(A)
+
+
+@st.composite
+def rational_axes(draw):
+    """Two axes (equal, or drawn apart) of (offset + q k)/den, k in 0..12,
+    plus the point at offset + span: integer spans either side of 2^52 (the
+    complex-packed table), 2^60, 2^61 and 2^63, and small ones, with negative
+    offsets and fractional elements."""
+    span = (1 << draw(st.sampled_from([4, 52, 60, 61, 63]))) + draw(st.integers(-2, 2))
+    offset = draw(st.integers(-2**64, 2**64))
+    den = draw(st.sampled_from([1, 2, 3, 6]))
+    q = span // 12
+
+    def axis(max_size):
+        ks = draw(st.lists(st.integers(0, 12), max_size=max_size, unique=True))
+        tail = [span] if draw(st.booleans()) else []
+        return gset_rational(Fraction(offset + v, den) for v in [q * k for k in ks] + tail
+                             if offset + v != 0) if ks or tail else gset_rational([])
+
+    X = axis(12)
+    return (X, X) if draw(st.booleans()) else (axis(3), axis(12))
+
+
+@given(rational_axes())
+@example((gset_rational([1, 2, 3]), gset_rational(range(1, 10))))  # probes the long axis
+@example((gset_rational([-5, 2**61, 2**62]), gset_rational([Fraction(1, 3), 1, 2, 5])))
+@example((gset_rational([2**64 + k for k in (1, 2, 3, 5, 8)]),) * 2)  # small span, huge values
+@settings(max_examples=80, deadline=None)
+def test_triples_match_references_rational(axes):
+    X, Y = axes
+    want = oracles.anchor_triples(X.values(), Y.values())
+    assert incidence.collinear_triples(X, Y) == want
+    assert incidence.collinear_triples(Y, X) == want
+    assert incidence.line_profile(X, Y).ordered_triples() == want
+    if X.size * Y.size <= 30:
+        assert oracles.collinear_triples(X.values(), Y.values()) == want
+
+
+@st.composite
+def modp_axes(draw):
+    """Two axes of residues c + d k mod p, k small; p = 3 gives orbits of size 1,
+    p = 7 orbits of size 2 (lam in {3, 5}), and progressions size 3."""
+    p = draw(st.sampled_from([3, 7, 13, 2**31 - 1, 2**31 + 11]))
+    c, d = draw(st.integers(0, p - 1)), draw(st.integers(1, p - 1))
+
+    def axis(max_size):
+        ks = draw(st.lists(st.integers(0, 12), max_size=max_size, unique=True))
+        return gset_modp({(c + d * k) % p for k in ks}, p, allow_zero=True)
+
+    X = axis(6)
+    return p, ((X, X) if draw(st.booleans()) else (axis(3), axis(10)))
+
+
+@given(modp_axes())
+@example((3, (gset_modp([0, 1, 2], 3, allow_zero=True),) * 2))
+@example((7, (gset_modp([0, 1, 3], 7, allow_zero=True), gset_modp([1, 2, 4, 6], 7))))
+@example((13, (gset_modp([1, 2, 3], 13), gset_modp(range(1, 12), 13))))
+@settings(max_examples=80, deadline=None)
+def test_triples_match_oracle_modp_orbits(case):
+    p, (X, Y) = case
+    want = oracles.collinear_triples(X.values(), Y.values(), p=p)
+    assert incidence.collinear_triples(X, Y) == want
+    assert incidence.collinear_triples(Y, X) == want
+    assert incidence.line_profile(X, Y).ordered_triples() == want
