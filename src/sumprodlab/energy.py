@@ -3,6 +3,8 @@ popular differences and dyadic energy levels.
 
 All integer-valued quantities are computed with exact integer arithmetic;
 the only float on offer is the fractional moment (q = 3/2 and friends).
+Mod a prime, the difference-triple count sums one translate overlap per
+orbit of the subgroup of F_p^* that fixes its sets, times the orbit size.
 Counting conventions: every count is over ordered tuples, and r_{A-B}(d) is
 the number of ordered pairs (a, b) with a - b = d.
 """
@@ -17,6 +19,7 @@ import numpy as np
 
 from .errors import BadSpec, RestrictNotSubset, TooLarge
 from .setops import MODP, CountTable, GSet, combine
+from .subgroups import divisors, is_prime, primitive_root
 
 # Cap on |A-A| for the double-sum kernel, which iterates |A-A|^2 support
 # pairs in pure Python; the checks that need Sigma skip inputs above it.
@@ -99,17 +102,27 @@ def sigma_sum(A: GSet, *, table: CountTable | None = None) -> int:
 def difference_triple_count(A: GSet, restrict: GSet | None = None, *, table: CountTable | None = None) -> int:
     """Ordered pairs (d, d') in D x R with d - d' in D, where D = A - A.
 
-    R defaults to D; otherwise restrict must be a subset of D.
+    R defaults to D; otherwise restrict must be a subset of D.  The count is
+    the sum over d' in R of |D ^ (D + d')|.  Mod a prime p it runs over
+    orbits: when h in F_p^* maps D and R onto themselves, x -> hx maps
+    D ^ (D + r) onto D ^ (D + hr), so with H the largest subgroup of F_p^*
+    that maps the nonzero elements of D and of R onto themselves,
+
+        count = [0 in R] |D| + |H| * sum_r |D ^ (D + r)|,
+
+    with one r per H-orbit of the nonzero elements of R.  Composite moduli
+    (the mod p^2 lifts) keep H = {1}.
     """
     if table is None:
         table = difference_table(A)
+    if restrict is not None and (restrict.kind != table.kind or restrict.p != table.p):
+        raise RestrictNotSubset("restriction set has the wrong kind")
+    if table.kind == MODP:
+        return _orbit_triples(table, restrict)
     values = [v for v, _ in table.int_items()]
-    p = table.p if table.kind == MODP else None
     if restrict is None:
         rvals = values
     else:
-        if restrict.kind != table.kind or restrict.p != table.p:
-            raise RestrictNotSubset("restriction set has the wrong kind")
         supp_elems = set(table.entries.keys())
         for x in restrict.elements:
             if x not in supp_elems:
@@ -117,11 +130,6 @@ def difference_triple_count(A: GSet, restrict: GSet | None = None, *, table: Cou
         # restrict lies in D, so its scale divides the table's
         r_ints, r_scale = restrict.int_view()
         rvals = [v * (table.scale // r_scale) for v in r_ints]
-    if p is not None:
-        # |D ^ (D + d')| per shift; boolean counting, so still exact.
-        ind = np.zeros(p, dtype=bool)
-        ind[np.asarray(values, dtype=np.int64)] = True
-        return sum(int(np.count_nonzero(ind & np.roll(ind, dp))) for dp in rvals)
     lim = 1 << 61  # keeps every d - d' inside int64
     if all(-lim < v < lim for v in values) and all(-lim < v < lim for v in rvals):
         arr = np.sort(np.asarray(values, dtype=np.int64))
@@ -135,6 +143,56 @@ def difference_triple_count(A: GSet, restrict: GSet | None = None, *, table: Cou
         return count
     support = set(values)
     return sum(1 for d in values for dp in rvals if d - dp in support)
+
+
+def _orbit_triples(table: CountTable, restrict: GSet | None) -> int:
+    """The mod-p difference-triple count, one overlap per H-orbit of R - {0}."""
+    p = table.p
+    dv = np.fromiter((d.value for d in table.entries), dtype=np.int64, count=len(table.entries))
+    ind = np.zeros(p, dtype=bool)  # indicator of D
+    ind[dv] = True
+    rv = dv
+    if restrict is not None:
+        rv = np.fromiter((x.value for x in restrict.elements), dtype=np.int64, count=restrict.size)
+        outside = np.flatnonzero(~ind[rv])
+        if outside.size:
+            raise RestrictNotSubset(f"{restrict.elements[outside[0]]} not in the difference set")
+    rnz = rv[rv != 0]
+    group = _fixing_group(p, ind, dv[dv != 0], rnz)
+    seen = np.zeros(p, dtype=bool)
+    total = 0
+    for r in rnz:
+        if not seen[r]:
+            seen[group * r % p] = True
+            # x in D with x - r in D, for x >= r and for x < r (wrapping)
+            total += int(np.count_nonzero(ind[r:] & ind[:p - r]))
+            total += int(np.count_nonzero(ind[:r] & ind[p - r:]))
+    zero_term = dv.size if rnz.size < rv.size else 0  # d' = 0: |D ^ D| = |D|
+    return zero_term + group.size * total
+
+
+def _fixing_group(p: int, ind: np.ndarray, dnz: np.ndarray, rnz: np.ndarray) -> np.ndarray:
+    """Elements of the largest subgroup H of F_p^* that maps the residues dnz
+    (indicator ind) and rnz each onto themselves; [1] when p is not prime.
+
+    Both sets are unions of H-cosets, so |H| divides p - 1, |dnz| and |rnz|.
+    F_p^* is cyclic, so the order-k candidate is generated by g^((p-1)/k);
+    orders are tried largest first and k = 1 always passes.
+    """
+    # products of two residues must stay inside int64
+    if p * p >= 1 << 63 or not is_prime(p):
+        return np.ones(1, dtype=np.int64)
+    rind = np.zeros(p, dtype=bool)
+    rind[rnz] = True
+    g = primitive_root(p)
+    for k in reversed(divisors(math.gcd(p - 1, dnz.size, rnz.size))):
+        h = pow(g, (p - 1) // k, p)
+        if ind[dnz * h % p].all() and rind[rnz * h % p].all():
+            break
+    elems = np.ones(1, dtype=np.int64)  # h^0, ..., h^(k-1) by doubling
+    while elems.size < k:
+        elems = np.concatenate((elems, elems * pow(h, elems.size, p) % p))
+    return elems[:k]
 
 
 @dataclass(frozen=True)
@@ -164,11 +222,15 @@ def popular_differences(A: GSet, *, table: CountTable | None = None) -> PopularS
     if table is None:
         table = difference_table(A)
     n2 = table.total  # |A|^2
-    delta = Fraction(n2, 2 * table.support_size())
-    members = [v for v, c in table.entries.items() if c >= delta]
-    mass = sum(c for c in table.entries.values() if c >= delta)
+    twice_support = 2 * table.support_size()
+    members = []
+    mass = 0
+    for v, c in table.entries.items():
+        if twice_support * c >= n2:  # r(d) >= Delta, in integers
+            members.append(v)
+            mass += c
     gs = GSet.from_elements(members, allow_zero=True, kind=table.kind, p=table.p)
-    return PopularSet(delta, gs, mass)
+    return PopularSet(Fraction(n2, twice_support), gs, mass)
 
 
 def dyadic_energy_level(A: GSet, *, table: CountTable | None = None) -> DyadicLevel:

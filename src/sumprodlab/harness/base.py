@@ -117,6 +117,11 @@ class SetStats:
     def pop(self):
         return self.memo("pop", lambda: energy.popular_differences(self.A, table=self.table()))
 
+    def tri_pop(self) -> int:
+        """The difference-triple count with d' restricted to the popular set."""
+        return self.memo("tri_pop", lambda: energy.difference_triple_count(
+            self.A, restrict=self.pop().members, table=self.table()))
+
     def dyadic(self):
         return self.memo("dyadic", lambda: energy.dyadic_energy_level(self.A, table=self.table()))
 

@@ -113,10 +113,7 @@ def _chk_cor1_lower(stats: SetStats, opts: dict):
 
 def _chk_lemma_key(stats: SetStats, opts: dict):
     lhs = stats.size**6
-    pop = stats.pop()
-    tri_p = energy.difference_triple_count(stats.A, restrict=pop.members,
-                                           table=stats.table())
-    rhs = 4 * stats.energy3() * tri_p
+    rhs = 4 * stats.energy3() * stats.tri_pop()
     return lhs, rhs, float(Fraction(lhs, rhs)), lhs <= rhs
 
 
@@ -257,13 +254,11 @@ def _chk_thm21_chain(stats: SetStats, opts: dict):
 
 def _prop7_parts(stats: SetStats, opts: dict):
     def build():
-        pop = stats.pop()
-        delta = pop.delta
+        delta = stats.pop().delta
         aa = stats.combined("*")
         taa = _taa(stats)
         heavy = [s for s, c in taa.entries.items() if c >= delta]
-        count3 = energy.difference_triple_count(stats.A, restrict=pop.members,
-                                                table=stats.table())
+        count3 = stats.tri_pop()
         dset = stats.table().support_set()
         r_dd = setops.combine(dset, dset, "-")
         count4 = 0

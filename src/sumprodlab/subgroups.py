@@ -199,9 +199,9 @@ def gap_H(ctx: SubgroupCtx, *, circular: bool = True) -> GapReport:
             if p - 1 - pos[-1] > best[0]:
                 best = (p - 1 - pos[-1], j, pos[-1] + 1)
     gap, coset, start = best
-    members = {x for x in range(1, p) if ctx.coset_of(x) == coset}
     for step in range(gap):
-        if (start + step) % p in members:
+        x = (start + step) % p  # 0 lies in no coset
+        if x and ctx.coset_of(x) == coset:
             raise CrossCheckMismatch("gap witness contains a coset element")
     return GapReport(p, ctx.t, gap, coset, start, circular)
 

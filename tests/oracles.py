@@ -98,15 +98,21 @@ def sigma_tuples(vals) -> int:
     return count
 
 
-def difference_triples(vals, restrict=None) -> int:
+def difference_triples(vals, restrict=None, p=None) -> int:
     """Pairs (d, d') in D x R with d - d' in D, where D holds the distinct
-    differences (0 included) and R defaults to D."""
-    dset = set()
-    for a in vals:
-        for b in vals:
-            dset.add(a - b)
+    differences (0 included) and R defaults to D; residues mod p if given."""
+    dset = set(diff_counts(vals, p))
     rvals = dset if restrict is None else set(restrict)
-    return sum(1 for d in dset for dp in rvals if d - dp in dset)
+    if p is None:
+        return sum(1 for d in dset for dp in rvals if d - dp in dset)
+    return sum(1 for d in dset for dp in rvals if (d - dp) % p in dset)
+
+
+def stabilizer_order(p, *sets) -> int:
+    """Number of h in F_p^* with h * S = S for each set S of nonzero residues."""
+    sets = [frozenset(s) for s in sets]
+    return sum(1 for h in range(1, p)
+               if all({h * x % p for x in s} == s for s in sets))
 
 
 def collinear_triples(xvals, yvals=None, include_degenerate=False, p=None) -> int:

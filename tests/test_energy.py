@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,9 @@ import oracles
 from sumprodlab import energy
 from sumprodlab.errors import RestrictNotSubset, TooLarge
 from sumprodlab.families import generate_from_string
-from sumprodlab.setops import gset_modp, gset_rational
+from sumprodlab.harness import SetStats
+from sumprodlab.setops import gset_modp, gset_rational, invariant_union
+from sumprodlab.subgroups import divisors, subgroup_context
 
 A123 = gset_rational([1, 2, 3])
 
@@ -105,11 +108,104 @@ def test_triple_count_restricted():
     assert got == 5
     with pytest.raises(RestrictNotSubset):
         energy.difference_triple_count(A123, restrict=gset_rational([7]))
+    with pytest.raises(RestrictNotSubset):  # off the table's scale
+        energy.difference_triple_count(A123, restrict=gset_rational([Fraction(1, 7)]))
+    with pytest.raises(RestrictNotSubset):  # {1, 2} - {1, 2} mod 7 is {0, 1, 6}
+        energy.difference_triple_count(gset_modp([1, 2], 7), restrict=gset_modp([3], 7))
     # fractional set: the restriction's scale (1 or 6) differs from the table's (6)
     half = [Fraction(1, 2), Fraction(3, 2), Fraction(7, 3)]
     for R in ([1], [1, Fraction(-5, 6)]):
         got = energy.difference_triple_count(gset_rational(half), restrict=gset_rational(R))
         assert got == oracles.difference_triples(half, [Fraction(r) for r in R])
+
+
+MODP_PRIMES = (3, 7, 13, 31, 101, 1009)
+
+
+@st.composite
+def modp_triple_inputs(draw):
+    """(modulus, A, R) for the mod-p triple count; R is None or a subset of D.
+
+    A is a subgroup, a union of its cosets or a random set, mod a prime or
+    mod 7^2 or 101^2.  R is D itself, a union of Gamma-orbits of D, a
+    symmetric subset of D, or any subset of D.
+    """
+    shape = draw(st.sampled_from(("subgroup", "cosets", "random", "square")))
+    ctx = None
+    if shape == "square":
+        m = draw(st.sampled_from((7 * 7, 101 * 101)))
+    else:
+        m = draw(st.sampled_from(MODP_PRIMES))
+    if shape in ("subgroup", "cosets"):
+        ctx = subgroup_context(m, draw(st.sampled_from(
+            [t for t in divisors(m - 1) if t <= 24])))
+        k = 1 if shape == "subgroup" else draw(st.integers(1, min(ctx.cosets, 24 // ctx.t or 1)))
+        A = invariant_union(ctx, draw(st.lists(st.integers(0, ctx.cosets - 1),
+                                               min_size=k, max_size=k, unique=True)))
+    else:
+        A = gset_modp(draw(st.lists(st.integers(1, m - 1), min_size=1,
+                                    max_size=min(8, m - 1), unique=True)), m)
+    dvals = sorted(oracles.diff_counts(A.values(), m))
+    kind = draw(st.sampled_from(("all", "invariant", "symmetric", "neither")))
+    if kind == "all":
+        return m, A, None
+    picked = set(draw(st.lists(st.sampled_from(dvals), min_size=1, max_size=12)))
+    if kind == "invariant" and ctx is not None:
+        picked = {d * g % m for d in picked for g in ctx.gamma} | (picked & {0})
+    elif kind in ("invariant", "symmetric"):
+        picked |= {-d % m for d in picked}
+    return m, A, gset_modp(picked, m, allow_zero=True)
+
+
+def _group_order(m, dvals, rvals) -> int:
+    """|H| as the mod-p triple count derives it from D and R."""
+    ind = np.zeros(m, dtype=bool)
+    ind[list(dvals)] = True
+    dnz = np.array([d for d in dvals if d], dtype=np.int64)
+    rnz = np.array([r for r in rvals if r], dtype=np.int64)
+    return energy._fixing_group(m, ind, dnz, rnz).size
+
+
+@given(modp_triple_inputs())
+@settings(max_examples=60, deadline=None)
+def test_triple_count_modp_matches_oracle(case):
+    m, A, R = case
+    rvals = None if R is None else R.values()
+    assert energy.difference_triple_count(A, R) == oracles.difference_triples(
+        A.values(), rvals, p=m)
+    dvals = set(oracles.diff_counts(A.values(), m))
+    rset = dvals if R is None else set(rvals)
+    order = _group_order(m, dvals, rset)
+    if m in MODP_PRIMES and m <= 101:
+        assert order == oracles.stabilizer_order(m, dvals - {0}, rset - {0})
+    elif m not in MODP_PRIMES:
+        assert order == 1  # composite moduli are not searched
+
+
+def test_triple_count_modp_group_choice():
+    # D = Gamma - Gamma is invariant under Gamma and under -1
+    ctx = subgroup_context(31, 5)
+    G = ctx.gamma_set()
+    dvals = set(oracles.diff_counts(G.values(), 31))
+    assert _group_order(31, dvals, dvals) == oracles.stabilizer_order(31, dvals - {0}) > 1
+    assert energy.difference_triple_count(G) == oracles.difference_triples(G.values(), p=31)
+    # a restriction that is not symmetric leaves only H = {1}
+    lone = gset_modp([1], 31)
+    assert 1 in dvals and _group_order(31, dvals, {1}) == 1
+    assert energy.difference_triple_count(G, lone) == oracles.difference_triples(
+        G.values(), [1], p=31)
+    # mod 7^2 the modulus is not prime, so H = {1}
+    A = gset_modp([1, 8, 18, 30], 49)
+    dvals49 = set(oracles.diff_counts(A.values(), 49))
+    assert _group_order(49, dvals49, dvals49) == 1
+    assert energy.difference_triple_count(A) == oracles.difference_triples(A.values(), p=49)
+
+
+def test_triple_count_pinned_subgroup():
+    ctx = subgroup_context(93241, 888)
+    stats = SetStats(ctx.gamma_set(), ctx=ctx)
+    assert stats.tri() == 8_447_848_585
+    assert stats.tri_pop() == 7_066_981_945
 
 
 def test_sigma_guard():
@@ -127,6 +223,8 @@ def test_popular_differences_majority_mass():
         assert 2 * pop.mass >= A.size**2
         table = energy.difference_table(A)
         assert pop.mass == sum(table.get(d) for d in pop.members.elements)
+        assert set(pop.members.elements) == {d for d, c in table.entries.items()
+                                             if c >= pop.delta}
 
 
 def test_dyadic_level_covers_energy():

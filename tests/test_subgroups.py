@@ -5,7 +5,8 @@ import pytest
 
 import oracles
 from sumprodlab import energy, subgroups
-from sumprodlab.errors import (BadSpec, NotPrime, OrderDoesNotDivide, TooLarge)
+from sumprodlab.errors import (BadSpec, CrossCheckMismatch, NotPrime, OrderDoesNotDivide,
+                               TooLarge)
 from sumprodlab.subgroups import (char_moment_report, gap_H, gamma_energy,
                                   ks_criterion, lifted_context, mod_p2_subgroup,
                                   scan_gaps, subgroup_context, tk_cyclic, window_counts)
@@ -62,6 +63,20 @@ def test_gap_matches_oracle_across_small_primes():
                 continue
             ctx = subgroup_context(p, t)
             assert gap_H(ctx).gap == oracles.coset_gap(p, ctx.gamma), (p, t)
+
+
+def test_gap_witness_is_rechecked(monkeypatch):
+    # buckets that forget two members of Gamma make a run through them win
+    real = subgroups._bucket_positions
+
+    def lossy(ctx):
+        buckets = real(ctx)
+        buckets[0] = buckets[0][:1]
+        return buckets
+
+    monkeypatch.setattr(subgroups, "_bucket_positions", lossy)
+    with pytest.raises(CrossCheckMismatch):
+        gap_H(subgroup_context(13, 3))
 
 
 def test_gap_full_group_is_one():
