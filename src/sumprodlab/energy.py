@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadSpec, RestrictNotSubset, TooLarge
-from .setops import MODP, CountTable, GSet, combine
+from .setops import MODP, CountTable, GSet, combine, difference_lookup, int_counts
 from .subgroups import divisors, is_prime, primitive_root
 
 # Cap on |A-A| for the double-sum kernel, which iterates |A-A|^2 support
@@ -33,9 +33,8 @@ def difference_table(A: GSet) -> CountTable:
 
 def energy_pair(A: GSet, B: GSet | None = None, *, table: CountTable | None = None) -> int:
     """E(A, B) = sum_d |A ^ (B + d)|^2; E(A) when B is omitted."""
-    if table is None:
-        table = combine(A, B if B is not None else A, "-")
-    return sum(c * c for c in table.entries.values())
+    counts = table.entries if table is not None else int_counts(A, A if B is None else B, "-")[0]
+    return sum(c * c for c in counts.values())
 
 
 def moment_energy(A: GSet, q, *, table: CountTable | None = None):
@@ -76,26 +75,16 @@ def sigma_sum(A: GSet, *, table: CountTable | None = None) -> int:
     if support > SIGMA_SUPPORT_CAP:
         raise TooLarge(f"|A-A| = {support} exceeds the sigma_sum guard {SIGMA_SUPPORT_CAP}")
     items = table.int_items()
-    p = table.p if table.kind == MODP else None
-    rmap = dict(items)
+    rmap = difference_lookup(items, table.p)
     total = 0
-    if p is None:
-        for d, rd in items:
-            acc = 0
-            for e, re2 in items:
-                w = rmap.get(d - e)
-                if w is not None:
-                    # contribution r(d) r(e) r(d-e)^2 arranged as r(e) * [r(d-e)^2]
-                    acc += re2 * w * w
-            total += rd * acc
-    else:
-        for d, rd in items:
-            acc = 0
-            for e, re2 in items:
-                w = rmap.get((d - e) % p)
-                if w is not None:
-                    acc += re2 * w * w
-            total += rd * acc
+    for d, rd in items:
+        acc = 0
+        for e, re2 in items:
+            w = rmap.get(d - e)
+            if w is not None:
+                # contribution r(d) r(e) r(d-e)^2 arranged as r(e) * [r(d-e)^2]
+                acc += re2 * w * w
+        total += rd * acc
     return total
 
 

@@ -12,11 +12,10 @@ versions.  No stdlib ``random`` is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BadSpec
-from .ground import ModP
 from .setops import GSet, gset_rational
 
 _LCG_MULT = 6364136223846793005

@@ -97,8 +97,6 @@ def is_zero(x: GroundElement) -> bool:
 
 def format_element(x: GroundElement) -> str:
     """Text form: 'num/den' (or bare 'num') for rationals, 'v mod p' for residues."""
-    if isinstance(x, ModP):
-        return str(x)
     return str(x)
 
 

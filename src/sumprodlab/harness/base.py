@@ -45,24 +45,7 @@ class CheckResult:
 
 
 def _stringify(x) -> str:
-    if isinstance(x, bool):
-        return str(x)
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def as_ratio(lhs, rhs) -> float:
-    """lhs / rhs as a float, exact division first when both sides are exact."""
-    if isinstance(lhs, int) and isinstance(rhs, int) and rhs != 0:
-        return float(Fraction(lhs, rhs))
-    if isinstance(lhs, (int, Fraction)) and isinstance(rhs, (int, Fraction)) and rhs != 0:
-        return float(Fraction(lhs) / Fraction(rhs))
-    return float(lhs) / float(rhs)
+    return repr(x) if isinstance(x, float) else str(x)
 
 
 class SetStats:

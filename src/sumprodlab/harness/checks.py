@@ -78,11 +78,14 @@ def _chk_e3_identity(stats: SetStats, opts: dict):
     A = stats.A
     table = stats.table()
     direct = stats.energy3()
+    ints = A.int_view()[0]  # the scale of the table's int_items
+    members = setops.difference_lookup(dict.fromkeys(ints), A.p)
     via_slices = 0
-    for d, r in table.entries.items():
-        Ad = setops.translate_intersect(A, d)
+    for d, r in table.int_items():
+        Ad = GSet(tuple(x for x, v in zip(A.elements, ints) if v - d in members), A.kind, A.p)
         if Ad.size != r:
-            raise CrossCheckMismatch(f"|A ^ (A+{d})| = {Ad.size} but r = {r}")
+            raise CrossCheckMismatch(f"|A ^ (A+d)| = {Ad.size} but r = {r}, "
+                                     f"d = {d} on the int view")
         via_slices += energy.energy_pair(A, Ad)
     ok = direct == via_slices
     if ok and energy.t_k(A, 2) != stats.energy():
@@ -178,7 +181,8 @@ def _chk_spectral_chain(stats: SetStats, opts: dict):
     ok = True
     worst = None
     for delta in sorted({_half_delta(stats), stats.max_r()}):
-        chain = spectral.spectral_chain(stats.A, delta=delta)
+        chain = spectral.spectral_chain(stats.A, delta=delta, table=stats.table(),
+                                        energy3=stats.energy3(), sigma=stats.sigma())
         ok = ok and chain.ok
         if worst is None or Fraction(chain.lhs_exact, chain.rhs_exact) > worst[0]:
             worst = (Fraction(chain.lhs_exact, chain.rhs_exact), chain)
@@ -253,19 +257,25 @@ def _chk_thm21_chain(stats: SetStats, opts: dict):
 
 
 def _prop7_parts(stats: SetStats, opts: dict):
+    # count4 on A's integer view (scale s): AA - AA on scale s^2, D - D on scale s,
+    # so r_{D-D}(S / x) is read at key S / x when x divides S; mod p at S * x^-1.
     def build():
         delta = stats.pop().delta
-        aa = stats.combined("*")
-        taa = _taa(stats)
-        heavy = [s for s, c in taa.entries.items() if c >= delta]
+        ints, scale = stats.A.int_view()
+        p = stats.A.p
+        taa, taa_scale = _taa(stats)
+        lift = scale * scale // taa_scale
+        heavy = [k * lift for k, c in taa.items() if c * delta.denominator >= delta.numerator]
         count3 = stats.tri_pop()
         dset = stats.table().support_set()
-        r_dd = setops.combine(dset, dset, "-")
-        count4 = 0
-        for s in heavy:
-            for x in stats.A.elements:
-                count4 += r_dd.get(s / x)
-        return delta, len(heavy), aa.size, count3, count4
+        r_dd, dd_scale = setops.int_counts(dset, dset, "-")
+        r_dd = {k * (scale // dd_scale): c for k, c in r_dd.items()}
+        if p is None:
+            count4 = sum(r_dd.get(s // x, 0) for s in heavy for x in ints if s % x == 0)
+        else:
+            inverses = [pow(x, -1, p) for x in ints]
+            count4 = sum(r_dd.get(s * y % p, 0) for s in heavy for y in inverses)
+        return delta, len(heavy), stats.combined("*").size, count3, count4
 
     return stats.memo("prop7", build)
 
@@ -487,16 +497,17 @@ def _needs_sigma(stats: SetStats) -> bool:
 
 
 def _taa(stats: SetStats):
+    """r_{AA-AA} on the integer scale: (Counter, scale)."""
     aa = stats.combined("*")
-    return stats.memo("taa", lambda: setops.combine(aa, aa, "-"))
+    return stats.memo("taa", lambda: setops.int_counts(aa, aa, "-"))
 
 
 def _needs_prop7(stats: SetStats) -> bool:
     # The popular threshold can fall below 1, making S all of AA - AA, so
-    # the count4 loop is |AA - AA| * |A| rational divisions.
+    # the count4 loop is |AA - AA| * |A| integer divisions.
     if stats.support("-") > 1200 or stats.support("*") > 600:
         return False
-    return _taa(stats).support_size() <= 20_000
+    return len(_taa(stats)[0]) <= 20_000
 
 
 def _needs_sum_stats(stats: SetStats) -> bool:

@@ -23,7 +23,7 @@ half-mass pigeonhole an exact statement at every input size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .. import energy, setops
@@ -131,8 +131,17 @@ def _build_cover(points: list, n: int, transposed: bool) -> tuple[list[Rectangle
     return rects, loads
 
 
-def _point_set(B: GSet, members) -> list:
-    return [(a, b) for a in B.elements for b in B.elements if a - b in members]
+def _on_scale(B: GSet, scale: int) -> list[int]:
+    """B's integer view brought to ``scale``, a multiple of B's own scale."""
+    ints, own = B.int_view()
+    return [x * (scale // own) for x in ints]
+
+
+def _decoded(rects: list, B: GSet) -> list:
+    """Rectangles on B's integer view with their coordinates as B's elements."""
+    elem = dict(zip(B.int_view()[0], B.elements)).get
+    return [replace(r, abscissae=tuple(map(elem, r.abscissae)),
+                    ordinates=tuple(map(elem, r.ordinates))) for r in rects]
 
 
 def rect_decompose(A: GSet, *, profile: RectProfile = PAPER_PROFILE) -> RectCover:
@@ -149,8 +158,9 @@ def rect_decompose(A: GSet, *, profile: RectProfile = PAPER_PROFILE) -> RectCove
         table = energy.difference_table(current)
         ledger.append(sum(c * c for c in table.entries.values()))
         lvl = energy.dyadic_energy_level(current, table=table)
-        members = lvl.members.member_set()
-        points = _point_set(current, members)
+        ints, scale = current.int_view()
+        level = setops.difference_lookup(dict.fromkeys(_on_scale(lvl.members, scale)), current.p)
+        points = [(a, b) for a in ints for b in ints if a - b in level]
         mass = len(points)
         if mass != sum(table.entries[d] for d in lvl.members.elements):
             raise CrossCheckMismatch("point-set size disagrees with the level mass")
@@ -177,24 +187,21 @@ def rect_decompose(A: GSet, *, profile: RectProfile = PAPER_PROFILE) -> RectCove
             wide = [r for r in t_rich if r.width >= wide_thr]
         if wide:
             rect = max(wide, key=lambda r: (r.points, r.width, r.abscissae))
-            return _case1(current, lvl, members, mass, points, rich, rich_points,
+            return _case1(current, lvl, level, mass, points, rich, rich_points,
                           rect, loads, rounds, ledger)
         # Case 2: drop the rich rectangles' index sets and go again
-        drop = set()
-        for r in rich:
-            drop.update(r.abscissae)
-            drop.update(r.ordinates)
-        remaining = [x for x in current.elements if x not in drop]
+        drop = {x for r in rich for x in r.abscissae + r.ordinates}
+        remaining = tuple(x for x, v in zip(current.elements, ints) if v not in drop)
         last_state = (lvl, mass, rich, rich_points, current, loads)
         if len(remaining) < RECT_MIN_SIZE:
             break
-        current = GSet(tuple(remaining), current.kind, current.p)
+        current = GSet(remaining, current.kind, current.p)
     lvl, mass, rich, rich_points, final, loads = last_state
-    return RectCover("case2-iterated", lvl.delta, lvl.members, mass, rich,
+    return RectCover("case2-iterated", lvl.delta, lvl.members, mass, _decoded(rich, final),
                      rich_points, final, final, 0, rounds, ledger, loads)
 
 
-def _case1(current: GSet, lvl, members, mass: int, points: list, rich: list,
+def _case1(current: GSet, lvl, level: dict, mass: int, points: list, rich: list,
            rich_points: int, rect: Rectangle, loads: list, rounds: int,
            ledger: list) -> RectCover:
     L = _log_ceil(current.size)
@@ -216,16 +223,16 @@ def _case1(current: GSet, lvl, members, mass: int, points: list, rich: list,
     if q * len(aprime) > mass:
         raise CrossCheckMismatch("q |A'| exceeds the point count")
     # route 2: pointwise membership re-verification, independent of the cover
+    elem = dict(zip(current.int_view()[0], current.elements)).get
     for a in aprime:
-        supported = sum(1 for b in oset
-                        if ((b - a) if rect.transposed else (a - b)) in members)
+        supported = sum(1 for b in oset if ((b - a) if rect.transposed else (a - b)) in level)
         if supported < q or supported != counts[a]:
-            raise CrossCheckMismatch(f"abscissa {a} supports {supported} points, "
+            raise CrossCheckMismatch(f"abscissa {elem(a)} supports {supported} points, "
                                      f"cover says {counts[a]}, q = {q}")
-    Ap = GSet(tuple(sorted(aprime)), current.kind, current.p)
-    App = GSet(tuple(sorted(rect.ordinates)), current.kind, current.p)
-    return RectCover("case1", lvl.delta, lvl.members, mass, rich, rich_points,
-                     Ap, App, q, rounds, ledger, loads)
+    Ap = GSet(tuple(map(elem, aprime)), current.kind, current.p)
+    App = GSet(tuple(map(elem, rect.ordinates)), current.kind, current.p)
+    return RectCover("case1", lvl.delta, lvl.members, mass, _decoded(rich, current),
+                     rich_points, Ap, App, q, rounds, ledger, loads)
 
 
 @dataclass
@@ -255,47 +262,57 @@ def sum_construction_stats(A: GSet, *, cover: RectCover | None = None) -> SumSta
     the Cauchy-Schwarz bound on sum |A'_lambda|^2, the per-lambda power-mean
     inequality |P|^2 sum k^3 >= |Q_lambda|^3, and pointwise membership of
     every constructed point in (A+A) x (A+A) with offset in P.
+
+    All of it runs on A's integer view.  With lambda = u/v in lowest terms
+    (mod p: u = lambda, v = 1), lambda a is in A' when v | u a and u a / v is
+    in A'; a point is kept as (X, Y) = (a' + b, v a + u b), offset (Y - u X) / v.
     """
     quot = setops.combined_set(A, A, "/")
     if quot.size > RATIO_SET_CAP:
         raise InfeasibleSize(f"|A/A| = {quot.size} exceeds {RATIO_SET_CAP}")
     if cover is not None and cover.case == "case1":
-        aprime, adouble = cover.Aprime, cover.Adoubleprime
-        level_members = cover.level.member_set()
+        aprime, adouble, level = cover.Aprime, cover.Adoubleprime, cover.level
     else:
         aprime = adouble = A
-        level_members = energy.dyadic_energy_level(A).members.member_set()
-    s_set = setops.combined_set(A, A, "+")
-    s_members = s_set.member_set()
-    ap_members = aprime.member_set()
-    app = list(adouble.elements)
-    p_size = len(level_members)
-    lam_total = 0
-    pair_mass = 0
-    e_times = 0
+        level = energy.dyadic_energy_level(A).members
+    ints, scale = A.int_view()
+    p = A.p
+    sums = set(setops.int_counts(A, A, "+")[0])
+    members = frozenset(ints)
+    ap_members = frozenset(_on_scale(aprime, scale))
+    app = _on_scale(adouble, scale)
+    p_size = level.size
+    level = setops.difference_lookup(dict.fromkeys(_on_scale(level, scale)), p)
+    lam_total = pair_mass = e_times = sum_cubes = triples_lower = 0
     q_sizes: dict = {}
-    sum_cubes = 0
-    triples_lower = 0
     for lam in quot.elements:
-        in_a = sum(1 for a in A.elements if lam * a in A.member_set())
-        lam_total += in_a
-        slice_ = [a for a in A.elements if lam * a in ap_members]
+        u, v = (lam.value, 1) if p is not None else (lam.numerator, lam.denominator)
+        images = ([(a, u * a // v) for a in ints if u * a % v == 0] if p is None
+                  else [(a, u * a % p) for a in ints])
+        in_a = [(a, la) for a, la in images if la in members]
+        lam_total += len(in_a)
+        slice_ = [(a, la) for a, la in in_a if la in ap_members]
         pair_mass += len(slice_)
         e_times += len(slice_) ** 2
         if not slice_:
             continue
+        row = [(b, u * b) for b, _ in slice_]
         pts = set()
-        for ap in slice_:
+        for ap, lap in slice_:
             for a in app:
-                if lam * ap - a in level_members:
-                    for b in slice_:
-                        pts.add((ap + b, a + lam * b))
+                if lap - a in level:
+                    va = v * a
+                    pts.update([(ap + b, va + ub) for b, ub in row])
+        if p is not None:
+            pts = {(x % p, y % p) for x, y in pts}
         lines: dict = {}
         for x, y in pts:
-            if x not in s_members or y not in s_members:
+            if x not in sums or y % v or y // v not in sums:
                 raise CrossCheckMismatch("constructed point left the sumset grid")
-            off = y - lam * x
-            if off not in level_members:
+            off, rem = divmod(y - u * x, v)
+            if p is not None:
+                off %= p
+            if rem or off not in level:
                 raise CrossCheckMismatch("line offset left the popular level")
             lines[off] = lines.get(off, 0) + 1
         size = len(pts)
@@ -311,6 +328,6 @@ def sum_construction_stats(A: GSet, *, cover: RectCover | None = None) -> SumSta
         raise CrossCheckMismatch("sum of |A'_lambda| misses |A| |A'|")
     if e_times * quot.size < pair_mass**2:
         raise CrossCheckMismatch("Cauchy-Schwarz failed on the slice profile")
-    return SumStats(s_set.size, p_size, quot.size, aprime.size, adouble.size,
+    return SumStats(len(sums), p_size, quot.size, aprime.size, adouble.size,
                     pair_mass, e_times, q_sizes, sum_cubes,
-                    s_set.size**4 * p_size**2, triples_lower)
+                    len(sums)**4 * p_size**2, triples_lower)

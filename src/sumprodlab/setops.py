@@ -261,14 +261,29 @@ def _pair_keys(A: GSet, B: GSet, op: str, into) -> int | None:
     return scale
 
 
+def difference_lookup(items, p: int | None) -> dict:
+    """The dict (from a mapping or (key, value) pairs) to look a - b up in, for
+    a, b on one integer view: mod p each residue key also appears minus p,
+    since a - b then lies in (-p, p) and needs no reduction."""
+    out = dict(items)
+    if p is not None:
+        out.update([(k - p, v) for k, v in out.items()])
+    return out
+
+
+def int_counts(A: GSet, B: GSet, op: str) -> tuple[Counter, int | None]:
+    """r_{A op B} on the integer scale: (Counter of keys, their scale)."""
+    counts: Counter = Counter()
+    return counts, _pair_keys(A, B, op, counts)
+
+
 def combine(A: GSet, B: GSet, op: str) -> CountTable:
     """Full multiplicity table of {a op b : a in A, b in B}, ordered pairs.
 
     total is always |A||B|; support gives the sumset/difference/product/ratio
     set.  Division requires 0 not in B.
     """
-    counts: Counter = Counter()
-    scale = _pair_keys(A, B, op, counts)
+    counts, scale = int_counts(A, B, op)
     element = _element(A.p, scale)
     entries = {element(k): c for k, c in counts.items()}
     return CountTable(entries, A.size * B.size, A.kind, A.p, scale)
@@ -308,20 +323,10 @@ def iterated_sum_counts(A: GSet, k: int) -> CountTable:
 
 def translate_intersect(A: GSet, d: GroundElement) -> GSet:
     """A intersect (A + d); its size equals r_{A-A}(d)."""
-    if A.kind == MODP:
-        if not isinstance(d, ModP) or d.p != A.p:
-            raise MixedKinds("translation by an element of a different kind")
-        dv = d.value
-        p = A.p
-        members = set(A.values())
-        hits = [v for v in A.values() if (v - dv) % p in members]
-        return GSet.from_elements(hits, allow_zero=True, p=p, kind=MODP) if hits else GSet((), MODP, p)
-    if isinstance(d, ModP):
+    if isinstance(d, ModP) != (A.kind == MODP) or getattr(d, "p", A.p) != A.p:
         raise MixedKinds("translation by an element of a different kind")
-    d = Fraction(d)
     members = A.member_set()
-    hits = [x for x in A.elements if x - d in members]
-    return GSet(tuple(hits), RATIONAL, None)
+    return GSet(tuple(x for x in A.elements if x - d in members), A.kind, A.p)
 
 
 def invariant_union(ctx: "SubgroupCtx", coset_indices: Iterable[int]) -> GSet:

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import energy
+from . import energy, setops
 from .errors import BadSpec, DimensionMismatch, NoConvergence, TooLarge
 from .families import Lcg
-from .setops import GSet
+from .setops import CountTable, GSet
 
 MATRIX_CAP = 512  # |A| for build_matrices
 FACTOR_CAP = 10_000_000  # cells of the incidence factor
@@ -46,26 +46,20 @@ class EnergyMatrices:
         return self.base.size
 
 
-def build_matrices(A: GSet, *, delta: int | None = None) -> EnergyMatrices:
+def build_matrices(A: GSet, *, delta: int | None = None,
+                   table: CountTable | None = None) -> EnergyMatrices:
     """R, M and the delta-truncated Mt for A (delta defaults to max r)."""
     n = A.size
     if n > MATRIX_CAP:
         raise TooLarge(f"set has {n} elements, matrix cap is {MATRIX_CAP}")
-    table = energy.difference_table(A)
+    table = energy.difference_table(A) if table is None else table
     if delta is None:
         delta = table.max_count()
     elif delta < 1:
         raise BadSpec(f"truncation level must be >= 1, got {delta}")
-    elems = A.elements
-    R = np.zeros((n, n), dtype=np.float64)
-    Mt = np.zeros((n, n), dtype=np.float64)
-    scale = 1.0 / np.sqrt(float(delta))
-    for i in range(n):
-        for j in range(n):
-            r = table.get(elems[i] - elems[j])
-            R[i, j] = r
-            if r <= delta:
-                Mt[i, j] = r * scale
+    ints, r = A.int_view()[0], setops.difference_lookup(table.int_items(), A.p)
+    R = np.array([[r[a - b] for b in ints] for a in ints], dtype=np.float64)
+    Mt = np.where(R <= delta, R * (1.0 / np.sqrt(float(delta))), 0.0)
     return EnergyMatrices(A, R, np.sqrt(R), delta, Mt, dict(table.entries))
 
 
@@ -209,7 +203,8 @@ class SpectralChain:
                 and self.ok_exact)
 
 
-def spectral_chain(A: GSet, *, delta: int | None = None) -> SpectralChain:
+def spectral_chain(A: GSet, *, delta: int | None = None, table: CountTable | None = None,
+                   energy3: int | None = None, sigma: int | None = None) -> SpectralChain:
     """Checks the eigenvalue chain at truncation level delta:
 
       (i)   mu1(Mt) >= E'(delta) / (|A| sqrt(delta))   [Rayleigh at all-ones]
@@ -220,8 +215,10 @@ def spectral_chain(A: GSet, *, delta: int | None = None) -> SpectralChain:
     E'(delta) = sum of r(d)^2 over d with r(d) <= delta.  (i) and (ii) hold
     up to CHAIN_SLACK * max(1, values); (iii) is asserted in exact arithmetic
     and combines (i), (ii) and the trace bound tr(Mt^2 R) <= sqrt(E_3 Sigma) / delta.
+    The difference table, E_3 and Sigma are computed unless given.
     """
-    mats = build_matrices(A, delta=delta)
+    table = energy.difference_table(A) if table is None else table
+    mats = build_matrices(A, delta=delta, table=table)
     delta = mats.delta
     eprime = sum(c * c for c in mats.counts.values() if c <= delta)
     mu1, v1 = principal_eigen(mats.Mt)
@@ -231,10 +228,9 @@ def spectral_chain(A: GSet, *, delta: int | None = None) -> SpectralChain:
     ok_i = mu1 >= lower - tol
     ok_ii = quad >= np.sqrt(float(delta)) * mu1 - tol
     ok_chain = quad >= eprime / A.size - tol
-    table = energy.difference_table(A)
-    e3 = energy.moment_energy(A, 3, table=table)
-    sig = energy.sigma_sum(A, table=table)
+    energy3 = energy.moment_energy(A, 3, table=table) if energy3 is None else energy3
+    sigma = energy.sigma_sum(A, table=table) if sigma is None else sigma
     lhs = eprime**6
-    rhs = A.size**6 * e3 * delta**2 * sig
-    return SpectralChain(delta, eprime, mu1, lower, quad, e3, sig,
+    rhs = A.size**6 * energy3 * delta**2 * sigma
+    return SpectralChain(delta, eprime, mu1, lower, quad, energy3, sigma,
                          lhs, rhs, ok_i, ok_ii, ok_chain)

@@ -9,7 +9,6 @@ identities, and the Kolmogorov-style smallness criterion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -356,10 +355,11 @@ def ks_criterion(ctx: SubgroupCtx, h: int) -> KsReport:
     _, counts = window_counts(ctx, h)
     S = np.abs(char_sums(ctx))
     Nj = np.asarray(counts, dtype=np.float64)
-    best = 0.0
-    for k in range(ctx.cosets):
-        best = max(best, float((Nj * np.roll(S, -k)).sum()))
-    return KsReport(ctx.p, ctx.t, h, best, 0.5 * ctx.t)
+    # every shift at once, one term per coset in the support of N (<= 2h)
+    shifted = np.zeros(ctx.cosets)
+    for j in np.flatnonzero(Nj):
+        shifted += Nj[j] * np.roll(S, -j)
+    return KsReport(ctx.p, ctx.t, h, max(0.0, float(shifted.max())), 0.5 * ctx.t)
 
 
 # -- lift to Z/p^2 -----------------------------------------------------------

@@ -216,3 +216,145 @@ def rich_rect_mass(points, rects) -> int:
             if pt[0] in xs and pt[1] in ys:
                 covered.add(pt)
     return len(covered)
+
+
+def _dyadic_level(elems, kind, p):
+    """(delta, level set) of the most energetic dyadic class of r_{A-A},
+    ties toward the smaller level, from the elements' own arithmetic."""
+    from sumprodlab.setops import GSet
+
+    r = pair_counts(elems, elems, "-")
+    classes: dict = {}
+    for c in r.values():
+        classes[c.bit_length() - 1] = classes.get(c.bit_length() - 1, 0) + c * c
+    best = min(classes, key=lambda i: (-classes[i], i))
+    delta = 1 << best
+    members = [d for d, c in r.items() if delta <= c < 2 * delta]
+    return delta, classes[best], GSet.from_elements(members, allow_zero=True, kind=kind, p=p), r
+
+
+def _cover(points, n, transposed):
+    """Double dyadic bucketing of a point list into Rectangles, with loads."""
+    from sumprodlab.harness.rect import Rectangle
+
+    L = max(1, math.ceil(math.log2(n)))
+    deg: dict = {}
+    for x, _ in points:
+        deg[x] = deg.get(x, 0) + 1
+    classes: dict = {}
+    for x, d in deg.items():
+        classes.setdefault(min(L, d.bit_length()), []).append(x)
+    rects, loads = [], []
+    for i, xs in sorted(classes.items()):
+        xset = set(xs)
+        loads.append((1 << i, len(xs)))
+        sub = [(x, y) for x, y in points if x in xset]
+        odeg: dict = {}
+        for _, y in sub:
+            odeg[y] = odeg.get(y, 0) + 1
+        oclasses: dict = {}
+        for y, d in odeg.items():
+            oclasses.setdefault(min(L, d.bit_length()), []).append(y)
+        for j, ys in sorted(oclasses.items()):
+            yset = set(ys)
+            cnt = sum(1 for _, y in sub if y in yset)
+            rects.append(Rectangle(tuple(sorted(xs)), tuple(sorted(ys)), cnt, i, j, transposed))
+    return rects, loads
+
+
+def rect_cover(A, profile):
+    """The rich-rectangle decomposition on the elements' own Fraction/ModP
+    arithmetic: n^2 element subtractions per round, as a RectCover."""
+    from sumprodlab.harness.rect import RectCover
+    from sumprodlab.setops import GSet
+
+    current = A
+    ledger, last, rounds = [], None, 0
+    for _ in range(max(1, math.ceil(math.log2(A.size))) ** 5):
+        rounds += 1
+        elems = current.elements
+        delta, _, level, r = _dyadic_level(elems, A.kind, A.p)
+        ledger.append(sum(c * c for c in r.values()))
+        members = level.member_set()
+        points = [(a, b) for a in elems for b in elems if a - b in members]
+        mass, n = len(points), len(elems)
+        L = max(1, math.ceil(math.log2(n)))
+        rich_thr = Fraction(mass, 2 * L * L)
+        wide_thr = profile.c1 * Fraction(n, L**profile.c2)
+        rects, loads = _cover(points, n, False)
+        rich = [rc for rc in rects if rc.points >= rich_thr]
+        rich_points = sum(rc.points for rc in rich)
+        wide = [rc for rc in rich if rc.width >= wide_thr]
+        if not wide:
+            t_rects, _ = _cover([(b, a) for a, b in points], n, True)
+            wide = [rc for rc in t_rects if rc.points >= rich_thr and rc.width >= wide_thr]
+        if wide:
+            rect = max(wide, key=lambda rc: (rc.points, rc.width, rc.abscissae))
+            q = max(1, math.ceil(Fraction(mass, 16 * L * L * rect.width)))
+            aprime = []
+            for a in rect.abscissae:
+                diffs = [(b - a) if rect.transposed else (a - b) for b in rect.ordinates]
+                if sum(1 for d in diffs if d in members) >= q:
+                    aprime.append(a)
+            return RectCover("case1", delta, level, mass, rich, rich_points,
+                             GSet(tuple(aprime), A.kind, A.p),
+                             GSet(rect.ordinates, A.kind, A.p), q, rounds, ledger, loads)
+        drop = {x for rc in rich for x in rc.abscissae + rc.ordinates}
+        remaining = [x for x in elems if x not in drop]
+        last = (delta, level, mass, rich, rich_points, current, loads)
+        if len(remaining) < 4:
+            break
+        current = GSet(tuple(remaining), A.kind, A.p)
+    delta, level, mass, rich, rich_points, final, loads = last
+    return RectCover("case2-iterated", delta, level, mass, rich, rich_points,
+                     final, final, 0, rounds, ledger, loads)
+
+
+def sum_construction(A, cover=None):
+    """The slope-sliced sum construction on the elements' own Fraction/ModP
+    arithmetic, one point (a' + b, a + lambda b) at a time, as SumStats."""
+    from sumprodlab.harness.rect import SumStats
+
+    elems = A.elements
+    quot = sorted(set(pair_counts(elems, elems, "/")))
+    if cover is not None and cover.case == "case1":
+        aprime, adouble = cover.Aprime.elements, cover.Adoubleprime.elements
+        level = cover.level.member_set()
+    else:
+        aprime = adouble = elems
+        level = _dyadic_level(elems, A.kind, A.p)[2].member_set()
+    sums = set(pair_counts(elems, elems, "+"))
+    members, ap_members = set(elems), set(aprime)
+    pair_mass = e_times = sum_cubes = triples = 0
+    q_sizes: dict = {}
+    for lam in quot:
+        slice_ = [a for a in elems if lam * a in ap_members]
+        pair_mass += len(slice_)
+        e_times += len(slice_) ** 2
+        if not slice_:
+            continue
+        pts = {(ap + b, a + lam * b) for ap in slice_ for a in adouble
+               if lam * ap - a in level for b in slice_}
+        lines: dict = {}
+        for x, y in pts:
+            assert x in sums and y in sums and y - lam * x in level
+            lines[y - lam * x] = lines.get(y - lam * x, 0) + 1
+        q_sizes[lam] = len(pts)
+        sum_cubes += len(pts) ** 3
+        triples += sum(k * (k - 1) * (k - 2) for k in lines.values())
+    assert sum(1 for lam in quot for a in elems if lam * a in members) == len(elems) ** 2
+    p_size = len(level)
+    return SumStats(len(sums), p_size, len(quot), len(aprime), len(adouble), pair_mass,
+                    e_times, q_sizes, sum_cubes, len(sums) ** 4 * p_size**2, triples)
+
+
+def prop7_count4(A):
+    """sum over s in AA - AA with r(s) >= |A|^2 / (2|A-A|) and x in A of
+    r_{D-D}(s / x), D = A - A, from the elements' own arithmetic."""
+    elems = A.elements
+    dset = list(pair_counts(elems, elems, "-"))
+    delta = Fraction(len(elems) ** 2, 2 * len(dset))
+    aa = list(pair_counts(elems, elems, "*"))
+    heavy = [s for s, c in pair_counts(aa, aa, "-").items() if c >= delta]
+    r_dd = pair_counts(dset, dset, "-")
+    return sum(r_dd.get(s / x, 0) for s in heavy for x in elems)

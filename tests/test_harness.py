@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sumprodlab import energy, setops
@@ -18,7 +20,8 @@ from sumprodlab.harness import (CORPORA, FAILED, PROVED_EXACT, RATIO_ONLY,
                                 stats_from_spec, sum_construction_stats,
                                 summary_line, window_triples, write_report)
 from sumprodlab.harness import base as hbase
-from sumprodlab.setops import gset_rational
+from sumprodlab.setops import gset_modp, gset_rational, invariant_union
+from sumprodlab.subgroups import divisors, subgroup_context
 
 
 def _stats(text: str) -> SetStats:
@@ -207,6 +210,80 @@ def test_sum_construction_stats_identities():
     big = generate_from_string("rand(n=110,seed=1)")  # |A/A| = 11,991
     with pytest.raises(InfeasibleSize):
         sum_construction_stats(big)
+
+
+def test_sum_stats_pinned_ap32():
+    res = run_check("sum_stats", _stats("ap(n=32)"))
+    assert (res.lhs, res.rhs, res.verdict) == ("2556944", "1048576", PROVED_EXACT)
+
+
+# -- integer kernels against the Fraction/ModP oracles --------------------------
+
+_nonzero = st.integers(-30, 30).filter(bool)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Sets of 4 to 9 elements: rationals with mixed signs and denominators,
+    rationals past 2^63, random residue sets, subgroups and unions of cosets."""
+    kind = draw(st.sampled_from(["rational", "huge", "modp", "subgroup", "cosets"]))
+    if kind == "rational":
+        dens = st.integers(1, 6)
+        vals = draw(st.lists(st.builds(Fraction, _nonzero, dens), min_size=4, max_size=9,
+                             unique=True))
+        return gset_rational(vals)
+    if kind == "huge":
+        base = draw(st.sampled_from([2**63 - 3, 2**64 + 1, -(2**66)]))
+        offs = draw(st.lists(st.integers(-20, 20), min_size=4, max_size=8, unique=True))
+        den = draw(st.sampled_from([1, 3, 4]))
+        return gset_rational([Fraction(base + o, den) for o in offs] + [Fraction(1, den)])
+    p = draw(st.sampled_from([13, 31, 61, 101]))
+    if kind == "modp":
+        vals = draw(st.lists(st.integers(1, p - 1), min_size=4, max_size=9, unique=True))
+        return gset_modp(vals, p)
+    if kind == "subgroup":
+        t = draw(st.sampled_from([t for t in divisors(p - 1) if 4 <= t <= 12]))
+        return subgroup_context(p, t).gamma_set()
+    ctx = subgroup_context(p, draw(st.sampled_from([t for t in divisors(p - 1) if t <= 4])))
+    picks = draw(st.lists(st.integers(0, ctx.cosets - 1), min_size=1, max_size=3, unique=True))
+    A = invariant_union(ctx, picks)
+    if A.size < 4:
+        A = invariant_union(ctx, range(min(ctx.cosets, 4)))
+    return A
+
+
+# the last profile's width threshold is unreachable, so every round drops
+@given(kernel_inputs(), st.sampled_from([PAPER_PROFILE, DESK_PROFILE,
+                                         profile_by_name("desk", c1=100, c2=0)]))
+@settings(max_examples=60, deadline=None)
+def test_rect_and_sum_kernels_match_oracles(A, profile):
+    cover = rect_decompose(A, profile=profile)
+    assert cover == oracles.rect_cover(A, profile)
+    assert sum_construction_stats(A, cover=cover) == oracles.sum_construction(A, cover)
+    assert sum_construction_stats(A) == oracles.sum_construction(A)
+
+
+@given(kernel_inputs())
+@settings(max_examples=40, deadline=None)
+def test_prop7_count4_matches_oracle(A):
+    res = run_check("prop7", SetStats(A))
+    assert res.rhs == str(oracles.prop7_count4(A))
+
+
+def test_sigma_computed_once_per_input(monkeypatch):
+    calls = []
+    real = energy.sigma_sum
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(energy, "sigma_sum", counted)
+    inputs = [_stats("ap(n=12)"), _stats("geo(q=2,n=10)"), _stats("subgroup(p=31,t=6)")]
+    cids = ["lemma_spectral_final", "spectral_chain", "trace_routes", "sig_estimate"]
+    results = run_suite(cids, inputs)
+    assert len(results) == 12 and all(r.ok for r in results)
+    assert calls == [s.A for s in inputs]
 
 
 # -- reports -------------------------------------------------------------------

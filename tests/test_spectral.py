@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sumprodlab import spectral
+from sumprodlab import energy, spectral
 from sumprodlab.errors import DimensionMismatch, TooLarge
 from sumprodlab.setops import gset_modp, gset_rational
 
@@ -106,6 +106,14 @@ def test_spectral_chain_truncation_drops_heavy_diffs():
     table_counts = [5, 4, 4, 3, 3, 2, 2, 1, 1]  # r-values of the AP
     assert chain.eprime == sum(c * c for c in table_counts if c <= 2)
     assert chain.ok
+
+
+def test_spectral_chain_takes_shared_values():
+    A = gset_rational([1, 2, 3, 5, 8, 13])
+    table = energy.difference_table(A)
+    shared = spectral.spectral_chain(A, delta=2, table=table, energy3=energy.moment_energy(
+        A, 3, table=table), sigma=energy.sigma_sum(A, table=table))
+    assert shared == spectral.spectral_chain(A, delta=2)
 
 
 def test_spectral_chain_modp():

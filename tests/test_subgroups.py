@@ -157,6 +157,21 @@ def test_ks_criterion_worked_example():
     assert not rep.ok
 
 
+@pytest.mark.parametrize("p,t", [(7, 3), (13, 4), (31, 5), (61, 6), (101, 10), (1009, 7)])
+def test_ks_criterion_matches_every_shift(p, t):
+    # at h = 1, N has at most two nonzero cosets, so summing over its
+    # support equals the sum over every coset bit for bit
+    ctx = subgroup_context(p, t)
+    S = np.abs(subgroups.char_sums(ctx))
+
+    def every_shift(h):
+        Nj = np.asarray(window_counts(ctx, h)[1], dtype=np.float64)
+        return max(float((Nj * np.roll(S, -k)).sum()) for k in range(ctx.cosets))
+
+    assert ks_criterion(ctx, 1).value == every_shift(1)
+    assert ks_criterion(ctx, 3).value == pytest.approx(every_shift(3), rel=1e-12)
+
+
 def test_lift_reduces_onto_base():
     lift = lifted_context(7, 3)
     assert sorted(x % 7 for x in lift.gamma2) == [1, 2, 4]
