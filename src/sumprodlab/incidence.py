@@ -5,9 +5,9 @@ Works over the rationals (keys are integer triples with cleared denominators)
 and over F_p (keys are scaled so the first nonzero coefficient is 1).
 
 Two independent routes exist on purpose: line_profile builds the full
-line -> k table from pair counts, while collinear_triples counts from the axes
-alone, by the ratio-orbit identity in its docstring (about N^3/6 steps per
-N-element axis).  The test suite pins them against each other, against the
+line -> k table from pair counts for any grid X x Y, while collinear_triples
+counts the square grid A x A from A alone, by the ratio-orbit identity in its
+docstring (about N^3/6 steps for an N-element A).  The test suite pins them against each other, against the
 quartic anchor scan and against brute force.
 """
 
@@ -28,7 +28,7 @@ from .setops import MODP, GSet
 
 # line_profile refuses grids above GRID_CAP points or PAIR_CAP point pairs;
 # collinear_triples refuses grids of N points with N^2 > TRIPLE_CAP (at most
-# 131 elements per axis of a square grid).  Its ratio table could go further;
+# 131 elements of A).  Its ratio table could go further;
 # raising the cap adds report rows, so it changes with the reports' pins.
 GRID_CAP = 100_000
 PAIR_CAP = 20_000_000
@@ -190,68 +190,45 @@ def _profile_modp(X: GSet, Y: GSet) -> LineProfile:
     return profile
 
 
-def collinear_triples(X: GSet, Y: GSet | None = None, *, include_degenerate: bool = False) -> int:
-    """Ordered triples of pairwise-distinct collinear grid points.
+def collinear_triples(A: GSet, *, include_degenerate: bool = False) -> int:
+    """Ordered triples of pairwise-distinct collinear points of the grid A x A.
 
     Points off the axis-parallel lines are collinear when they share the ratio
-    lam = (x2 - x1)/(x3 - x1) = (y2 - y1)/(y3 - y1), so T = |X| (|Y|)_3 +
-    |Y| (|X|)_3 + sum_lam R_X(lam) R_Y(lam), R counting an axis's ordered
-    triples with ratio lam.  R is constant on the anharmonic orbit O of lam
-    (its images as the triple is permuted), so the sum is sum_O (36/|O|)
-    U_X(O) U_Y(O), U counting 3-subsets.
+    lam = (x2 - x1)/(x3 - x1) = (y2 - y1)/(y3 - y1), so for a grid X x Y,
+    T = |X| (|Y|)_3 + |Y| (|X|)_3 + sum_lam R_X(lam) R_Y(lam), R counting an
+    axis's ordered triples with ratio lam.  R is constant on the anharmonic
+    orbit O of lam (its images as the triple is permuted), so with X = Y = A
+    the sum is sum_O (36/|O|) U(O)^2, U counting A's 3-subsets in O.
 
     include_degenerate=True adds the triples with a repeated point (all of
     which are trivially collinear): + 3N(N-1) + N for an N-point grid.
     """
-    if Y is None:
-        Y = X
-    if X.kind != Y.kind or X.p != Y.p:
-        raise MixedKinds("grid axes must share a kind")
-    nx, ny = X.size, Y.size
-    n = nx * ny
+    m = A.size
+    n = m * m
     if n * n > TRIPLE_CAP:
         raise TooLarge(f"grid of {n} points is above the triple cap ({n * n} > {TRIPLE_CAP})")
     if n == 0:
         return 0
-    xs, _ = X.int_view()
-    ys, _ = Y.int_view()
-    # vertical and horizontal lines: |X| (|Y|)_3 + |Y| (|X|)_3
-    t = n * ((nx - 1) * (nx - 2) + (ny - 1) * (ny - 2))
-    if X.p is not None:
-        t += _triples_modp(xs, ys, X.p)
-    elif xs == ys and xs[-1] - xs[0] < (1 << 52):
+    xs, _ = A.int_view()
+    # vertical and horizontal lines: 2 |A| (|A|)_3
+    t = 2 * n * (m - 1) * (m - 2)
+    if A.p is not None:
+        t += _triples_modp(xs, A.p)
+    elif xs[-1] - xs[0] < (1 << 52):
         t += _triples_numpy(xs)
-    else:  # also every grid with two different axes, see _slanted
-        t += _triples_bigint(xs, ys)
+    else:
+        t += _triples_bigint(xs)
     if include_degenerate:
         t += 3 * n * (n - 1) + n
     return t
 
 
-def _slanted(xs, ys, key, size, probe) -> int:
-    """Sum over the anharmonic orbits O of (36/|O|) U_X(O) U_Y(O).
-
-    key(u, w) is the orbit key of x1 < x2 < x3 with u = x2 - x1, w = x3 - x1;
-    size(k) = |O|; probe(vals, k) = R(lam) for one lam in O.  A longer axis is
-    tabulated only at the shorter one's orbits, bounding memory by the latter.
-    """
-    if xs == ys:
-        return sum(36 // size(k) * u * u for k, u in _orbit_table(xs, key).items())
-    if len(xs) > len(ys):
-        xs, ys = ys, xs
-    tx = _orbit_table(xs, key)
-    if 6 * len(tx) < len(ys) - 2:
-        # Probing costs b(b-1) steps per orbit, tabulating b(b-1)(b-2)/6.
-        # U_Y(O) = |O| R_Y(lam) / 6, so each orbit adds 6 U_X(O) R_Y(lam).
-        return sum(6 * u * probe(ys, k) for k, u in tx.items())
-    ty = _orbit_table(ys, key, tx)
-    return sum(36 // size(k) * u * ty[k] for k, u in tx.items() if k in ty)
-
-
-def _orbit_table(vals, key, keep=None) -> dict:
-    """U(O): the 3-subsets of the sorted vals per orbit key (keys in keep only)."""
-    out: dict = {}
-    get = out.get
+def _slanted(vals, key, size) -> int:
+    """sum_O (36/|O|) U(O)^2 over the anharmonic orbits O, where U(O) counts
+    the 3-subsets x1 < x2 < x3 of the sorted vals whose orbit key
+    key(x2 - x1, x3 - x1) is O, and size(k) = |O|."""
+    table: dict = {}
+    get = table.get
     for i in range(len(vals) - 2):
         x1 = vals[i]
         ds = [x - x1 for x in vals[i + 1:]]
@@ -259,22 +236,12 @@ def _orbit_table(vals, key, keep=None) -> dict:
             w = ds[b]
             for u in ds[:b]:
                 k = key(u, w)
-                if keep is None or k in keep:
-                    out[k] = get(k, 0) + 1
-    return out
-
-
-def _probe(vals, num: int, den: int, p: int | None) -> int:
-    """Ordered pairs (y1, y3) of distinct elements with y1 + (num/den)(y3 - y1)
-    in vals (mod p when p is given, with den = 1)."""
-    members = set(vals)
-    hits = (y1 + num * ((y3 - y1) // den) for y1 in vals for y3 in vals
-            if y3 != y1 and (y3 - y1) % den == 0)
-    return sum((y2 % p if p else y2) in members for y2 in hits)
+                table[k] = get(k, 0) + 1
+    return sum(36 // size(k) * u * u for k, u in table.items())
 
 
 def _triples_numpy(xs) -> int:
-    """Slanted triples of the square grid xs x xs, span below 2^52: orbit keys
+    """Slanted triples of xs x xs, span below 2^52: orbit keys
     min(u, w - u)/w in lowest terms pack into one complex128 (both parts exact)."""
     a = np.asarray([x - xs[0] for x in xs], dtype=np.int64)
     n = len(a)
@@ -292,10 +259,10 @@ def _triples_numpy(xs) -> int:
     return 6 * (int(u @ u) + int(half @ half))
 
 
-def _triples_bigint(xs, ys) -> int:
-    """Slanted triples of xs x ys with Python integers of any size: the orbit
+def _triples_bigint(xs) -> int:
+    """Slanted triples of xs x xs with Python integers of any size: the orbit
     key min(u, w - u)/w in lowest terms is stored as one integer (u' << s) | w'."""
-    s = max(xs[-1] - xs[0], ys[-1] - ys[0]).bit_length()
+    s = (xs[-1] - xs[0]).bit_length()
     half = 1 << s | 2
 
     def key(u, w):
@@ -303,14 +270,13 @@ def _triples_bigint(xs, ys) -> int:
         g = math.gcd(m, w)
         return (m // g) << s | (w // g)
 
-    return _slanted(xs, ys, key, lambda k: 3 if k == half else 6,
-                    lambda vals, k: _probe(vals, k >> s, k & ((1 << s) - 1), None))
+    return _slanted(xs, key, lambda k: 3 if k == half else 6)
 
 
-def _triples_modp(xs, ys, p: int) -> int:
-    """Slanted triples of xs x ys over F_p: the orbit key of lam = u/w is the
+def _triples_modp(xs, p: int) -> int:
+    """Slanted triples of xs x xs over F_p: the orbit key of lam = u/w is the
     least residue in its orbit, and |O| (1, 2, 3 or 6) is read off the orbit."""
-    inv = {b - a: pow(b - a, -1, p) for v in (xs, ys) for a in v for b in v if a < b}
+    inv = {b - a: pow(b - a, -1, p) for a in xs for b in xs if a < b}
     key_of, size = {}, {}  # lam -> orbit key, orbit key -> |O|
 
     def key(u, w):
@@ -324,4 +290,4 @@ def _triples_modp(xs, ys, p: int) -> int:
             key_of.update(dict.fromkeys(orbit, k))
         return k
 
-    return _slanted(xs, ys, key, size.__getitem__, lambda vals, k: _probe(vals, k, 1, p))
+    return _slanted(xs, key, size.__getitem__)

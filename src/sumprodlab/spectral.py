@@ -15,7 +15,8 @@ chain of lower bounds on quadratic forms that the harness checks numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +40,6 @@ class EnergyMatrices:
     M: np.ndarray
     delta: int
     Mt: np.ndarray
-    counts: dict = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -60,25 +60,23 @@ def build_matrices(A: GSet, *, delta: int | None = None,
     ints, r = A.int_view()[0], setops.difference_lookup(table.int_items(), A.p)
     R = np.array([[r[a - b] for b in ints] for a in ints], dtype=np.float64)
     Mt = np.where(R <= delta, R * (1.0 / np.sqrt(float(delta))), 0.0)
-    return EnergyMatrices(A, R, np.sqrt(R), delta, Mt, dict(table.entries))
+    return EnergyMatrices(A, R, np.sqrt(R), delta, Mt)
 
 
 def incidence_factor(A: GSet) -> np.ndarray:
     """0/1 matrix N with N[i, w] = 1 iff a_i + w_j in A, columns over A - A.
 
-    Satisfies N @ N.T = R exactly.
+    Satisfies N @ N.T = R exactly.  On the integer view, a_i + w = b in A
+    exactly when w = b - a_i, so row i has a 1 in the column of each b - a_i.
     """
-    table = energy.difference_table(A)
-    diffs = sorted(table.entries, key=str)
+    items = energy.difference_table(A).int_items()
     n = A.size
-    if n * len(diffs) > FACTOR_CAP:
+    if n * len(items) > FACTOR_CAP:
         raise TooLarge("incidence factor would exceed the cell cap")
-    members = A.member_set()
-    N = np.zeros((n, len(diffs)), dtype=np.float64)
-    for i, a in enumerate(A.elements):
-        for j, w in enumerate(diffs):
-            if a + w in members:
-                N[i, j] = 1.0
+    ints = A.int_view()[0]
+    col = setops.difference_lookup({w: j for j, (w, _) in enumerate(items)}, A.p)
+    N = np.zeros((n, len(items)), dtype=np.float64)
+    N[np.repeat(np.arange(n), n), [col[b - a] for a in ints for b in ints]] = 1.0
     return N
 
 
@@ -125,24 +123,21 @@ def psd_sweep(A: GSet, *, vectors: int = 1000, seed: int = 1) -> PsdWitness:
 
 
 def trace_m2r(A: GSet) -> tuple[float, float]:
-    """tr(M^2 R) by two routes: the matrix product, and the combinatorial sum
-    over difference pairs sum_{d,d'} w(d,d') sqrt(r(d) r(d')) r(d'-d), where
-    w(d,d') counts x in A with x-d and x-d' both in A."""
+    """tr(M^2 R) by two routes: the matrix product, and the class sum
+
+      tr(M^2 R) = sum_{x,y,z} sqrt(R[x,y] R[x,z]) R[y,z] = sum_P C_P sqrt(P),
+
+    where C_P, the sum of R[y,z] over the triples with R[x,y] R[x,z] = P, is
+    an integer, tabulated one row x at a time."""
     if A.size > TRACE_CAP:
         raise TooLarge("combinatorial trace route is cubic in |A|")
     mats = build_matrices(A)
     direct = float(np.sum((mats.M @ mats.M) * mats.R))
-    table = energy.difference_table(A)
-    w: dict = {}
-    for x in A.elements:
-        for y in A.elements:
-            d1 = x - y
-            for z in A.elements:
-                key = (d1, x - z)
-                w[key] = w.get(key, 0) + 1
-    comb = 0.0
-    for (d1, d2), count in w.items():
-        comb += count * np.sqrt(float(table.get(d1) * table.get(d2))) * table.get(d2 - d1)
+    R = mats.R.astype(np.int64)
+    size = int(R.max(initial=0)) ** 2 + 1  # the products P run up to max r^2
+    C = sum((np.bincount(np.outer(row, row).ravel(), weights=mats.R.ravel(), minlength=size)
+             for row in R), np.zeros(size))  # float64 sums of integers below 2^53: exact
+    comb = math.fsum(c * math.sqrt(P) for P, c in enumerate(C.tolist()) if c)
     return direct, comb
 
 
@@ -220,7 +215,7 @@ def spectral_chain(A: GSet, *, delta: int | None = None, table: CountTable | Non
     table = energy.difference_table(A) if table is None else table
     mats = build_matrices(A, delta=delta, table=table)
     delta = mats.delta
-    eprime = sum(c * c for c in mats.counts.values() if c <= delta)
+    eprime = sum(c * c for c in table.entries.values() if c <= delta)
     mu1, v1 = principal_eigen(mats.Mt)
     lower = eprime / (A.size * np.sqrt(float(delta)))
     quad = float(v1 @ mats.R @ v1)

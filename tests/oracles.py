@@ -163,6 +163,21 @@ def anchor_triples(xvals, yvals=None) -> int:
     return total
 
 
+def trace_m2r(A) -> float:
+    """tr(M^2 R) from the elements' own arithmetic: the sum over difference
+    pairs (d, d') = (x - y, x - z) of w(d, d') sqrt(r(d) r(d')) r(d' - d),
+    where w(d, d') counts the x in A with x - d and x - d' both in A."""
+    elems = A.elements
+    r = pair_counts(elems, elems, "-")
+    w: dict = {}
+    for x in elems:
+        for y in elems:
+            for z in elems:
+                key = (x - y, x - z)
+                w[key] = w.get(key, 0) + 1
+    return math.fsum(c * math.sqrt(r[d1] * r[d2]) * r[d2 - d1] for (d1, d2), c in w.items())
+
+
 def line_pair_sum(xvals, yvals=None) -> int:
     """sum over lines of k(k-1) equals the number of ordered point pairs."""
     yvals = xvals if yvals is None else yvals

@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sumprodlab import energy, setops
+from sumprodlab import energy, setops, spectral
 from sumprodlab.errors import (BadSpec, CrossCheckMismatch, DegenerateInput,
                                InfeasibleSize, IoFailure, TooLarge,
                                UnknownCheck)
@@ -109,13 +110,13 @@ def test_run_check_failure_paths(monkeypatch):
 # -- suites --------------------------------------------------------------------
 
 def test_run_suite_parallel_matches_sequential():
-    cids = ["cs_support", "popular_pigeonhole", "parseval_gamma"]
+    cids = ["cs_support", "popular_pigeonhole", "parseval_gamma", "trace_routes", "psd_witness"]
     inputs = [_stats("ap(n=8)"), _stats("geo(q=2,n=8)"), _stats("subgroup(p=13,t=4)")]
     seq = run_suite(cids, inputs)
     par = run_suite(cids, inputs, jobs=2)
     strip = lambda rs: [(r.check_id, r.inputs, r.lhs, r.rhs, r.verdict) for r in rs]
     assert strip(seq) == strip(par)
-    assert len(seq) == 7  # parseval only applies to the subgroup input
+    assert len(seq) == 13  # parseval only applies to the subgroup input
 
 
 def test_run_suite_unknown_check():
@@ -175,14 +176,17 @@ def test_rect_rich_mass_matches_oracle():
 
 
 def test_rect_case2_iteration():
-    A = generate_from_string("ap(n=16)")
     # an unreachable width threshold forces the dropping branch every round
     profile = profile_by_name("desk", c1=100, c2=0)
-    cover = rect_decompose(A, profile=profile)
-    assert cover.case == "case2-iterated"
-    assert cover.q == 0 and cover.Aprime is cover.Adoubleprime
-    assert cover.rounds == len(cover.energy_ledger)
-    assert all(a >= b for a, b in zip(cover.energy_ledger, cover.energy_ledger[1:]))
+    for spec, rounds in (("ap(n=16)", 1), ("union(ap(n=12),geo(q=3,n=6,start=1000))", 2)):
+        A = generate_from_string(spec)
+        cover = rect_decompose(A, profile=profile)
+        assert cover.case == "case2-iterated"
+        assert cover.q == 0 and cover.Aprime is cover.Adoubleprime
+        assert cover.rounds == len(cover.energy_ledger) == rounds
+        assert all(a >= b for a, b in zip(cover.energy_ledger, cover.energy_ledger[1:]))
+        assert cover == oracles.rect_cover(A, profile)
+    assert cover.energy_ledger == [1510, 66]  # the rebuild on what round 1 left
 
 
 def test_rect_guards():
@@ -268,6 +272,17 @@ def test_rect_and_sum_kernels_match_oracles(A, profile):
 def test_prop7_count4_matches_oracle(A):
     res = run_check("prop7", SetStats(A))
     assert res.rhs == str(oracles.prop7_count4(A))
+
+
+@given(kernel_inputs())
+@example(gset_modp([3, 5, 6, 12], 13))  # 12 + w wraps past p for every w > 0
+@settings(max_examples=40, deadline=None)
+def test_spectral_kernels_match_oracles(A):
+    want = oracles.trace_m2r(A)
+    for route in spectral.trace_m2r(A):
+        assert route == pytest.approx(want, rel=1e-9)
+    N = spectral.incidence_factor(A)
+    assert np.array_equal(N @ N.T, spectral.build_matrices(A).R)
 
 
 def test_sigma_computed_once_per_input(monkeypatch):

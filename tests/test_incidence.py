@@ -39,14 +39,11 @@ def test_triples_with_repeats_convention():
     assert got == oracles.collinear_triples(A.values(), include_degenerate=True)
 
 
-@given(tiny_sets, tiny_sets)
+@given(tiny_sets)
 @settings(max_examples=25, deadline=None)
-def test_triples_match_oracle_rational(xvals, yvals):
-    X, Y = gset_rational(xvals), gset_rational(yvals)
-    got = incidence.collinear_triples(X, Y)
-    want = oracles.collinear_triples([Fraction(v) for v in xvals],
-                                     [Fraction(v) for v in yvals])
-    assert got == want
+def test_triples_match_oracle_rational(vals):
+    got = incidence.collinear_triples(gset_rational(vals))
+    assert got == oracles.collinear_triples([Fraction(v) for v in vals])
 
 
 def test_triples_match_oracle_modp():
@@ -92,6 +89,16 @@ def test_ops_guard_raises():
     assert incidence.collinear_triples(gset_rational(range(1, 132))) > 0  # (131^2)^2 is not
 
 
+def test_line_profile_two_axes():
+    X, Y = gset_rational([1, 2, 3]), gset_rational([Fraction(1, 3), 1, 2, 5, 2**61])
+    want = oracles.anchor_triples(X.values(), Y.values())
+    assert incidence.line_profile(X, Y).ordered_triples() == want
+    assert oracles.collinear_triples(X.values(), Y.values()) == want
+    X, Y = gset_modp([0, 1, 3], 7, allow_zero=True), gset_modp([1, 2, 4, 6], 7)
+    want = oracles.collinear_triples(X.values(), Y.values(), p=7)
+    assert incidence.line_profile(X, Y).ordered_triples() == want
+
+
 def test_line_profile_grid_guard():
     A = gset_rational(range(1, 400))
     with pytest.raises(TooLarge):
@@ -100,63 +107,48 @@ def test_line_profile_grid_guard():
 
 @st.composite
 def rational_axes(draw):
-    """Two axes (equal, or drawn apart) of (offset + q k)/den, k in 0..12,
-    plus the point at offset + span: integer spans either side of 2^52 (the
-    complex-packed table), 2^60, 2^61 and 2^63, and small ones, with negative
-    offsets and fractional elements."""
+    """Sets of (offset + q k)/den, k in 0..12, plus the point at offset + span:
+    integer spans either side of 2^52 (the complex-packed table), 2^60, 2^61
+    and 2^63, and small ones, with negative offsets and fractional elements."""
     span = (1 << draw(st.sampled_from([4, 52, 60, 61, 63]))) + draw(st.integers(-2, 2))
     offset = draw(st.integers(-2**64, 2**64))
     den = draw(st.sampled_from([1, 2, 3, 6]))
     q = span // 12
-
-    def axis(max_size):
-        ks = draw(st.lists(st.integers(0, 12), max_size=max_size, unique=True))
-        tail = [span] if draw(st.booleans()) else []
-        return gset_rational(Fraction(offset + v, den) for v in [q * k for k in ks] + tail
-                             if offset + v != 0) if ks or tail else gset_rational([])
-
-    X = axis(12)
-    return (X, X) if draw(st.booleans()) else (axis(3), axis(12))
+    ks = draw(st.lists(st.integers(0, 12), max_size=12, unique=True))
+    tail = [span] if draw(st.booleans()) else []
+    return gset_rational(Fraction(offset + v, den) for v in [q * k for k in ks] + tail
+                         if offset + v != 0)
 
 
 @given(rational_axes())
-@example((gset_rational([1, 2, 3]), gset_rational(range(1, 10))))  # probes the long axis
-@example((gset_rational([-5, 2**61, 2**62]), gset_rational([Fraction(1, 3), 1, 2, 5])))
-@example((gset_rational([2**64 + k for k in (1, 2, 3, 5, 8)]),) * 2)  # small span, huge values
+@example(gset_rational([-5, Fraction(1, 3), 1, 2**61, 2**62]))  # bigint keys, mixed denominators
+@example(gset_rational([2**64 + k for k in (1, 2, 3, 5, 8)]))  # small span, huge values
 @settings(max_examples=80, deadline=None)
-def test_triples_match_references_rational(axes):
-    X, Y = axes
-    want = oracles.anchor_triples(X.values(), Y.values())
-    assert incidence.collinear_triples(X, Y) == want
-    assert incidence.collinear_triples(Y, X) == want
-    assert incidence.line_profile(X, Y).ordered_triples() == want
-    if X.size * Y.size <= 30:
-        assert oracles.collinear_triples(X.values(), Y.values()) == want
+def test_triples_match_references_rational(A):
+    want = oracles.anchor_triples(A.values())
+    assert incidence.collinear_triples(A) == want
+    assert incidence.line_profile(A).ordered_triples() == want
+    if A.size <= 5:
+        assert oracles.collinear_triples(A.values()) == want
 
 
 @st.composite
 def modp_axes(draw):
-    """Two axes of residues c + d k mod p, k small; p = 3 gives orbits of size 1,
+    """Residue sets c + d k mod p, k small; p = 3 gives orbits of size 1,
     p = 7 orbits of size 2 (lam in {3, 5}), and progressions size 3."""
     p = draw(st.sampled_from([3, 7, 13, 2**31 - 1, 2**31 + 11]))
     c, d = draw(st.integers(0, p - 1)), draw(st.integers(1, p - 1))
-
-    def axis(max_size):
-        ks = draw(st.lists(st.integers(0, 12), max_size=max_size, unique=True))
-        return gset_modp({(c + d * k) % p for k in ks}, p, allow_zero=True)
-
-    X = axis(6)
-    return p, ((X, X) if draw(st.booleans()) else (axis(3), axis(10)))
+    ks = draw(st.lists(st.integers(0, 12), max_size=6, unique=True))
+    return p, gset_modp({(c + d * k) % p for k in ks}, p, allow_zero=True)
 
 
 @given(modp_axes())
-@example((3, (gset_modp([0, 1, 2], 3, allow_zero=True),) * 2))
-@example((7, (gset_modp([0, 1, 3], 7, allow_zero=True), gset_modp([1, 2, 4, 6], 7))))
-@example((13, (gset_modp([1, 2, 3], 13), gset_modp(range(1, 12), 13))))
+@example((3, gset_modp([0, 1, 2], 3, allow_zero=True)))  # orbit {2}, |O| = 1
+@example((7, gset_modp([0, 1, 3], 7, allow_zero=True)))  # orbit {3, 5}, |O| = 2
+@example((13, gset_modp([1, 2, 3, 5], 13)))  # orbit {-1, 2, 1/2}, |O| = 3
 @settings(max_examples=80, deadline=None)
 def test_triples_match_oracle_modp_orbits(case):
-    p, (X, Y) = case
-    want = oracles.collinear_triples(X.values(), Y.values(), p=p)
-    assert incidence.collinear_triples(X, Y) == want
-    assert incidence.collinear_triples(Y, X) == want
-    assert incidence.line_profile(X, Y).ordered_triples() == want
+    p, A = case
+    want = oracles.collinear_triples(A.values(), p=p)
+    assert incidence.collinear_triples(A) == want
+    assert incidence.line_profile(A).ordered_triples() == want
