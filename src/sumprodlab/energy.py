@@ -3,6 +3,8 @@ popular differences and dyadic energy levels.
 
 All integer-valued quantities are computed with exact integer arithmetic;
 the only float on offer is the fractional moment (q = 3/2 and friends).
+They all read one table r_{A-A} keyed on the set's integer view (see setops),
+which difference_table builds once per set and keeps on it.
 Mod a prime, the difference-triple count sums one translate overlap per
 orbit of the subgroup of F_p^* that fixes its sets, times the orbit size.
 Counting conventions: every count is over ordered tuples, and r_{A-B}(d) is
@@ -18,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadSpec, RestrictNotSubset, TooLarge
-from .setops import MODP, CountTable, GSet, combine, difference_lookup, int_counts
+from .setops import MODP, CountTable, GSet, combine, difference_lookup, int_counts, iterated_sum_counts
 from .subgroups import divisors, is_prime, primitive_root
 
 # Cap on |A-A| for the double-sum kernel, which iterates |A-A|^2 support
@@ -27,54 +29,52 @@ SIGMA_SUPPORT_CAP = 5000
 
 
 def difference_table(A: GSet) -> CountTable:
-    """r_{A-A}: multiplicity table of the difference set."""
-    return combine(A, A, "-")
+    """r_{A-A} on A's integer view, built on the first call and kept on A
+    (like GSet.int_view), so every functional of one set shares it."""
+    table = A.__dict__.get("_differences")
+    if table is None:
+        table = A.__dict__["_differences"] = combine(A, A, "-")
+    return table
 
 
-def energy_pair(A: GSet, B: GSet | None = None, *, table: CountTable | None = None) -> int:
+def energy_pair(A: GSet, B: GSet | None = None) -> int:
     """E(A, B) = sum_d |A ^ (B + d)|^2; E(A) when B is omitted."""
-    counts = table.entries if table is not None else int_counts(A, A if B is None else B, "-")[0]
+    counts = difference_table(A).entries if B is None else int_counts(A, B, "-")[0]
     return sum(c * c for c in counts.values())
 
 
-def moment_energy(A: GSet, q, *, table: CountTable | None = None):
+def moment_energy(A: GSet, q):
     """E_q(A) = sum_d r(d)^q.  Exact int for integral q >= 1, float otherwise."""
     qf = Fraction(q)
     if qf < 1:
         raise BadSpec(f"moment exponent must be >= 1, got {q}")
-    if table is None:
-        table = difference_table(A)
+    counts = difference_table(A).entries.values()
     if qf.denominator == 1:
         k = qf.numerator
-        return sum(c**k for c in table.entries.values())
+        return sum(c**k for c in counts)
     qq = float(qf)
-    return math.fsum(float(c) ** qq for c in table.entries.values())
+    return math.fsum(float(c) ** qq for c in counts)
 
 
-def t_k(A: GSet, k: int, *, sum_table: CountTable | None = None) -> int:
+def t_k(A: GSet, k: int) -> int:
     """T_k(A): ordered 2k-tuples with equal k-fold sums; T_2 = E."""
     if k < 2:
         raise BadSpec(f"T_k needs k >= 2, got {k}")
-    if sum_table is None:
-        from .setops import iterated_sum_counts
-
-        sum_table = iterated_sum_counts(A, k)
-    return sum(c * c for c in sum_table.entries.values())
+    return sum(c * c for c in iterated_sum_counts(A, k).entries.values())
 
 
-def sigma_sum(A: GSet, *, table: CountTable | None = None) -> int:
+def sigma_sum(A: GSet) -> int:
     """The weighted double sum  sum_{d,d'} r(d) r(d') r(d-d')^2  over A-A.
 
     Equivalently: ordered 8-tuples (a1,...,a8) from A solving
     a1 - a2 = a3 - a4 = (a5 - a6) - (a7 - a8).
     Iterates |A-A|^2 support pairs; guarded by SIGMA_SUPPORT_CAP.
     """
-    if table is None:
-        table = difference_table(A)
+    table = difference_table(A)
     support = table.support_size()
     if support > SIGMA_SUPPORT_CAP:
         raise TooLarge(f"|A-A| = {support} exceeds the sigma_sum guard {SIGMA_SUPPORT_CAP}")
-    items = table.int_items()
+    items = list(table.entries.items())
     rmap = difference_lookup(items, table.p)
     total = 0
     for d, rd in items:
@@ -88,7 +88,7 @@ def sigma_sum(A: GSet, *, table: CountTable | None = None) -> int:
     return total
 
 
-def difference_triple_count(A: GSet, restrict: GSet | None = None, *, table: CountTable | None = None) -> int:
+def difference_triple_count(A: GSet, restrict: GSet | None = None) -> int:
     """Ordered pairs (d, d') in D x R with d - d' in D, where D = A - A.
 
     R defaults to D; otherwise restrict must be a subset of D.  The count is
@@ -102,23 +102,22 @@ def difference_triple_count(A: GSet, restrict: GSet | None = None, *, table: Cou
     with one r per H-orbit of the nonzero elements of R.  Composite moduli
     (the mod p^2 lifts) keep H = {1}.
     """
-    if table is None:
-        table = difference_table(A)
+    table = difference_table(A)
     if restrict is not None and (restrict.kind != table.kind or restrict.p != table.p):
         raise RestrictNotSubset("restriction set has the wrong kind")
     if table.kind == MODP:
         return _orbit_triples(table, restrict)
-    values = [v for v, _ in table.int_items()]
+    values = list(table.entries)
     if restrict is None:
         rvals = values
     else:
-        supp_elems = set(table.entries.keys())
+        rvals = []
         for x in restrict.elements:
-            if x not in supp_elems:
+            # x = v / scale needs x's denominator to divide the table's scale
+            v, rem = divmod(x.numerator * table.scale, x.denominator)
+            if rem or v not in table.entries:
                 raise RestrictNotSubset(f"{x} not in the difference set")
-        # restrict lies in D, so its scale divides the table's
-        r_ints, r_scale = restrict.int_view()
-        rvals = [v * (table.scale // r_scale) for v in r_ints]
+            rvals.append(v)
     lim = 1 << 61  # keeps every d - d' inside int64
     if all(-lim < v < lim for v in values) and all(-lim < v < lim for v in rvals):
         arr = np.sort(np.asarray(values, dtype=np.int64))
@@ -130,14 +129,13 @@ def difference_triple_count(A: GSet, restrict: GSet | None = None, *, table: Cou
             hit = (idx <= top) & (arr[np.minimum(idx, top)] == shifted)
             count += int(np.count_nonzero(hit))
         return count
-    support = set(values)
-    return sum(1 for d in values for dp in rvals if d - dp in support)
+    return sum(1 for d in values for dp in rvals if d - dp in table.entries)
 
 
 def _orbit_triples(table: CountTable, restrict: GSet | None) -> int:
     """The mod-p difference-triple count, one overlap per H-orbit of R - {0}."""
     p = table.p
-    dv = np.fromiter((d.value for d in table.entries), dtype=np.int64, count=len(table.entries))
+    dv = np.fromiter(table.entries, dtype=np.int64, count=len(table.entries))
     ind = np.zeros(p, dtype=bool)  # indicator of D
     ind[dv] = True
     rv = dv
@@ -202,54 +200,44 @@ class DyadicLevel:
     mass: int  # sum of r(d)^2 over the class
 
 
-def popular_differences(A: GSet, *, table: CountTable | None = None) -> PopularSet:
+def popular_differences(A: GSet) -> PopularSet:
     """The popular-difference set P at the pigeonhole threshold.
 
     Mass invariant: sum_{d in P} r(d) >= |A|^2 / 2, since the unpopular
     differences contribute less than |A-A| * Delta = |A|^2 / 2.
     """
-    if table is None:
-        table = difference_table(A)
+    table = difference_table(A)
     n2 = table.total  # |A|^2
     twice_support = 2 * table.support_size()
-    members = []
-    mass = 0
-    for v, c in table.entries.items():
-        if twice_support * c >= n2:  # r(d) >= Delta, in integers
-            members.append(v)
-            mass += c
-    gs = GSet.from_elements(members, allow_zero=True, kind=table.kind, p=table.p)
-    return PopularSet(Fraction(n2, twice_support), gs, mass)
+    members = {v for v, c in table.entries.items() if twice_support * c >= n2}  # r(d) >= Delta
+    mass = sum(table.entries[v] for v in members)
+    return PopularSet(Fraction(n2, twice_support), table.decode(members), mass)
 
 
-def dyadic_energy_level(A: GSet, *, table: CountTable | None = None) -> DyadicLevel:
+def dyadic_energy_level(A: GSet) -> DyadicLevel:
     """Most energetic dyadic class; ties resolve toward the smaller level.
 
     With at most log2|A| + 1 nonempty classes, the winner carries at least
     E(A) / (2 log2|A| + 2) of the energy.
     """
-    if table is None:
-        table = difference_table(A)
+    table = difference_table(A)
     classes: dict[int, int] = {}
     for c in table.entries.values():
         classes[c.bit_length() - 1] = classes.get(c.bit_length() - 1, 0) + c * c
     best_i = min(classes, key=lambda i: (-classes[i], i))
     delta = 1 << best_i
-    members = [v for v, c in table.entries.items() if delta <= c < 2 * delta]
-    gs = GSet.from_elements(members, allow_zero=True, kind=table.kind, p=table.p)
-    return DyadicLevel(delta, gs, classes[best_i])
+    members = {v for v, c in table.entries.items() if delta <= c < 2 * delta}
+    return DyadicLevel(delta, table.decode(members), classes[best_i])
 
 
-def tail_decompose(A: GSet, delta, *, table: CountTable | None = None) -> tuple[int, int, int]:
+def tail_decompose(A: GSet, delta) -> tuple[int, int, int]:
     """(E', E'', tail_support): energy split at threshold delta.
 
     E' sums r^2 over r <= delta, E'' over r > delta; E' + E'' = E(A).
     tail_support counts the differences with r > delta.
     """
-    if table is None:
-        table = difference_table(A)
     e_low = e_high = heavy = 0
-    for c in table.entries.values():
+    for c in difference_table(A).entries.values():
         if c <= delta:
             e_low += c * c
         else:

@@ -51,8 +51,8 @@ def _stringify(x) -> str:
 class SetStats:
     """One input set plus a lazy cache of everything the checks share.
 
-    Building the difference table once per input (instead of once per check)
-    is what keeps the full suite inside its time budget.
+    The difference table itself is kept on the set (energy.difference_table),
+    so every check and library call on one input shares a single build.
     """
 
     def __init__(self, A: GSet, name: str | None = None, ctx=None):
@@ -76,37 +76,36 @@ class SetStats:
         return math.log2(self.size)
 
     def table(self):
-        return self.memo("table", lambda: energy.difference_table(self.A))
+        return energy.difference_table(self.A)
 
     def energy(self) -> int:
-        return self.memo("energy", lambda: energy.energy_pair(self.A, table=self.table()))
+        return self.memo("energy", lambda: energy.energy_pair(self.A))
 
     def energy3(self) -> int:
-        return self.memo("energy3", lambda: energy.moment_energy(self.A, 3, table=self.table()))
+        return self.memo("energy3", lambda: energy.moment_energy(self.A, 3))
 
     def energy32(self) -> float:
-        return self.memo(
-            "energy32", lambda: energy.moment_energy(self.A, Fraction(3, 2), table=self.table()))
+        return self.memo("energy32", lambda: energy.moment_energy(self.A, Fraction(3, 2)))
 
     def t3(self) -> int:
         return self.memo("t3", lambda: energy.t_k(self.A, 3))
 
     def sigma(self) -> int:
-        return self.memo("sigma", lambda: energy.sigma_sum(self.A, table=self.table()))
+        return self.memo("sigma", lambda: energy.sigma_sum(self.A))
 
     def tri(self) -> int:
-        return self.memo("tri", lambda: energy.difference_triple_count(self.A, table=self.table()))
+        return self.memo("tri", lambda: energy.difference_triple_count(self.A))
 
     def pop(self):
-        return self.memo("pop", lambda: energy.popular_differences(self.A, table=self.table()))
+        return self.memo("pop", lambda: energy.popular_differences(self.A))
 
     def tri_pop(self) -> int:
         """The difference-triple count with d' restricted to the popular set."""
         return self.memo("tri_pop", lambda: energy.difference_triple_count(
-            self.A, restrict=self.pop().members, table=self.table()))
+            self.A, restrict=self.pop().members))
 
     def dyadic(self):
-        return self.memo("dyadic", lambda: energy.dyadic_energy_level(self.A, table=self.table()))
+        return self.memo("dyadic", lambda: energy.dyadic_energy_level(self.A))
 
     def support(self, op: str) -> int:
         if op == "-":

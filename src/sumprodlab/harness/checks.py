@@ -78,10 +78,10 @@ def _chk_e3_identity(stats: SetStats, opts: dict):
     A = stats.A
     table = stats.table()
     direct = stats.energy3()
-    ints = A.int_view()[0]  # the scale of the table's int_items
+    ints = A.int_view()[0]  # the scale of the table's keys
     members = setops.difference_lookup(dict.fromkeys(ints), A.p)
     via_slices = 0
-    for d, r in table.int_items():
+    for d, r in table.entries.items():
         Ad = GSet(tuple(x for x, v in zip(A.elements, ints) if v - d in members), A.kind, A.p)
         if Ad.size != r:
             raise CrossCheckMismatch(f"|A ^ (A+d)| = {Ad.size} but r = {r}, "
@@ -91,10 +91,8 @@ def _chk_e3_identity(stats: SetStats, opts: dict):
     if ok and energy.t_k(A, 2) != stats.energy():
         raise CrossCheckMismatch("T_2 disagrees with the energy")
     if ok and A.size <= 14:
-        members = A.member_set()
-        slices = {d: frozenset(x for x in A.elements if x - d in members)
-                  for d in table.entries}
-        third = sum(len(s & s2) ** 2 for s in slices.values() for s2 in slices.values())
+        slices = [frozenset(v for v in ints if v - d in members) for d in table.entries]
+        third = sum(len(s & s2) ** 2 for s in slices for s2 in slices)
         ok = third == direct
     return direct, via_slices, 1.0, ok
 
@@ -160,7 +158,6 @@ def _chk_lemma_t3_lines(stats: SetStats, opts: dict):
 
 
 def _chk_lemma_spectral_final(stats: SetStats, opts: dict):
-    table = stats.table()
     e3 = stats.energy3()
     sig = stats.sigma()
     n6 = stats.size**6
@@ -168,7 +165,7 @@ def _chk_lemma_spectral_final(stats: SetStats, opts: dict):
     worst = None
     ok = True
     for delta in sorted({1, _half_delta(stats), top}):
-        eprime = sum(c * c for c in table.entries.values() if c <= delta)
+        eprime = energy.tail_decompose(stats.A, delta)[0]
         lhs = eprime**6
         rhs = n6 * e3 * delta**2 * sig
         ok = ok and lhs <= rhs
@@ -181,8 +178,7 @@ def _chk_spectral_chain(stats: SetStats, opts: dict):
     ok = True
     worst = None
     for delta in sorted({_half_delta(stats), stats.max_r()}):
-        chain = spectral.spectral_chain(stats.A, delta=delta, table=stats.table(),
-                                        energy3=stats.energy3(), sigma=stats.sigma())
+        chain = spectral.spectral_chain(stats.A, delta=delta, sigma=stats.sigma())
         ok = ok and chain.ok
         if worst is None or Fraction(chain.lhs_exact, chain.rhs_exact) > worst[0]:
             worst = (Fraction(chain.lhs_exact, chain.rhs_exact), chain)
@@ -353,7 +349,7 @@ def _chk_lemma5_b1(stats: SetStats, opts: dict):
 
 def _chk_lemma5_b31(stats: SetStats, opts: dict):
     delta = _half_delta(stats)
-    _, _, heavy = energy.tail_decompose(stats.A, delta, table=stats.table())
+    _, _, heavy = energy.tail_decompose(stats.A, delta)
     lhs = heavy * delta**3
     rhs = _m(stats) ** 2 * stats.size**3
     return lhs, rhs, lhs / rhs, True
@@ -361,7 +357,7 @@ def _chk_lemma5_b31(stats: SetStats, opts: dict):
 
 def _chk_lemma5_b3(stats: SetStats, opts: dict):
     delta = _half_delta(stats)
-    _, e_high, _ = energy.tail_decompose(stats.A, delta, table=stats.table())
+    _, e_high, _ = energy.tail_decompose(stats.A, delta)
     lhs = e_high * delta
     rhs = _m(stats) ** 2 * stats.size**3
     return lhs, rhs, lhs / rhs, True

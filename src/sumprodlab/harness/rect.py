@@ -157,12 +157,13 @@ def rect_decompose(A: GSet, *, profile: RectProfile = PAPER_PROFILE) -> RectCove
         rounds += 1
         table = energy.difference_table(current)
         ledger.append(sum(c * c for c in table.entries.values()))
-        lvl = energy.dyadic_energy_level(current, table=table)
+        lvl = energy.dyadic_energy_level(current)
         ints, scale = current.int_view()
-        level = setops.difference_lookup(dict.fromkeys(_on_scale(lvl.members, scale)), current.p)
+        level_keys = _on_scale(lvl.members, scale)  # the table's keys, on current's scale
+        level = setops.difference_lookup(dict.fromkeys(level_keys), current.p)
         points = [(a, b) for a in ints for b in ints if a - b in level]
         mass = len(points)
-        if mass != sum(table.entries[d] for d in lvl.members.elements):
+        if mass != sum(table.entries[d] for d in level_keys):
             raise CrossCheckMismatch("point-set size disagrees with the level mass")
         n = current.size
         L = _log_ceil(n)

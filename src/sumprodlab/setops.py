@@ -9,17 +9,17 @@ O(|A||B|) pairwise enumeration -- exactness over speed, no FFT.
 Counting works on one integer view of each set, (ints, scale) with every
 element equal to int / scale: residues with scale 1 mod p, and for a rational
 set the lcm of its denominators.  One pair kernel computes a op b on those
-ints for every op and kind; combine, support_size and combined_set only
-decode its keys back to Fraction or ModP elements, and each CountTable
-records the scale its keys were built with.  The test suite compares every
-op against a Fraction/ModP brute-force route.
+ints for every op and kind.  A CountTable keeps the kernel's integer keys and
+the scale they were built with; only CountTable.decode and combined_set turn
+keys back into Fraction or ModP elements.  The test suite compares every op
+against a Fraction/ModP brute-force route.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter, floordiv
 from pathlib import Path
@@ -158,26 +158,23 @@ def gset_modp(values: Iterable[int], p: int, *, allow_zero: bool = False) -> GSe
 
 @dataclass
 class CountTable:
-    """Multiplicity table r_{A op B}: value -> number of ordered pairs."""
+    """Multiplicity table r_{A op B}: key -> number of ordered pairs.
+
+    Keys live on the integer view: a residue mod p, k for the value k / scale,
+    or a reduced (numerator, denominator) pair when scale is None.
+    """
 
     entries: dict
     total: int
     kind: str = RATIONAL
     p: int | None = None
     scale: int | None = 1  # keys times scale are integers; None for rational quotients
+    _decoded: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         s = sum(self.entries.values())
         if s != self.total:
             raise BadSpec(f"count table sums to {s}, expected {self.total}")
-
-    def get(self, x) -> int:
-        if isinstance(x, int) and self.kind == RATIONAL:
-            x = Fraction(x)
-        return self.entries.get(x, 0)
-
-    # r(x) is the usual name for the multiplicity in the counting arguments
-    r = get
 
     def support_size(self) -> int:
         return len(self.entries)
@@ -185,16 +182,17 @@ class CountTable:
     def max_count(self) -> int:
         return max(self.entries.values()) if self.entries else 0
 
-    def support_set(self) -> GSet:
-        return GSet.from_elements(self.entries.keys(), allow_zero=True, kind=self.kind, p=self.p)
+    def decode(self, keys) -> GSet:
+        """The elements that the given keys (a set or dict of them) stand for.
+        Each key of the table is decoded once, on the first call."""
+        if self._decoded is None:
+            # integer keys sort like their elements; (num, den) pairs do not
+            order = sorted(self.entries, key=None if self.scale is not None else lambda k: Fraction(*k))
+            self._decoded = order, tuple(map(_element(self.p, self.scale), order))
+        return GSet(tuple(x for k, x in zip(*self._decoded) if k in keys), self.kind, self.p)
 
-    def int_items(self) -> list[tuple[int, int]]:
-        """(scale * value, count): the table on the integer scale it was built with."""
-        if self.kind == MODP:
-            return [(k.value, c) for k, c in self.entries.items()]
-        if self.scale is None:
-            raise BadSpec("a table of rational quotients has no common integer scale")
-        return [(k.numerator * (self.scale // k.denominator), c) for k, c in self.entries.items()]
+    def support_set(self) -> GSet:
+        return self.decode(self.entries)
 
 
 def _element(p: int | None, scale: int | None):
@@ -280,13 +278,11 @@ def int_counts(A: GSet, B: GSet, op: str) -> tuple[Counter, int | None]:
 def combine(A: GSet, B: GSet, op: str) -> CountTable:
     """Full multiplicity table of {a op b : a in A, b in B}, ordered pairs.
 
-    total is always |A||B|; support gives the sumset/difference/product/ratio
-    set.  Division requires 0 not in B.
+    Keyed on the integer view (see CountTable); total is always |A||B|, and
+    support_set() is the set A op B.  Division requires 0 not in B.
     """
     counts, scale = int_counts(A, B, op)
-    element = _element(A.p, scale)
-    entries = {element(k): c for k, c in counts.items()}
-    return CountTable(entries, A.size * B.size, A.kind, A.p, scale)
+    return CountTable(counts, A.size * B.size, A.kind, A.p, scale)
 
 
 def support_size(A: GSet, B: GSet, op: str) -> int:
@@ -304,7 +300,7 @@ def combined_set(A: GSet, B: GSet, op: str, *, allow_zero: bool = True) -> GSet:
 
 
 def iterated_sum_counts(A: GSet, k: int) -> CountTable:
-    """Multiplicity table of the k-fold sumset kA, ordered k-tuples."""
+    """Multiplicity table of the k-fold sumset kA, ordered k-tuples, on the integer view."""
     if k < 1:
         raise BadSpec(f"k must be >= 1, got {k}")
     vals, scale = A.int_view()
@@ -317,8 +313,7 @@ def iterated_sum_counts(A: GSet, k: int) -> CountTable:
                 key = s + v if p is None else (s + v) % p
                 nxt[key] = nxt.get(key, 0) + c
         cur = nxt
-    element = _element(p, scale)
-    return CountTable({element(v): c for v, c in cur.items()}, A.size**k, A.kind, p, scale)
+    return CountTable(cur, A.size**k, A.kind, p, scale)
 
 
 def translate_intersect(A: GSet, d: GroundElement) -> GSet:

@@ -23,7 +23,7 @@ import numpy as np
 from . import energy, setops
 from .errors import BadSpec, DimensionMismatch, NoConvergence, TooLarge
 from .families import Lcg
-from .setops import CountTable, GSet
+from .setops import GSet
 
 MATRIX_CAP = 512  # |A| for build_matrices
 FACTOR_CAP = 10_000_000  # cells of the incidence factor
@@ -46,18 +46,17 @@ class EnergyMatrices:
         return self.base.size
 
 
-def build_matrices(A: GSet, *, delta: int | None = None,
-                   table: CountTable | None = None) -> EnergyMatrices:
+def build_matrices(A: GSet, *, delta: int | None = None) -> EnergyMatrices:
     """R, M and the delta-truncated Mt for A (delta defaults to max r)."""
     n = A.size
     if n > MATRIX_CAP:
         raise TooLarge(f"set has {n} elements, matrix cap is {MATRIX_CAP}")
-    table = energy.difference_table(A) if table is None else table
+    table = energy.difference_table(A)
     if delta is None:
         delta = table.max_count()
     elif delta < 1:
         raise BadSpec(f"truncation level must be >= 1, got {delta}")
-    ints, r = A.int_view()[0], setops.difference_lookup(table.int_items(), A.p)
+    ints, r = A.int_view()[0], setops.difference_lookup(table.entries, A.p)
     R = np.array([[r[a - b] for b in ints] for a in ints], dtype=np.float64)
     Mt = np.where(R <= delta, R * (1.0 / np.sqrt(float(delta))), 0.0)
     return EnergyMatrices(A, R, np.sqrt(R), delta, Mt)
@@ -69,13 +68,13 @@ def incidence_factor(A: GSet) -> np.ndarray:
     Satisfies N @ N.T = R exactly.  On the integer view, a_i + w = b in A
     exactly when w = b - a_i, so row i has a 1 in the column of each b - a_i.
     """
-    items = energy.difference_table(A).int_items()
+    keys = energy.difference_table(A).entries
     n = A.size
-    if n * len(items) > FACTOR_CAP:
+    if n * len(keys) > FACTOR_CAP:
         raise TooLarge("incidence factor would exceed the cell cap")
     ints = A.int_view()[0]
-    col = setops.difference_lookup({w: j for j, (w, _) in enumerate(items)}, A.p)
-    N = np.zeros((n, len(items)), dtype=np.float64)
+    col = setops.difference_lookup({w: j for j, w in enumerate(keys)}, A.p)
+    N = np.zeros((n, len(keys)), dtype=np.float64)
     N[np.repeat(np.arange(n), n), [col[b - a] for a in ints for b in ints]] = 1.0
     return N
 
@@ -198,8 +197,7 @@ class SpectralChain:
                 and self.ok_exact)
 
 
-def spectral_chain(A: GSet, *, delta: int | None = None, table: CountTable | None = None,
-                   energy3: int | None = None, sigma: int | None = None) -> SpectralChain:
+def spectral_chain(A: GSet, *, delta: int | None = None, sigma: int | None = None) -> SpectralChain:
     """Checks the eigenvalue chain at truncation level delta:
 
       (i)   mu1(Mt) >= E'(delta) / (|A| sqrt(delta))   [Rayleigh at all-ones]
@@ -210,12 +208,11 @@ def spectral_chain(A: GSet, *, delta: int | None = None, table: CountTable | Non
     E'(delta) = sum of r(d)^2 over d with r(d) <= delta.  (i) and (ii) hold
     up to CHAIN_SLACK * max(1, values); (iii) is asserted in exact arithmetic
     and combines (i), (ii) and the trace bound tr(Mt^2 R) <= sqrt(E_3 Sigma) / delta.
-    The difference table, E_3 and Sigma are computed unless given.
+    Sigma is computed unless given.
     """
-    table = energy.difference_table(A) if table is None else table
-    mats = build_matrices(A, delta=delta, table=table)
+    mats = build_matrices(A, delta=delta)
     delta = mats.delta
-    eprime = sum(c * c for c in table.entries.values() if c <= delta)
+    eprime = energy.tail_decompose(A, delta)[0]
     mu1, v1 = principal_eigen(mats.Mt)
     lower = eprime / (A.size * np.sqrt(float(delta)))
     quad = float(v1 @ mats.R @ v1)
@@ -223,8 +220,8 @@ def spectral_chain(A: GSet, *, delta: int | None = None, table: CountTable | Non
     ok_i = mu1 >= lower - tol
     ok_ii = quad >= np.sqrt(float(delta)) * mu1 - tol
     ok_chain = quad >= eprime / A.size - tol
-    energy3 = energy.moment_energy(A, 3, table=table) if energy3 is None else energy3
-    sigma = energy.sigma_sum(A, table=table) if sigma is None else sigma
+    energy3 = energy.moment_energy(A, 3)
+    sigma = energy.sigma_sum(A) if sigma is None else sigma
     lhs = eprime**6
     rhs = A.size**6 * energy3 * delta**2 * sigma
     return SpectralChain(delta, eprime, mu1, lower, quad, energy3, sigma,

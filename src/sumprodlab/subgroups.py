@@ -29,6 +29,7 @@ _MR_LIMIT = 340_000_000_000_000
 
 MOMENT_TOL = 1e-6  # relative tolerance of the character-sum moment identities
 LIFT_T_CAP = 64  # largest t that mod_p2_subgroup accepts
+CHAR_P_CAP = 10_000_000  # largest p that char_sums accepts
 
 
 def is_prime(n: int) -> bool:
@@ -310,8 +311,8 @@ def char_sums(ctx: SubgroupCtx) -> np.ndarray:
     if ctx._chars is not None:
         return ctx._chars
     p, t = ctx.p, ctx.t
-    if p > 10_000_000:
-        raise BadSpec("exponential sum table wants p <= 10^7")
+    if p > CHAR_P_CAP:
+        raise TooLarge(f"exponential sum table wants p <= {CHAR_P_CAP}, got {p}")
     reps = np.array([pow(ctx.g, j, p) for j in range(ctx.cosets)], dtype=np.int64)
     gamma = np.asarray(ctx.gamma, dtype=np.int64)
     phase = np.exp((2j * np.pi / p) * (reps[:, None] * gamma[None, :] % p))
@@ -371,9 +372,6 @@ class LiftedCtx:
     g2: int
     gamma2: tuple[int, ...]
     base: SubgroupCtx
-
-    def gamma2_set(self) -> GSet:
-        return gset_modp(self.gamma2, self.p * self.p)
 
     def label(self) -> str:
         return f"subgroup(p^2={self.p * self.p},t={self.t})"

@@ -107,7 +107,7 @@ def test_criterion_01_cubic_energy_three_routes():
         A = stats.A
         table = energy.difference_table(A)
         by_moment = sum(c**3 for c in table.entries.values())
-        slices = {d: setops.translate_intersect(A, d) for d in table.entries}
+        slices = {d: setops.translate_intersect(A, d) for d in table.support_set().elements}
         members = {d: _member_set(S) for d, S in slices.items()}
         by_intersections = sum(
             len(m1 & m2) ** 2

@@ -54,6 +54,12 @@ def test_subgroup_usage_errors(capsys):
     assert cli.run(["subgroup", "--p", "7", "--t", "4"]) == 2
 
 
+def test_subgroup_chars_guard_exits_three(capsys):
+    # 10000019 is prime and above subgroups.CHAR_P_CAP
+    assert cli.run(["subgroup", "--p", "10000019", "--t", "2", "--chars"]) == 3
+    assert "refused:" in capsys.readouterr().err
+
+
 # -- stats ---------------------------------------------------------------------
 
 def test_stats_family(capsys):

@@ -10,6 +10,7 @@ import oracles
 from sumprodlab import energy
 from sumprodlab.errors import RestrictNotSubset, TooLarge
 from sumprodlab.families import generate_from_string
+from sumprodlab.ground import ModP
 from sumprodlab.harness import SetStats
 from sumprodlab.setops import gset_modp, gset_rational, invariant_union
 from sumprodlab.subgroups import divisors, subgroup_context
@@ -208,6 +209,24 @@ def test_triple_count_pinned_subgroup():
     assert stats.tri_pop() == 7_066_981_945
 
 
+def test_energy_kernels_build_no_modp_objects(monkeypatch):
+    A = generate_from_string("subgroup(p=7561,t=90)")
+    made = []
+    post_init = ModP.__post_init__
+
+    def counting(self):
+        made.append(self.value)
+        post_init(self)
+
+    monkeypatch.setattr(ModP, "__post_init__", counting)
+    energy.difference_table(A)
+    energy.moment_energy(A, 3)
+    energy.sigma_sum(A)
+    energy.difference_triple_count(A)
+    energy.t_k(A, 3)
+    assert made == []
+
+
 def test_sigma_guard():
     A = generate_from_string("geo(q=2,n=72)")  # |A-A| = 5,113
     assert energy.difference_table(A).support_size() > energy.SIGMA_SUPPORT_CAP
@@ -221,9 +240,9 @@ def test_popular_differences_majority_mass():
         pop = energy.popular_differences(A)
         assert pop.delta == Fraction(A.size**2, 2 * energy.difference_table(A).support_size())
         assert 2 * pop.mass >= A.size**2
-        table = energy.difference_table(A)
-        assert pop.mass == sum(table.get(d) for d in pop.members.elements)
-        assert set(pop.members.elements) == {d for d, c in table.entries.items()
+        table = energy.difference_table(A)  # integer set: key k is the difference k
+        assert pop.mass == sum(table.entries[int(d)] for d in pop.members.elements)
+        assert set(pop.members.elements) == {Fraction(k) for k, c in table.entries.items()
                                              if c >= pop.delta}
 
 

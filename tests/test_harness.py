@@ -119,6 +119,37 @@ def test_run_suite_parallel_matches_sequential():
     assert len(seq) == 13  # parseval only applies to the subgroup input
 
 
+def test_run_suite_parallel_report_is_byte_identical():
+    # every check on a whole corpus; the second run pickles sets that already
+    # carry their difference tables into the workers
+    inputs = named_corpus("identity")
+    ids = check_ids("all")
+    seq = build_report(run_suite(ids, inputs), corpus="identity", deterministic=True)
+    par = build_report(run_suite(ids, inputs, jobs=2), corpus="identity", deterministic=True)
+    assert len(seq.results) == 558
+    assert emit_report(seq, "json") == emit_report(par, "json")
+
+
+def test_each_input_builds_one_difference_table(monkeypatch):
+    inputs = [_stats("rand(n=48,seed=1)"), _stats("subgroup(p=7561,t=90)")]
+    builds = [0] * len(inputs)
+    combine = setops.combine
+
+    def counting(A, B, op):
+        # an equal copy of an input counts as that input; the smaller sets
+        # of later rectangle rounds do not
+        for i, stats in enumerate(inputs):
+            if op == "-" and A == stats.A and B == stats.A:
+                builds[i] += 1
+        return combine(A, B, op)
+
+    # energy binds combine under its own name
+    monkeypatch.setattr(setops, "combine", counting)
+    monkeypatch.setattr(energy, "combine", counting)
+    run_suite(check_ids("all"), inputs)
+    assert builds == [1, 1]
+
+
 def test_run_suite_unknown_check():
     with pytest.raises(UnknownCheck):
         run_suite(["nope"], [_stats("ap(n=4)")])

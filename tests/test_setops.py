@@ -28,6 +28,17 @@ MODULI = [(7, 7), (101, 101), (2**31 - 1, 2**31 - 1), (2**31 + 11, 2**31 + 11),
           (49, 7), (101 * 101, 101)]
 
 
+def decoded(table) -> list:
+    """The table's (element, count) pairs in key order, decoded here rather
+    than by CountTable.decode: k mod p, k / scale, or a (num, den) pair."""
+    def element(k):
+        if table.p is not None:
+            return ModP(k, table.p)
+        return Fraction(*k) if table.scale is None else Fraction(k, table.scale)
+
+    return [(element(k), c) for k, c in table.entries.items()]
+
+
 @st.composite
 def ground_sets(draw, count=1):
     """count sets of one kind: rational, or residues mod one modulus."""
@@ -79,14 +90,10 @@ def test_unknown_op_is_rejected():
 def test_combine_difference_matches_oracle(sets):
     (A,) = sets
     table = combine(A, A, "-")
-    want = oracles.diff_counts(A.elements)
-    assert {k: v for k, v in table.entries.items()} == want
+    # keys on the integer view: every key is int / scale (or int mod p)
+    assert decoded(table) == list(oracles.diff_counts(A.elements).items())  # counts and order
     assert table.total == A.size**2
-    zero = A.elements[0] - A.elements[0]
-    assert table.get(zero) == A.size
-    # the integer view energy counts on: every key is int / scale (or int mod p)
-    decode = (lambda k: ModP(k, A.p)) if A.p else (lambda k: Fraction(k, table.scale))
-    assert [decode(k) for k, _ in table.int_items()] == list(table.entries)
+    assert table.entries[0] == A.size  # the difference 0 is key 0 on either view
 
 
 @given(ground_sets(count=2))
@@ -96,7 +103,8 @@ def test_combine_all_ops_totals(sets):
     for op in "+-*/":
         want = oracles.pair_counts(A.elements, B.elements, op)
         table = combine(A, B, op)
-        assert list(table.entries.items()) == list(want.items())  # counts and order
+        assert decoded(table) == list(want.items())  # counts and order
+        assert table.support_set().elements == tuple(sorted(want))
         assert table.total == A.size * B.size
         assert setops.support_size(A, B, op) == len(want)
         assert setops.combined_set(A, B, op).elements == tuple(sorted(want))
@@ -110,7 +118,7 @@ def test_combine_division_modp_uses_inverses():
         for b in (1, 2, 4):
             d = a * pow(b, -1, 7) % 7
             want[d] = want.get(d, 0) + 1
-    assert {k.value: v for k, v in table.entries.items()} == want
+    assert dict(table.entries) == want
 
 
 def test_support_size_agrees_with_combined_set():
@@ -129,13 +137,12 @@ def test_iterated_sum_counts_matches_brute():
                 for c in A.elements:
                     s = a + b + c
                     want[s] = want.get(s, 0) + 1
-        assert dict(table.entries) == want
+        assert dict(decoded(table)) == want
 
 
 def test_translate_intersect_sizes_are_multiplicities():
     A = gset_rational([1, 2, 3, 5, 8])
-    table = combine(A, A, "-")
-    for d, r in table.entries.items():
+    for d, r in decoded(combine(A, A, "-")):
         assert setops.translate_intersect(A, d).size == r
 
 

@@ -110,9 +110,7 @@ def test_spectral_chain_truncation_drops_heavy_diffs():
 
 def test_spectral_chain_takes_shared_values():
     A = gset_rational([1, 2, 3, 5, 8, 13])
-    table = energy.difference_table(A)
-    shared = spectral.spectral_chain(A, delta=2, table=table, energy3=energy.moment_energy(
-        A, 3, table=table), sigma=energy.sigma_sum(A, table=table))
+    shared = spectral.spectral_chain(A, delta=2, sigma=energy.sigma_sum(A))
     assert shared == spectral.spectral_chain(A, delta=2)
 
 

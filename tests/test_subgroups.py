@@ -7,6 +7,7 @@ import oracles
 from sumprodlab import energy, subgroups
 from sumprodlab.errors import (BadSpec, CrossCheckMismatch, NotPrime, OrderDoesNotDivide,
                                TooLarge)
+from sumprodlab.setops import gset_modp
 from sumprodlab.subgroups import (char_moment_report, gap_H, gamma_energy,
                                   ks_criterion, lifted_context, mod_p2_subgroup,
                                   scan_gaps, subgroup_context, tk_cyclic, window_counts)
@@ -187,7 +188,7 @@ def test_tk_cyclic_matches_dict_route():
             assert tk_cyclic(ctx.gamma, p, k) == energy.t_k(ctx.gamma_set(), k)
     lift = lifted_context(7, 3)
     for k in (2, 3):
-        assert tk_cyclic(lift.gamma2, 49, k) == energy.t_k(lift.gamma2_set(), k)
+        assert tk_cyclic(lift.gamma2, 49, k) == energy.t_k(gset_modp(lift.gamma2, 49), k)
 
 
 def test_mod_p2_t3_never_grows():
