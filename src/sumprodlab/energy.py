@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadSpec, RestrictNotSubset, TooLarge
-from .setops import MODP, CountTable, GSet, combine, difference_lookup, int_counts, iterated_sum_counts
+from .setops import CountTable, GSet, combine, difference_lookup, int_counts, iterated_sum_counts
 from .subgroups import divisors, is_prime, primitive_root
 
 # Cap on |A-A| for the double-sum kernel, which iterates |A-A|^2 support
@@ -103,21 +103,22 @@ def difference_triple_count(A: GSet, restrict: GSet | None = None) -> int:
     (the mod p^2 lifts) keep H = {1}.
     """
     table = difference_table(A)
-    if restrict is not None and (restrict.kind != table.kind or restrict.p != table.p):
+    if restrict is not None and restrict.p != table.p:
         raise RestrictNotSubset("restriction set has the wrong kind")
-    if table.kind == MODP:
+    if table.p is not None:
         return _orbit_triples(table, restrict)
     values = list(table.entries)
     if restrict is None:
         rvals = values
     else:
-        rvals = []
-        for x in restrict.elements:
-            # x = v / scale needs x's denominator to divide the table's scale
-            v, rem = divmod(x.numerator * table.scale, x.denominator)
-            if rem or v not in table.entries:
-                raise RestrictNotSubset(f"{x} not in the difference set")
-            rvals.append(v)
+        # a key fits the table only when restrict's scale divides the table's
+        rints, rscale = restrict.int_view()
+        if table.scale % rscale:
+            raise RestrictNotSubset("restriction set is off the difference set's scale")
+        rvals = [v * (table.scale // rscale) for v in rints]
+        for v in rvals:
+            if v not in table.entries:
+                raise RestrictNotSubset(f"{Fraction(v, table.scale)} not in the difference set")
     lim = 1 << 61  # keeps every d - d' inside int64
     if all(-lim < v < lim for v in values) and all(-lim < v < lim for v in rvals):
         arr = np.sort(np.asarray(values, dtype=np.int64))
@@ -140,10 +141,10 @@ def _orbit_triples(table: CountTable, restrict: GSet | None) -> int:
     ind[dv] = True
     rv = dv
     if restrict is not None:
-        rv = np.fromiter((x.value for x in restrict.elements), dtype=np.int64, count=restrict.size)
-        outside = np.flatnonzero(~ind[rv])
+        rv = np.asarray(restrict.ints, dtype=np.int64)
+        outside = rv[~ind[rv]]
         if outside.size:
-            raise RestrictNotSubset(f"{restrict.elements[outside[0]]} not in the difference set")
+            raise RestrictNotSubset(f"{outside[0]} mod {p} not in the difference set")
     rnz = rv[rv != 0]
     group = _fixing_group(p, ind, dv[dv != 0], rnz)
     seen = np.zeros(p, dtype=bool)

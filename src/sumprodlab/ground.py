@@ -1,10 +1,11 @@
-"""Exact arithmetic substrate: arbitrary-precision rationals and prime-field residues.
+"""Element types for input and output: rationals and prime-field residues.
 
 Rationals are stdlib ``fractions.Fraction`` (always stored reduced, positive
-denominator, 0 == Fraction(0, 1)); ``normalize`` only adds the explicit
-zero-denominator error.  Residues are a small frozen dataclass so set elements
-stay hashable and cheap.  Everything downstream counts with these two types,
-so all counting results are exact integers by construction.
+denominator, 0 == Fraction(0, 1)); ``parse_element`` adds the explicit
+zero-denominator error.  Residues are a small frozen dataclass with field
+arithmetic.  A set stores neither type: GSet keeps integers on one scale, and
+its elements are parsed from and decoded to these types only where input is
+read and output is written, so every count is an integer count.
 """
 
 from __future__ import annotations
@@ -14,16 +15,6 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import MixedKinds, NotInvertible, ZeroDenominator
-
-Rational = Fraction
-
-
-def normalize(num: int, den: int = 1) -> Fraction:
-    """Reduced rational num/den with positive denominator."""
-    if den == 0:
-        raise ZeroDenominator(f"{num}/0 is not a rational number")
-    return Fraction(num, den)
-
 
 @dataclass(frozen=True, slots=True, order=True)
 class ModP:
@@ -89,12 +80,6 @@ def mod_pow(base: ModP, exponent: int) -> ModP:
     return ModP(pow(base.value, exponent, base.p), base.p)
 
 
-def is_zero(x: GroundElement) -> bool:
-    if isinstance(x, ModP):
-        return x.value == 0
-    return x == 0
-
-
 def format_element(x: GroundElement) -> str:
     """Text form: 'num/den' (or bare 'num') for rationals, 'v mod p' for residues."""
     return str(x)
@@ -114,8 +99,8 @@ def parse_element(text: str, kind: str, p: int | None = None) -> GroundElement:
             return ModP(int(value_part.strip()) % p, p)
         return ModP(int(text) % p, p)
     if kind == "rational":
-        if "/" in text:
-            num, den = text.split("/")
-            return normalize(int(num.strip()), int(den.strip()))
-        return Fraction(int(text))
+        try:
+            return Fraction(text)  # 3, -7/2 or a decimal such as 1.5
+        except ZeroDivisionError:
+            raise ZeroDenominator(f"{text} is not a rational number") from None
     raise MixedKinds(f"unknown element kind {kind!r}")

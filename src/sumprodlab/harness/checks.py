@@ -51,13 +51,16 @@ def _modp(stats: SetStats) -> bool:
     return stats.A.kind == setops.MODP
 
 
+def _a_over_aa(stats: SetStats) -> GSet:
+    return stats.memo(
+        "a_over_aa", lambda: setops.combined_set(stats.A, stats.combined("*"), "/"))
+
+
 def _grid_sizes_ok(stats: SetStats) -> bool:
     cap = 40 if _modp(stats) else 120
     if stats.support("*") > cap or stats.support("/") > cap:
         return False
-    quot = stats.memo(
-        "a_over_aa", lambda: setops.support_size(stats.A, stats.combined("*"), "/"))
-    return quot <= cap
+    return _a_over_aa(stats).size <= cap
 
 
 def _gamma_t3(ctx) -> int:
@@ -78,11 +81,11 @@ def _chk_e3_identity(stats: SetStats, opts: dict):
     A = stats.A
     table = stats.table()
     direct = stats.energy3()
-    ints = A.int_view()[0]  # the scale of the table's keys
+    ints, scale = A.int_view()  # the scale of the table's keys
     members = setops.difference_lookup(dict.fromkeys(ints), A.p)
     via_slices = 0
     for d, r in table.entries.items():
-        Ad = GSet(tuple(x for x, v in zip(A.elements, ints) if v - d in members), A.kind, A.p)
+        Ad = GSet(tuple(v for v in ints if v - d in members), scale, A.p)
         if Ad.size != r:
             raise CrossCheckMismatch(f"|A ^ (A+d)| = {Ad.size} but r = {r}, "
                                      f"d = {d} on the int view")
@@ -136,7 +139,7 @@ def _chk_dyadic_level(stats: SetStats, opts: dict):
 def _chk_lemma_t3_lines(stats: SetStats, opts: dict):
     A = stats.A
     aa = stats.combined("*")
-    a_over_aa = setops.combined_set(A, aa, "/")
+    a_over_aa = _a_over_aa(stats)
     aa_over_a = setops.combined_set(aa, A, "/")
     if a_over_aa.size != aa_over_a.size:
         raise CrossCheckMismatch("|A/AA| and |AA/A| must agree (x -> 1/x)")
@@ -146,10 +149,9 @@ def _chk_lemma_t3_lines(stats: SetStats, opts: dict):
     seen: dict = {}  # the four grids coincide for subgroups (Gamma Gamma = Gamma)
 
     def trip(B: GSet) -> int:
-        key = B.elements
-        if key not in seen:
-            seen[key] = incidence.collinear_triples(B, include_degenerate=True)
-        return seen[key]
+        if B not in seen:
+            seen[B] = incidence.collinear_triples(B, include_degenerate=True)
+        return seen[B]
 
     branch1 = a_over_aa.size**2 * aa.size**2 * trip(a_over_aa) * trip(aa)
     branch2 = aa_over_a.size**2 * quot.size**2 * trip(aa_over_a) * trip(quot)
@@ -440,7 +442,7 @@ def _chk_subgr_t3_bound(stats: SetStats, opts: dict):
 def _chk_thm17_ranges(stats: SetStats, opts: dict):
     ctx = stats.ctx
     t, p = ctx.t, ctx.p
-    grid_triples = incidence.collinear_triples(ctx.gamma_set())
+    grid_triples = incidence.collinear_triples(stats.A)
     if t >= p ** (2 / 3):
         stratum = math.sqrt(p) * t**3.5
     elif t >= math.sqrt(p) * math.log2(p):
@@ -465,7 +467,7 @@ def _chk_lemma18_invariant(stats: SetStats, opts: dict):
     t, p = ctx.t, ctx.p
     cosets = max(1, min(ctx.cosets, INVARIANT_PAIRS // (t * t)))
     q_set = setops.invariant_union(ctx, range(cosets))
-    qv = np.asarray(q_set.values(), dtype=np.int64)
+    qv = np.asarray(q_set.ints, dtype=np.int64)
     gv = np.asarray(ctx.gamma, dtype=np.int64)
     counts = np.bincount(((qv[:, None] - gv[None, :]) % p).ravel(), minlength=p)
     lhs = int((counts.astype(np.int64) ** 2).sum())

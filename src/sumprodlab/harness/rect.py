@@ -139,7 +139,7 @@ def _on_scale(B: GSet, scale: int) -> list[int]:
 
 def _decoded(rects: list, B: GSet) -> list:
     """Rectangles on B's integer view with their coordinates as B's elements."""
-    elem = dict(zip(B.int_view()[0], B.elements)).get
+    elem = dict(zip(B.ints, B.elements)).get
     return [replace(r, abscissae=tuple(map(elem, r.abscissae)),
                     ordinates=tuple(map(elem, r.ordinates))) for r in rects]
 
@@ -192,11 +192,11 @@ def rect_decompose(A: GSet, *, profile: RectProfile = PAPER_PROFILE) -> RectCove
                           rect, loads, rounds, ledger)
         # Case 2: drop the rich rectangles' index sets and go again
         drop = {x for r in rich for x in r.abscissae + r.ordinates}
-        remaining = tuple(x for x, v in zip(current.elements, ints) if v not in drop)
+        remaining = tuple(v for v in ints if v not in drop)
         last_state = (lvl, mass, rich, rich_points, current, loads)
         if len(remaining) < RECT_MIN_SIZE:
             break
-        current = GSet(remaining, current.kind, current.p)
+        current = GSet(remaining, scale, current.p)
     lvl, mass, rich, rich_points, final, loads = last_state
     return RectCover("case2-iterated", lvl.delta, lvl.members, mass, _decoded(rich, final),
                      rich_points, final, final, 0, rounds, ledger, loads)
@@ -224,14 +224,14 @@ def _case1(current: GSet, lvl, level: dict, mass: int, points: list, rich: list,
     if q * len(aprime) > mass:
         raise CrossCheckMismatch("q |A'| exceeds the point count")
     # route 2: pointwise membership re-verification, independent of the cover
-    elem = dict(zip(current.int_view()[0], current.elements)).get
     for a in aprime:
         supported = sum(1 for b in oset if ((b - a) if rect.transposed else (a - b)) in level)
         if supported < q or supported != counts[a]:
-            raise CrossCheckMismatch(f"abscissa {elem(a)} supports {supported} points, "
-                                     f"cover says {counts[a]}, q = {q}")
-    Ap = GSet(tuple(map(elem, aprime)), current.kind, current.p)
-    App = GSet(tuple(map(elem, rect.ordinates)), current.kind, current.p)
+            raise CrossCheckMismatch(f"abscissa {a} (integer view) supports {supported} "
+                                     f"points, cover says {counts[a]}, q = {q}")
+    # both coordinate tuples are sorted ints of current
+    Ap = GSet(tuple(aprime), current.scale, current.p)
+    App = GSet(rect.ordinates, current.scale, current.p)
     return RectCover("case1", lvl.delta, lvl.members, mass, _decoded(rich, current),
                      rich_points, Ap, App, q, rounds, ledger, loads)
 

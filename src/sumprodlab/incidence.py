@@ -99,7 +99,7 @@ def line_profile(X: GSet, Y: GSet | None = None) -> LineProfile:
     """Exact line -> k table for the grid X x Y (Y defaults to X)."""
     if Y is None:
         Y = X
-    if X.kind != Y.kind or X.p != Y.p:
+    if X.p != Y.p:
         raise MixedKinds("grid axes must share a kind")
     if X.size == 0 or Y.size == 0:
         return LineProfile({}, X.size, Y.size)
@@ -119,12 +119,12 @@ def _profile_rational(X: GSet, Y: GSet) -> LineProfile:
     ys, sy = Y.int_view()
     nx, ny = len(xs), len(ys)
     counts: dict[LineKey, int] = {}
-    if ny >= 2:
-        for xv in X.elements:
-            counts[LineKey(*_canon_rational(xv.denominator, 0, xv.numerator))] = ny
+    if ny >= 2:  # the line sx*x = xv through each column
+        for xv in xs:
+            counts[LineKey(*_canon_rational(sx, 0, xv))] = ny
     if nx >= 2:
-        for yv in Y.elements:
-            counts[LineKey(*_canon_rational(0, yv.denominator, yv.numerator))] = nx
+        for yv in ys:
+            counts[LineKey(*_canon_rational(0, sy, yv))] = nx
     slant: dict[tuple[int, int, int], int] = {}
     for i in range(nx):
         x1 = xs[i]

@@ -1,17 +1,20 @@
 """Finite ground sets and exact pairwise set arithmetic.
 
-A GSet is a sorted, duplicate-free tuple of ground elements of one kind
-(all rationals, or all residues mod one prime).  Input sets exclude 0; sets
-derived from differences (supports, popular-difference sets) may contain 0
-and are built with allow_zero=True.  All combine/count operations are plain
-O(|A||B|) pairwise enumeration -- exactness over speed, no FFT.
+A GSet stores one representation of a set of one kind (rationals, or
+residues mod one modulus): its integer view, sorted distinct ints and a
+scale, with every element equal to int / scale.  Residues have scale 1; a
+rational set has the lcm of its reduced denominators, so equal sets compare
+and hash equal whatever built them.  Scaling by a nonzero constant keeps
+every additive and multiplicative coincidence, so every kernel counts on
+these ints.  Fraction and ModP objects are built only where input is parsed
+(GSet.from_elements, read_gset) and where output is printed (GSet.elements,
+decoded on first read and kept).  Input sets exclude 0; derived sets
+(differences, supports, popular levels) may hold it.
 
-Counting works on one integer view of each set, (ints, scale) with every
-element equal to int / scale: residues with scale 1 mod p, and for a rational
-set the lcm of its denominators.  One pair kernel computes a op b on those
-ints for every op and kind.  A CountTable keeps the kernel's integer keys and
-the scale they were built with; only CountTable.decode and combined_set turn
-keys back into Fraction or ModP elements.  The test suite compares every op
+One pair kernel computes a op b on the ints for every op and kind, by plain
+O(|A||B|) enumeration.  A CountTable keeps the kernel's integer keys and the
+scale they were built with, and CountTable.decode and combined_set turn
+selected keys into a GSet on that scale.  The test suite compares every op
 against a Fraction/ModP brute-force route.
 """
 
@@ -19,19 +22,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, floordiv
+from functools import cached_property
+from operator import floordiv
 from pathlib import Path
 from typing import Iterable, TYPE_CHECKING
 
-from .errors import (
-    BadSpec,
-    IndexOutOfRange,
-    MixedKinds,
-    ZeroDenominator,
-)
-from .ground import GroundElement, ModP, format_element, is_zero, parse_element
+from .errors import BadSpec, IndexOutOfRange, MixedKinds, NotPrime, ZeroDenominator
+from .ground import GroundElement, ModP, parse_element
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only, avoids an import cycle
     from .subgroups import SubgroupCtx
@@ -44,11 +43,24 @@ _OPS = ("+", "-", "*", "/")
 
 @dataclass(frozen=True)
 class GSet:
-    """Immutable finite set of ground elements of a single kind."""
+    """Immutable finite set of one kind, stored as its integer view.
 
-    elements: tuple
-    kind: str
+    ints are sorted and distinct; every element is int / scale, mod p when p
+    is set (then scale is 1).  The scale is brought to canonical form on
+    construction: dividing by gcd(scale, *ints) leaves the lcm of the reduced
+    denominators.
+    """
+
+    ints: tuple
+    scale: int = 1
     p: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.scale != 1:
+            g = math.gcd(self.scale, *self.ints)
+            if g != 1:
+                object.__setattr__(self, "ints", tuple(v // g for v in self.ints))
+                object.__setattr__(self, "scale", self.scale // g)
 
     @classmethod
     def from_elements(
@@ -59,88 +71,69 @@ class GSet:
         kind: str | None = None,
         p: int | None = None,
     ) -> "GSet":
-        """Build a GSet: dedupe, sort, validate homogeneity and the no-zero rule.
+        """Parse elements into a GSet: check one kind and the no-zero rule,
+        drop duplicates, and keep the integer view.
 
-        Plain ints are coerced to Fraction (rational kind) or ModP when a
-        modulus is supplied.  allow_zero is for derived sets only; input sets
-        keep the 0-excluded convention.
+        Plain ints are read as rationals, or as residues when a modulus p is
+        supplied; a ModP must then carry that same modulus.  allow_zero is for
+        derived sets only; input sets keep the 0-excluded convention.
         """
-        raw = list(items)
-        if p is not None:
-            kind = MODP
-            raw = [x if isinstance(x, ModP) else ModP(int(x) % p, p) for x in raw]
-        coerced = []
-        seen_kind = None
-        seen_p = None
-        for x in raw:
+        residues: set[int] = set()
+        fracs: set[Fraction] = set()
+        seen_p = p
+        for x in items:
             if isinstance(x, ModP):
-                k = MODP
                 if seen_p is not None and x.p != seen_p:
                     raise MixedKinds(f"residues mod {seen_p} and mod {x.p} in one set")
                 seen_p = x.p
+                residues.add(x.value)
+            elif p is not None:
+                residues.add(int(x) % p)
             elif isinstance(x, (int, Fraction)):
-                k = RATIONAL
-                x = Fraction(x)
+                fracs.add(Fraction(x))
             else:
                 raise MixedKinds(f"unsupported element type {type(x).__name__}")
-            if seen_kind is not None and k != seen_kind:
-                raise MixedKinds("rational and mod-p elements in one set")
-            seen_kind = k
-            coerced.append(x)
+        if residues and fracs:
+            raise MixedKinds("rational and mod-p elements in one set")
+        seen_kind = MODP if residues or p is not None else RATIONAL if fracs else kind
         if seen_kind is None:
-            if kind is None:
-                raise BadSpec("empty set needs an explicit kind")
-            seen_kind = kind
-            seen_p = p
+            raise BadSpec("empty set needs an explicit kind")
         if kind is not None and kind != seen_kind:
             raise MixedKinds(f"declared kind {kind!r} but elements are {seen_kind!r}")
-        # one modulus per set, so residue order is the ModP order, without
-        # a dataclass __lt__ call per comparison
-        dedup = sorted(set(coerced), key=attrgetter("value") if seen_kind == MODP else None)
-        if not allow_zero and any(map(is_zero, dedup)):
+        if seen_kind == MODP:
+            if seen_p is None:
+                raise BadSpec("a mod-p set needs a modulus")
+            ints, scale = residues, 1
+        else:
+            scale = math.lcm(*(x.denominator for x in fracs))
+            ints = {x.numerator * (scale // x.denominator) for x in fracs}
+        if not allow_zero and 0 in ints:
             raise BadSpec("0 is excluded from input sets")
-        return cls(tuple(dedup), seen_kind, seen_p)
+        return cls(tuple(sorted(ints)), scale, seen_p)
+
+    @property
+    def kind(self) -> str:
+        return RATIONAL if self.p is None else MODP
+
+    @cached_property
+    def elements(self) -> tuple:
+        """The elements as Fraction or ModP objects, for printing and for
+        the element-arithmetic oracles; decoded on first read and kept."""
+        if self.p is not None:
+            return tuple(ModP(v, self.p) for v in self.ints)
+        return tuple(Fraction(v, self.scale) for v in self.ints)
 
     @property
     def size(self) -> int:
-        return len(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, x) -> bool:
-        return x in self.member_set()
-
-    def member_set(self) -> frozenset:
-        cached = self.__dict__.get("_members")
-        if cached is None:
-            cached = frozenset(self.elements)
-            self.__dict__["_members"] = cached
-        return cached
+        return len(self.ints)
 
     def values(self) -> tuple:
         """Raw values: ints (residues) for mod-p sets, Fractions for rational."""
-        return self.int_view()[0] if self.kind == MODP else self.elements
+        return self.ints if self.p is not None else self.elements
 
     def int_view(self) -> tuple[tuple[int, ...], int]:
-        """(ints, scale) with every element equal to int / scale.
-
-        A mod-p set gives its residues and scale 1; a rational set scales by
-        the lcm of its denominators.  Scaling by a nonzero constant keeps
-        every additive coincidence, so counting kernels work on these ints.
-        """
-        cached = self.__dict__.get("_ints")
-        if cached is None:
-            if self.kind == MODP:
-                cached = tuple(x.value for x in self.elements), 1
-            else:
-                scale = math.lcm(*(x.denominator for x in self.elements))
-                cached = tuple(x.numerator * (scale // x.denominator) for x in self.elements), scale
-            self.__dict__["_ints"] = cached
-        return cached
+        """(ints, scale) with every element equal to int / scale."""
+        return self.ints, self.scale
 
     def label(self) -> str:
         if self.kind == MODP:
@@ -166,10 +159,8 @@ class CountTable:
 
     entries: dict
     total: int
-    kind: str = RATIONAL
     p: int | None = None
     scale: int | None = 1  # keys times scale are integers; None for rational quotients
-    _decoded: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         s = sum(self.entries.values())
@@ -183,26 +174,21 @@ class CountTable:
         return max(self.entries.values()) if self.entries else 0
 
     def decode(self, keys) -> GSet:
-        """The elements that the given keys (a set or dict of them) stand for.
-        Each key of the table is decoded once, on the first call."""
-        if self._decoded is None:
-            # integer keys sort like their elements; (num, den) pairs do not
-            order = sorted(self.entries, key=None if self.scale is not None else lambda k: Fraction(*k))
-            self._decoded = order, tuple(map(_element(self.p, self.scale), order))
-        return GSet(tuple(x for k, x in zip(*self._decoded) if k in keys), self.kind, self.p)
+        """The set that the given keys (a set or dict of them) stand for."""
+        return _keyed_set(keys, self.scale, self.p)
 
     def support_set(self) -> GSet:
         return self.decode(self.entries)
 
 
-def _element(p: int | None, scale: int | None):
-    """Decoder from a key to its element: k mod p, k / scale, or, for
-    scale None, a reduced (numerator, denominator) pair."""
-    if p is not None:
-        return lambda k: ModP(k, p)
+def _keyed_set(keys, scale: int | None, p: int | None) -> GSet:
+    """The GSet of pair-kernel keys built at ``scale``; reduced (numerator,
+    denominator) keys (scale None) are brought to the lcm of their denominators."""
     if scale is None:
-        return lambda k: Fraction(*k)
-    return Fraction if scale == 1 else lambda k: Fraction(k, scale)
+        keys = list(keys)
+        scale = math.lcm(*(den for _, den in keys))
+        keys = [num * (scale // den) for num, den in keys]
+    return GSet(tuple(sorted(keys)), scale, p)
 
 
 def _pair_keys(A: GSet, B: GSet, op: str, into) -> int | None:
@@ -217,9 +203,9 @@ def _pair_keys(A: GSet, B: GSet, op: str, into) -> int | None:
     """
     if op not in _OPS:
         raise BadSpec(f"op must be one of {_OPS}, got {op!r}")
-    if A.kind != B.kind or A.p != B.p:
+    if A.p != B.p:
         raise MixedKinds(f"cannot combine {A.kind} (p={A.p}) with {B.kind} (p={B.p})")
-    if op == "/" and any(map(is_zero, B.elements)):
+    if op == "/" and 0 in B.ints:
         raise ZeroDenominator("division by a set containing 0")
     (av, sa), (bv, sb) = A.int_view(), B.int_view()
     p = A.p
@@ -282,7 +268,7 @@ def combine(A: GSet, B: GSet, op: str) -> CountTable:
     support_set() is the set A op B.  Division requires 0 not in B.
     """
     counts, scale = int_counts(A, B, op)
-    return CountTable(counts, A.size * B.size, A.kind, A.p, scale)
+    return CountTable(counts, A.size * B.size, A.p, scale)
 
 
 def support_size(A: GSet, B: GSet, op: str) -> int:
@@ -292,11 +278,11 @@ def support_size(A: GSet, B: GSet, op: str) -> int:
     return len(keys)
 
 
-def combined_set(A: GSet, B: GSet, op: str, *, allow_zero: bool = True) -> GSet:
+def combined_set(A: GSet, B: GSet, op: str) -> GSet:
     """The set A op B itself (support of the combine table)."""
     keys: set = set()
-    element = _element(A.p, _pair_keys(A, B, op, keys))
-    return GSet.from_elements(map(element, keys), allow_zero=allow_zero, kind=A.kind, p=A.p)
+    scale = _pair_keys(A, B, op, keys)
+    return _keyed_set(keys, scale, A.p)
 
 
 def iterated_sum_counts(A: GSet, k: int) -> CountTable:
@@ -313,15 +299,23 @@ def iterated_sum_counts(A: GSet, k: int) -> CountTable:
                 key = s + v if p is None else (s + v) % p
                 nxt[key] = nxt.get(key, 0) + c
         cur = nxt
-    return CountTable(cur, A.size**k, A.kind, p, scale)
+    return CountTable(cur, A.size**k, p, scale)
 
 
 def translate_intersect(A: GSet, d: GroundElement) -> GSet:
     """A intersect (A + d); its size equals r_{A-A}(d)."""
-    if isinstance(d, ModP) != (A.kind == MODP) or getattr(d, "p", A.p) != A.p:
+    if isinstance(d, ModP) != (A.p is not None) or getattr(d, "p", A.p) != A.p:
         raise MixedKinds("translation by an element of a different kind")
-    members = A.member_set()
-    return GSet(tuple(x for x in A.elements if x - d in members), A.kind, A.p)
+    ints, scale = A.int_view()
+    if A.p is not None:
+        k = d.value
+    else:
+        d = Fraction(d)
+        k, rem = divmod(d.numerator * scale, d.denominator)
+        if rem:  # d is off A's scale, so it is no difference of A
+            return GSet((), 1, None)
+    members = difference_lookup(dict.fromkeys(ints), A.p)
+    return GSet(tuple(v for v in ints if v - k in members), scale, A.p)
 
 
 def invariant_union(ctx: "SubgroupCtx", coset_indices: Iterable[int]) -> GSet:
@@ -335,43 +329,45 @@ def invariant_union(ctx: "SubgroupCtx", coset_indices: Iterable[int]) -> GSet:
     for j in sorted(set(indices)):
         shift = pow(ctx.g, j, p)
         values.update((shift * x) % p for x in ctx.gamma)
-    return GSet.from_elements(values, p=p)
+    return GSet(tuple(sorted(values)), 1, p)
 
 
 def write_gset(A: GSet, path: str | Path) -> None:
     """Write a set file: a kind header, then one element per line."""
-    lines = []
-    if A.kind == MODP:
-        lines.append(f"kind: modp p={A.p}")
-        lines.extend(str(x.value) for x in A.elements)
-    else:
-        lines.append("kind: rational")
-        lines.extend(format_element(x) for x in A.elements)
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = "kind: rational" if A.p is None else f"kind: modp p={A.p}"
+    Path(path).write_text("\n".join([header, *map(str, A.values())]) + "\n")
 
 
 def read_gset(path: str | Path) -> GSet:
-    """Read a set file written by write_gset.  '#' starts a comment."""
-    raw = Path(path).read_text().splitlines()
-    lines = []
-    for line in raw:
-        line = line.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    """Read a set file written by write_gset.  '#' starts a comment.
+
+    A malformed header or element raises BadSpec, and a modulus that is not
+    prime raises NotPrime.  Rational elements take any form Fraction reads:
+    3, -7/2, 1.5.
+    """
+    lines = [s for s in (line.split("#", 1)[0].strip()
+                         for line in Path(path).read_text().splitlines()) if s]
     if not lines:
         raise BadSpec(f"{path}: empty set file")
     header = lines[0]
     if not header.startswith("kind:"):
         raise BadSpec(f"{path}: first line must declare 'kind: rational' or 'kind: modp p=<prime>'")
     decl = header[len("kind:"):].strip()
-    if decl == RATIONAL:
-        elems = [parse_element(s, RATIONAL) for s in lines[1:]]
-        return GSet.from_elements(elems, kind=RATIONAL)
+    p = None
     if decl.startswith(MODP):
+        from .subgroups import is_prime  # subgroups imports this module
+
         part = decl[len(MODP):].strip()
-        if not part.startswith("p="):
+        if not part.startswith("p=") or not part[2:].strip().isdigit():
             raise BadSpec(f"{path}: modp header must carry p=<prime>")
         p = int(part[2:])
-        elems = [parse_element(s, MODP, p) for s in lines[1:]]
-        return GSet.from_elements(elems, p=p)
-    raise BadSpec(f"{path}: unknown kind {decl!r}")
+        if not is_prime(p):
+            raise NotPrime(f"{path}: modulus {p} is not prime")
+    elif decl != RATIONAL:
+        raise BadSpec(f"{path}: unknown kind {decl!r}")
+    kind = RATIONAL if p is None else MODP
+    try:
+        elems = [parse_element(s, kind, p) for s in lines[1:]]
+    except (ValueError, MixedKinds, ZeroDenominator) as exc:
+        raise BadSpec(f"{path}: bad element: {exc}") from exc
+    return GSet.from_elements(elems, kind=kind, p=p)

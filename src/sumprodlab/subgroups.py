@@ -21,7 +21,7 @@ from .errors import (
     OrderDoesNotDivide,
     TooLarge,
 )
-from .setops import GSet, gset_modp
+from .setops import GSet
 
 # Witness set makes Miller-Rabin deterministic below 3.4 * 10^14.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17)
@@ -118,7 +118,7 @@ class SubgroupCtx:
         return (self.p - 1) // self.t
 
     def gamma_set(self) -> GSet:
-        return gset_modp(self.gamma, self.p)
+        return GSet(self.gamma, 1, self.p)  # gamma is sorted, distinct and 0-free
 
     def dlog(self) -> np.ndarray:
         """dlog()[x] = k with g^k = x, for x in [1, p-1]; entry 0 is unused."""

@@ -290,7 +290,7 @@ def rect_cover(A, profile):
         elems = current.elements
         delta, _, level, r = _dyadic_level(elems, A.kind, A.p)
         ledger.append(sum(c * c for c in r.values()))
-        members = level.member_set()
+        members = set(level.elements)
         points = [(a, b) for a in elems for b in elems if a - b in members]
         mass, n = len(points), len(elems)
         L = max(1, math.ceil(math.log2(n)))
@@ -312,14 +312,15 @@ def rect_cover(A, profile):
                 if sum(1 for d in diffs if d in members) >= q:
                     aprime.append(a)
             return RectCover("case1", delta, level, mass, rich, rich_points,
-                             GSet(tuple(aprime), A.kind, A.p),
-                             GSet(rect.ordinates, A.kind, A.p), q, rounds, ledger, loads)
+                             GSet.from_elements(aprime, kind=A.kind, p=A.p),
+                             GSet.from_elements(rect.ordinates, kind=A.kind, p=A.p),
+                             q, rounds, ledger, loads)
         drop = {x for rc in rich for x in rc.abscissae + rc.ordinates}
         remaining = [x for x in elems if x not in drop]
         last = (delta, level, mass, rich, rich_points, current, loads)
         if len(remaining) < 4:
             break
-        current = GSet(tuple(remaining), A.kind, A.p)
+        current = GSet.from_elements(remaining, kind=A.kind, p=A.p)
     delta, level, mass, rich, rich_points, final, loads = last
     return RectCover("case2-iterated", delta, level, mass, rich, rich_points,
                      final, final, 0, rounds, ledger, loads)
@@ -334,10 +335,10 @@ def sum_construction(A, cover=None):
     quot = sorted(set(pair_counts(elems, elems, "/")))
     if cover is not None and cover.case == "case1":
         aprime, adouble = cover.Aprime.elements, cover.Adoubleprime.elements
-        level = cover.level.member_set()
+        level = set(cover.level.elements)
     else:
         aprime = adouble = elems
-        level = _dyadic_level(elems, A.kind, A.p)[2].member_set()
+        level = set(_dyadic_level(elems, A.kind, A.p)[2].elements)
     sums = set(pair_counts(elems, elems, "+"))
     members, ap_members = set(elems), set(aprime)
     pair_mass = e_times = sum_cubes = triples = 0

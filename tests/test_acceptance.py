@@ -359,7 +359,7 @@ def test_criterion_10_rectangle_cover_structure():
             case1 += 1
             # element objects keep subtraction in the right group (mod p
             # for residue sets), so membership in the level set is exact
-            members = cover.level.member_set()
+            members = set(cover.level.elements)
             ordinates = cover.Adoubleprime.elements
             for a in cover.Aprime.elements:
                 hits = sum(1 for b in ordinates if a - b in members)

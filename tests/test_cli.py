@@ -75,6 +75,29 @@ def test_stats_set_file(tmp_path, capsys):
     assert "|A| = 3" in out and "E = 19" in out and "T3 = 141" in out
 
 
+def test_stats_set_file_reads_decimals(tmp_path, capsys):
+    f = tmp_path / "decimal.txt"
+    f.write_text("kind: rational\n1.5\n2\n3\n")
+    out = run_ok(capsys, ["stats", "--set", str(f)])
+    # {3/2, 2, 3} is {3, 4, 6} / 2: E = 3^2 + 6 * 1^2
+    assert "|A| = 3" in out and "E = 15" in out
+
+
+@pytest.mark.parametrize("text", [
+    "kind: modp p=4\n1\n2\n3\n",  # composite modulus
+    "kind: modp p=1\n1\n",  # no field at all
+    "kind: modp p=x\n1\n",  # unreadable modulus
+    "kind: rational\n1\nabc\n",  # unreadable element
+    "kind: modp p=7\n1.5\n",  # a decimal is no residue
+    "kind: rational\n1/0\n",  # zero denominator
+])
+def test_malformed_set_file_is_usage_error(tmp_path, capsys, text):
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    assert cli.run(["stats", "--set", str(f)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_stats_no_input_is_usage_error(capsys):
     assert cli.run(["stats"]) == 2
     assert "no input" in capsys.readouterr().err

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sumprodlab import energy
+from sumprodlab import energy, setops
 from sumprodlab.errors import RestrictNotSubset, TooLarge
 from sumprodlab.families import generate_from_string
 from sumprodlab.ground import ModP
-from sumprodlab.harness import SetStats
+from sumprodlab.harness import SetStats, subgroup_stats
 from sumprodlab.setops import gset_modp, gset_rational, invariant_union
 from sumprodlab.subgroups import divisors, subgroup_context
 
@@ -210,7 +210,6 @@ def test_triple_count_pinned_subgroup():
 
 
 def test_energy_kernels_build_no_modp_objects(monkeypatch):
-    A = generate_from_string("subgroup(p=7561,t=90)")
     made = []
     post_init = ModP.__post_init__
 
@@ -219,11 +218,18 @@ def test_energy_kernels_build_no_modp_objects(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(ModP, "__post_init__", counting)
-    energy.difference_table(A)
-    energy.moment_energy(A, 3)
-    energy.sigma_sum(A)
-    energy.difference_triple_count(A)
-    energy.t_k(A, 3)
+    stats = subgroup_stats(7561, 90)
+    for A in (stats.A, generate_from_string("subgroup(p=7561,t=90)")):
+        energy.difference_table(A)
+        energy.moment_energy(A, 3)
+        energy.sigma_sum(A)
+        energy.difference_triple_count(A)
+        energy.t_k(A, 3)
+        energy.popular_differences(A)
+        energy.dyadic_energy_level(A)
+        for op in "+-*/":
+            setops.combined_set(A, A, op)
+    assert stats.tri_pop() > 0  # restricted to the decoded popular set
     assert made == []
 
 

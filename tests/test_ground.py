@@ -7,15 +7,16 @@ from sumprodlab.errors import MixedKinds, NotInvertible, ZeroDenominator
 from sumprodlab.ground import ModP
 
 
-def test_normalize_reduces():
-    assert ground.normalize(6, 4) == Fraction(3, 2)
-    assert ground.normalize(-6, -4) == Fraction(3, 2)
-    assert ground.normalize(0, 5) == 0
+def test_parse_rational_reduces():
+    assert ground.parse_element("6/4", "rational") == Fraction(3, 2)
+    assert ground.parse_element(" -6/4 ", "rational") == Fraction(-3, 2)
+    assert ground.parse_element("1.5", "rational") == Fraction(3, 2)
+    assert ground.parse_element("0/5", "rational") == 0
 
 
-def test_normalize_rejects_zero_denominator():
+def test_parse_rational_rejects_zero_denominator():
     with pytest.raises(ZeroDenominator):
-        ground.normalize(1, 0)
+        ground.parse_element("1/0", "rational")
 
 
 def test_modp_arithmetic_small_table():

@@ -199,7 +199,7 @@ def test_rect_rich_mass_matches_oracle():
     A = generate_from_string("ap(n=16)")
     cover = rect_decompose(A, profile=PAPER_PROFILE)
     assert cover.rounds == 1  # the oracle rebuilds round-1 points from A itself
-    members = cover.level.member_set()
+    members = set(cover.level.elements)
     points = [(a, b) for a in A.elements for b in A.elements if a - b in members]
     assert len(points) == cover.mass
     rects = [(set(r.abscissae), set(r.ordinates)) for r in cover.rectangles]
@@ -235,7 +235,7 @@ def test_sum_construction_stats_identities():
     cover = rect_decompose(A, profile=PAPER_PROFILE)
     st = sum_construction_stats(A, cover=cover)
     assert st.s_size == setops.support_size(A, A, "+") == 15
-    assert st.p_size == len(cover.level.member_set())
+    assert st.p_size == len(set(cover.level.elements))
     assert st.ratio_count == setops.support_size(A, A, "/")
     assert st.pair_mass == A.size * st.aprime_size
     assert st.line_bound == st.s_size**4 * st.p_size**2

@@ -1,3 +1,5 @@
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -66,6 +68,50 @@ def test_gset_rejects_zero_inputs():
 def test_gset_allow_zero_for_derived_sets():
     D = gset_rational([0, 1, -1], allow_zero=True)
     assert D.size == 3
+
+
+def test_gset_modp_refuses_a_foreign_modulus():
+    with pytest.raises(MixedKinds):
+        gset_modp([ModP(1, 5)], 7)
+    assert gset_modp([ModP(8, 49), 1], 49).ints == (1, 8)  # composite moduli stay allowed
+
+
+@st.composite
+def canonical_cases(draw):
+    """(values, kind, modulus, prime): rationals with mixed signs and
+    denominators and values past 2^63, or residues mod a prime or a prime square."""
+    if draw(st.booleans()):
+        return draw(st.lists(rationals, min_size=1, max_size=8)), setops.RATIONAL, None, True
+    m, q = draw(st.sampled_from(MODULI))
+    units = st.integers(min_value=1, max_value=m - 1).filter(lambda x: x % q != 0)
+    return draw(st.lists(units, min_size=1, max_size=8)), setops.MODP, m, m == q
+
+
+@given(canonical_cases())
+@settings(max_examples=80, deadline=None)
+def test_canonical_form_whatever_the_route(tmp_path_factory, case):
+    vals, kind, m, prime = case
+    A = GSet.from_elements(vals, kind=kind, p=m)
+    # A op {0} and A op {1} give A back, through every scale the pair kernel
+    # keys on: s for + and -, s^2 for *, (num, den) pairs for /
+    zero = GSet.from_elements([0], allow_zero=True, kind=kind, p=m)
+    one = GSet.from_elements([1], kind=kind, p=m)
+    pairs = [(zero, "+"), (zero, "-"), (one, "*"), (one, "/")]
+    routes = [combine(A, B, op).support_set() for B, op in pairs]
+    routes += [setops.combined_set(A, B, op) for B, op in pairs]
+    for B in routes:
+        assert B == A and hash(B) == hash(A) and B.int_view() == A.int_view()
+    want = sorted({ModP(v % m, m) for v in vals} if m else {Fraction(v) for v in vals},
+                  key=(lambda x: x.value) if m else None)
+    assert list(A.elements) == want
+    assert GSet.from_elements(A.elements, kind=kind, p=m) == A
+    assert A.int_view()[1] == (1 if m else math.lcm(*(x.denominator for x in want)))
+    B = pickle.loads(pickle.dumps(A))
+    assert B == A and B.int_view() == A.int_view() and B.elements == A.elements
+    if prime:  # set files carry a prime modulus only
+        path = tmp_path_factory.mktemp("sets") / "a.txt"
+        setops.write_gset(A, path)
+        assert setops.read_gset(path) == A
 
 
 def test_modp_and_rational_do_not_mix():
