@@ -4,9 +4,11 @@ popular differences and dyadic energy levels.
 All integer-valued quantities are computed with exact integer arithmetic;
 the only float on offer is the fractional moment (q = 3/2 and friends).
 They all read one table r_{A-A} keyed on the set's integer view (see setops),
-which difference_table builds once per set and keeps on it.
-Mod a prime, the difference-triple count sums one translate overlap per
-orbit of the subgroup of F_p^* that fixes its sets, times the orbit size.
+which difference_table builds once per set and keeps on it.  Sigma and the
+rational difference-triple count share the shift rows of A-A, also kept on
+the set (see _shift_rows).  Mod a prime, the difference-triple count sums one
+translate overlap per orbit of the subgroup of F_p^* that fixes its sets,
+times the orbit size.
 Counting conventions: every count is over ordered tuples, and r_{A-B}(d) is
 the number of ordered pairs (a, b) with a - b = d.
 """
@@ -21,11 +23,13 @@ import numpy as np
 
 from .errors import BadSpec, RestrictNotSubset, TooLarge
 from .setops import CountTable, GSet, combine, difference_lookup, int_counts, iterated_sum_counts
-from .subgroups import divisors, is_prime, primitive_root
+from .subgroups import divisors, is_prime, powers, primitive_root
 
-# Cap on |A-A| for the double-sum kernel, which iterates |A-A|^2 support
-# pairs in pure Python; the checks that need Sigma skip inputs above it.
+# Cap on |A-A| for Sigma, whose shift rows take |A-A|^2 lookups; the checks
+# that need Sigma skip inputs above it.
 SIGMA_SUPPORT_CAP = 5000
+
+_BLOCK = 1 << 16  # lookups per block of the int64 shift rows, so memory stays flat
 
 
 def difference_table(A: GSet) -> CountTable:
@@ -67,35 +71,25 @@ def sigma_sum(A: GSet) -> int:
     """The weighted double sum  sum_{d,d'} r(d) r(d') r(d-d')^2  over A-A.
 
     Equivalently: ordered 8-tuples (a1,...,a8) from A solving
-    a1 - a2 = a3 - a4 = (a5 - a6) - (a7 - a8).
-    Iterates |A-A|^2 support pairs; guarded by SIGMA_SUPPORT_CAP.
+    a1 - a2 = a3 - a4 = (a5 - a6) - (a7 - a8).  Read off the shift rows as
+    sum_e r(e) weight(e); guarded by SIGMA_SUPPORT_CAP.
     """
     table = difference_table(A)
     support = table.support_size()
     if support > SIGMA_SUPPORT_CAP:
         raise TooLarge(f"|A-A| = {support} exceeds the sigma_sum guard {SIGMA_SUPPORT_CAP}")
-    items = list(table.entries.items())
-    rmap = difference_lookup(items, table.p)
-    total = 0
-    for d, rd in items:
-        acc = 0
-        for e, re2 in items:
-            w = rmap.get(d - e)
-            if w is not None:
-                # contribution r(d) r(e) r(d-e)^2 arranged as r(e) * [r(d-e)^2]
-                acc += re2 * w * w
-        total += rd * acc
-    return total
+    return sum(table.entries[e] * weight for e, (_, weight) in _shift_rows(A).items())
 
 
 def difference_triple_count(A: GSet, restrict: GSet | None = None) -> int:
     """Ordered pairs (d, d') in D x R with d - d' in D, where D = A - A.
 
     R defaults to D; otherwise restrict must be a subset of D.  The count is
-    the sum over d' in R of |D ^ (D + d')|.  Mod a prime p it runs over
-    orbits: when h in F_p^* maps D and R onto themselves, x -> hx maps
-    D ^ (D + r) onto D ^ (D + hr), so with H the largest subgroup of F_p^*
-    that maps the nonzero elements of D and of R onto themselves,
+    the sum over d' in R of |D ^ (D + d')|, which over the rationals is
+    hits(d') of the shift rows.  Mod a prime p it runs over orbits: when h
+    in F_p^* maps D and R onto themselves, x -> hx maps D ^ (D + r) onto
+    D ^ (D + hr), so with H the largest subgroup of F_p^* that maps the
+    nonzero elements of D and of R onto themselves,
 
         count = [0 in R] |D| + |H| * sum_r |D ^ (D + r)|,
 
@@ -107,30 +101,69 @@ def difference_triple_count(A: GSet, restrict: GSet | None = None) -> int:
         raise RestrictNotSubset("restriction set has the wrong kind")
     if table.p is not None:
         return _orbit_triples(table, restrict)
-    values = list(table.entries)
+    rows = _shift_rows(A)
     if restrict is None:
-        rvals = values
-    else:
-        # a key fits the table only when restrict's scale divides the table's
-        rints, rscale = restrict.int_view()
-        if table.scale % rscale:
-            raise RestrictNotSubset("restriction set is off the difference set's scale")
-        rvals = [v * (table.scale // rscale) for v in rints]
-        for v in rvals:
-            if v not in table.entries:
-                raise RestrictNotSubset(f"{Fraction(v, table.scale)} not in the difference set")
-    lim = 1 << 61  # keeps every d - d' inside int64
-    if all(-lim < v < lim for v in values) and all(-lim < v < lim for v in rvals):
-        arr = np.sort(np.asarray(values, dtype=np.int64))
-        top = arr.size - 1
-        count = 0
-        for dp in rvals:
-            shifted = arr - dp
-            idx = np.searchsorted(arr, shifted)
-            hit = (idx <= top) & (arr[np.minimum(idx, top)] == shifted)
-            count += int(np.count_nonzero(hit))
-        return count
-    return sum(1 for d in values for dp in rvals if d - dp in table.entries)
+        return sum(hits for hits, _ in rows.values())
+    # a key fits the table only when restrict's scale divides the table's
+    rints, rscale = restrict.int_view()
+    if table.scale % rscale:
+        raise RestrictNotSubset("restriction set is off the difference set's scale")
+    keys = [v * (table.scale // rscale) for v in rints]
+    for k in keys:
+        if k not in rows:
+            raise RestrictNotSubset(f"{Fraction(k, table.scale)} not in the difference set")
+    return sum(rows[k][0] for k in keys)
+
+
+def _shift_rows(A: GSet) -> dict:
+    """e -> (hits(e), weight(e)) for each key e of D, the support of r = r_{A-A}:
+    hits(e) = #{d in D : d - e in D} and weight(e) = sum_d r(d) r(d - e)^2,
+    with d - e mod p for residues.  Built on the first call and kept on A, so
+    Sigma and every rational triple count share one pass over D x D.  The
+    int64 tier runs while every key lies in (-2^61, 2^61), so each d - e
+    fits, and max r^2 |A|^2, which bounds each weight, is below 2^63."""
+    rows = A.__dict__.get("_shift_rows")
+    if rows is None:
+        table = difference_table(A)
+        keys = sorted(table.entries)
+        counts = [table.entries[k] for k in keys]
+        lim = 1 << 61
+        fits = (bool(keys) and -lim < keys[0] and keys[-1] < lim and (table.p or 0) < lim
+                and table.max_count() ** 2 * table.total < 1 << 63)
+        tier = _rows_int64 if fits else _rows_bigint
+        rows = A.__dict__["_shift_rows"] = dict(zip(keys, zip(*tier(keys, counts, table.p))))
+    return rows
+
+
+def _rows_int64(keys: list, counts: list, p: int | None) -> tuple[list, list]:
+    """(hits, weights) for the sorted keys, in blocks of at most _BLOCK
+    lookups: one searchsorted per block and one int64 dot product per row."""
+    kv, cv = np.asarray(keys, dtype=np.int64), np.asarray(counts, dtype=np.int64)
+    # slot len(keys) is a sentinel no shifted key equals, so a miss needs no clipping
+    kx, cx = np.append(kv, np.iinfo(np.int64).max), np.append(cv, 0)
+    hits, weights = [], []
+    step = max(1, _BLOCK // len(keys))
+    for lo in range(0, len(keys), step):
+        shifted = kv - kv[lo:lo + step, None]
+        if p is not None:
+            shifted %= p
+        idx = np.searchsorted(kv, shifted)
+        found = kx[idx] == shifted
+        r = np.where(found, cx[idx], 0)
+        hits += np.count_nonzero(found, axis=1).tolist()
+        weights += ((r * r) @ cv).tolist()
+    return hits, weights
+
+
+def _rows_bigint(keys: list, counts: list, p: int | None) -> tuple[list, list]:
+    """(hits, weights) for the sorted keys on Python ints, one loop over D x D."""
+    rmap = difference_lookup(zip(keys, counts), p)
+    hits, weights = [], []
+    for e in keys:
+        row = [(rd, rmap[d - e]) for d, rd in zip(keys, counts) if d - e in rmap]
+        hits.append(len(row))
+        weights.append(sum(rd * c * c for rd, c in row))
+    return hits, weights
 
 
 def _orbit_triples(table: CountTable, restrict: GSet | None) -> int:
@@ -139,12 +172,10 @@ def _orbit_triples(table: CountTable, restrict: GSet | None) -> int:
     dv = np.fromiter(table.entries, dtype=np.int64, count=len(table.entries))
     ind = np.zeros(p, dtype=bool)  # indicator of D
     ind[dv] = True
-    rv = dv
-    if restrict is not None:
-        rv = np.asarray(restrict.ints, dtype=np.int64)
-        outside = rv[~ind[rv]]
-        if outside.size:
-            raise RestrictNotSubset(f"{outside[0]} mod {p} not in the difference set")
+    rv = dv if restrict is None else np.asarray(restrict.ints, dtype=np.int64)
+    outside = rv[~ind[rv]]
+    if outside.size:
+        raise RestrictNotSubset(f"{outside[0]} mod {p} not in the difference set")
     rnz = rv[rv != 0]
     group = _fixing_group(p, ind, dv[dv != 0], rnz)
     seen = np.zeros(p, dtype=bool)
@@ -177,10 +208,7 @@ def _fixing_group(p: int, ind: np.ndarray, dnz: np.ndarray, rnz: np.ndarray) -> 
         h = pow(g, (p - 1) // k, p)
         if ind[dnz * h % p].all() and rind[rnz * h % p].all():
             break
-    elems = np.ones(1, dtype=np.int64)  # h^0, ..., h^(k-1) by doubling
-    while elems.size < k:
-        elems = np.concatenate((elems, elems * pow(h, elems.size, p) % p))
-    return elems[:k]
+    return powers(h, p, k)
 
 
 @dataclass(frozen=True)
@@ -237,11 +265,7 @@ def tail_decompose(A: GSet, delta) -> tuple[int, int, int]:
     E' sums r^2 over r <= delta, E'' over r > delta; E' + E'' = E(A).
     tail_support counts the differences with r > delta.
     """
-    e_low = e_high = heavy = 0
-    for c in difference_table(A).entries.values():
-        if c <= delta:
-            e_low += c * c
-        else:
-            e_high += c * c
-            heavy += 1
-    return e_low, e_high, heavy
+    counts = difference_table(A).entries.values()
+    high = [c for c in counts if c > delta]
+    e_high = sum(c * c for c in high)
+    return sum(c * c for c in counts) - e_high, e_high, len(high)

@@ -178,12 +178,7 @@ def generate(spec: FamilySpec) -> GSet:
         return GSet.from_elements(merged)
     if spec.kind == "geometric":
         q, n, start = spec.get("q"), int(spec.get("n")), spec.get("start")
-        vals = []
-        cur = Fraction(start)
-        for _ in range(n):
-            vals.append(cur)
-            cur *= q
-        A = gset_rational(vals)
+        A = gset_rational(start * q**i for i in range(n))
         if A.size != n:
             raise BadSpec("geometric family produced duplicate elements")
         return A
@@ -201,14 +196,10 @@ def generate(spec: FamilySpec) -> GSet:
         if hi - lo + 1 < n:
             raise BadSpec(f"range [{lo},{hi}] cannot hold {n} distinct values")
         rng = Lcg(int(spec.get("seed")))
-        seen: set[int] = set()
-        vals = []
-        while len(vals) < n:
-            x = rng.next_range(lo, hi)
-            if x not in seen:
-                seen.add(x)
-                vals.append(x)
-        return gset_rational(vals)
+        drawn: dict[int, None] = {}  # duplicates are re-drawn
+        while len(drawn) < n:
+            drawn[rng.next_range(lo, hi)] = None
+        return gset_rational(drawn)
     if spec.kind == "subgroup":
         from .subgroups import subgroup_context
 

@@ -82,11 +82,8 @@ def identity_corpus() -> list[SetStats]:
 
 
 def exact_subgroups() -> list[SetStats]:
-    out = []
-    for p, cap in EXACT_SUBGROUP_PRIMES:
-        for t in subgroups.divisors(p - 1):
-            if 2 <= t <= cap:
-                out.append(subgroup_stats(p, t))
+    out = [subgroup_stats(p, t) for p, cap in EXACT_SUBGROUP_PRIMES
+           for t in subgroups.divisors(p - 1) if 2 <= t <= cap]
     for p, ts in EXACT_SUBGROUP_SAMPLED:
         out.extend(subgroup_stats(p, t) for t in ts)
     return out
@@ -152,13 +149,5 @@ def named_corpus(name: str) -> list[SetStats]:
 
 def window_triples() -> list[tuple[int, int, int]]:
     """(p, t, h) grid for the dual-route window count sweep."""
-    out = []
-    for p in WINDOW_PRIMES:
-        radii = sorted({1, 2, max(1, p // 10)})
-        for t in subgroups.divisors(p - 1):
-            if t < 2:
-                continue
-            for h in radii:
-                if 1 <= h <= (p - 1) // 2:
-                    out.append((p, t, h))
-    return out
+    return [(p, t, h) for p in WINDOW_PRIMES for t in subgroups.divisors(p - 1) if t >= 2
+            for h in sorted({1, 2, max(1, p // 10)}) if h <= (p - 1) // 2]

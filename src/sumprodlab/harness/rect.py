@@ -23,6 +23,7 @@ half-mass pigeonhole an exact statement at every input size.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -103,9 +104,7 @@ def _class_index(deg: int, cap: int) -> int:
 def _build_cover(points: list, n: int, transposed: bool) -> tuple[list[Rectangle], list]:
     """Double dyadic bucketing of the point list; returns (rectangles, loads)."""
     L = _log_ceil(n)
-    deg: dict = {}
-    for x, _ in points:
-        deg[x] = deg.get(x, 0) + 1
+    deg = Counter(x for x, _ in points)
     classes: dict[int, list] = {}
     for x, d in deg.items():
         classes.setdefault(_class_index(d, L), []).append(x)
@@ -115,9 +114,7 @@ def _build_cover(points: list, n: int, transposed: bool) -> tuple[list[Rectangle
         xset = set(xs)
         loads.append((1 << i, len(xs)))
         sub = [(x, y) for x, y in points if x in xset]
-        odeg: dict = {}
-        for _, y in sub:
-            odeg[y] = odeg.get(y, 0) + 1
+        odeg = Counter(y for _, y in sub)
         oclasses: dict[int, list] = {}
         for y, d in odeg.items():
             oclasses.setdefault(_class_index(d, L), []).append(y)

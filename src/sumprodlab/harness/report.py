@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import platform
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -41,10 +42,7 @@ class Report:
         return [r for r in self.results if not r.ok]
 
     def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for r in self.results:
-            out[r.verdict] = out.get(r.verdict, 0) + 1
-        return out
+        return dict(Counter(r.verdict for r in self.results))
 
 
 def build_report(results, *, corpus: str = "custom",

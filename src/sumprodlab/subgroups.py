@@ -93,13 +93,20 @@ def primitive_root(p: int) -> int:
     raise NotPrime(f"no primitive root found for {p}")  # unreachable for prime p
 
 
+def powers(h: int, p: int, k: int) -> np.ndarray:
+    """[h^0, h^1, ..., h^(k-1)] mod p as int64, by doubling the table."""
+    if p * p >= 1 << 63:  # products of two residues must stay inside int64
+        raise TooLarge(f"modulus {p} is too large for an int64 power table")
+    elems = np.ones(1, dtype=np.int64)
+    while elems.size < k:
+        elems = np.concatenate((elems, elems * pow(h, elems.size, p) % p))
+    return elems[:k]
+
+
 def _dlog_table(p: int, g: int) -> np.ndarray:
     """ind[x] = k with g^k = x mod p, for x in [1, p-1]; entry 0 is unused."""
     ind = np.zeros(p, dtype=np.int64)
-    x = 1
-    for k in range(p - 1):
-        ind[x] = k
-        x = x * g % p
+    ind[powers(g, p, p - 1)] = np.arange(p - 1)
     return ind
 
 
@@ -166,12 +173,11 @@ class GapReport:
 
 
 def _bucket_positions(ctx: SubgroupCtx) -> list[list[int]]:
-    n = ctx.cosets
-    dlog = ctx.dlog()
-    buckets: list[list[int]] = [[] for _ in range(n)]
-    for x in range(1, ctx.p):
-        buckets[int(dlog[x]) % n].append(x)
-    return buckets  # ascending within each bucket by construction
+    """The members of each coset, ascending."""
+    coset = ctx.dlog()[1:] % ctx.cosets
+    members = np.argsort(coset, kind="stable") + 1  # a stable sort keeps residues ascending
+    ends = np.cumsum(np.bincount(coset, minlength=ctx.cosets))[:-1]
+    return [part.tolist() for part in np.split(members, ends)]
 
 
 def gap_H(ctx: SubgroupCtx, *, circular: bool = True) -> GapReport:
@@ -245,9 +251,7 @@ def window_counts(ctx: SubgroupCtx, h: int) -> tuple[int, list[int]]:
     if not 1 <= h <= (p - 1) // 2:
         raise BadSpec(f"window radius must lie in [1, {(p - 1) // 2}]")
     window = [v for u in range(1, h + 1) for v in (u, p - u)]
-    counts = [0] * ctx.cosets
-    for w in window:
-        counts[ctx.coset_of(w)] += 1
+    counts = np.bincount(ctx.dlog()[window] % ctx.cosets, minlength=ctx.cosets).tolist()
     total = sum(c * c for c in counts)
     members = set(ctx.gamma)
     direct = 0
@@ -313,7 +317,7 @@ def char_sums(ctx: SubgroupCtx) -> np.ndarray:
     p, t = ctx.p, ctx.t
     if p > CHAR_P_CAP:
         raise TooLarge(f"exponential sum table wants p <= {CHAR_P_CAP}, got {p}")
-    reps = np.array([pow(ctx.g, j, p) for j in range(ctx.cosets)], dtype=np.int64)
+    reps = powers(ctx.g, p, ctx.cosets)
     gamma = np.asarray(ctx.gamma, dtype=np.int64)
     phase = np.exp((2j * np.pi / p) * (reps[:, None] * gamma[None, :] % p))
     S = phase.sum(axis=1)
@@ -384,12 +388,8 @@ def lifted_context(p: int, t: int) -> LiftedCtx:
     p2 = p * p
     g2 = base.g if pow(base.g, p - 1, p2) != 1 else base.g + p
     gen = pow(g2, p * (p - 1) // t, p2)
-    members = []
-    x = 1
-    for _ in range(t):
-        members.append(x)
-        x = x * gen % p2
-    if x != 1 or {m % p for m in members} != set(base.gamma):
+    members = [pow(gen, k, p2) for k in range(t)]
+    if pow(gen, t, p2) != 1 or {m % p for m in members} != set(base.gamma):
         raise CrossCheckMismatch("lift does not reduce onto the base subgroup")
     return LiftedCtx(p, t, g2, tuple(sorted(members)), base)
 

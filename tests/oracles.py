@@ -78,13 +78,14 @@ def t_k(vals, k, p=None) -> int:
     return count
 
 
-def sigma(vals) -> int:
-    """sum_{d,d'} r(d) r(d') r(d - d')^2 over the difference multiplicities."""
-    r = diff_counts(vals)
+def sigma(vals, p=None) -> int:
+    """sum_{d,d'} r(d) r(d') r(d - d')^2 over the difference multiplicities;
+    residues mod p if given."""
+    r = diff_counts(vals, p)
     total = 0
     for d, rd in r.items():
         for e, re_ in r.items():
-            w = r.get(d - e, 0)
+            w = r.get(d - e if p is None else (d - e) % p, 0)
             total += rd * re_ * w * w
     return total
 

@@ -120,6 +120,90 @@ def test_triple_count_restricted():
         assert got == oracles.difference_triples(half, [Fraction(r) for r in R])
 
 
+GUARD = 1 << 61  # the int64 tier of the shift rows takes keys inside (-GUARD, GUARD)
+
+
+@st.composite
+def shift_row_inputs(draw):
+    """(A, values, p, R) for Sigma and the triple count; R is None or a subset of D.
+
+    A holds negative and fractional rationals, residues mod a prime, integers
+    k * 2^59 + small whose differences straddle the 2^61 tier guard, or 20-24
+    integers whose |D| spans several blocks of the int64 rows.  R is D
+    itself, the popular set or a random subset of D.
+    """
+    shape = draw(st.sampled_from(("fractional", "modp", "straddle", "wide")))
+    p = None
+    if shape == "modp":
+        p = draw(st.sampled_from((3, 7, 13, 101, 1009)))
+        elem, sizes = st.integers(1, p - 1), (1, min(9, p - 1))
+    elif shape == "fractional":
+        elem, sizes = st.fractions(-20, 20, max_denominator=6), (1, 8)
+    elif shape == "straddle":
+        elem = st.builds(lambda k, off: k * (GUARD >> 2) + off, st.integers(-2, 2), st.integers(-3, 3))
+        sizes = (2, 8)
+    else:
+        elem, sizes = st.integers(-400, 400), (20, 24)
+    vals = draw(st.lists(elem.filter(lambda x: x != 0), min_size=sizes[0], max_size=sizes[1],
+                         unique=True))
+    A = gset_rational(vals) if p is None else gset_modp(vals, p)
+    kind = draw(st.sampled_from(("all", "popular", "subset")))
+    if kind == "all":
+        return A, vals, p, None
+    if kind == "popular":
+        return A, vals, p, energy.popular_differences(A).members
+    dvals = sorted(oracles.diff_counts(vals, p))
+    picked = draw(st.lists(st.sampled_from(dvals), min_size=1, max_size=40, unique=True))
+    R = gset_rational(picked, allow_zero=True) if p is None else gset_modp(picked, p, allow_zero=True)
+    return A, vals, p, R
+
+
+@given(shift_row_inputs())
+@settings(max_examples=80, deadline=None)
+def test_shift_rows_match_oracles(case):
+    A, vals, p, R = case
+    assert energy.sigma_sum(A) == oracles.sigma(vals, p)
+    assert energy.difference_triple_count(A, R) == oracles.difference_triples(
+        vals, None if R is None else R.values(), p)
+    # both tiers give the rows the kernel kept, wherever the int64 tier may run
+    table = energy.difference_table(A)
+    keys = sorted(table.entries)
+    counts = [table.entries[k] for k in keys]
+    want = energy._rows_bigint(keys, counts, p)
+    assert list(energy._shift_rows(A).items()) == list(zip(keys, zip(*want)))
+    if -GUARD < keys[0] and keys[-1] < GUARD:
+        assert energy._rows_int64(keys, counts, p) == want
+
+
+def test_shift_rows_tier_guard(monkeypatch):
+    tiers = []
+    for name in ("_rows_int64", "_rows_bigint"):
+        real = getattr(energy, name)
+
+        def counted(*args, real=real, name=name):
+            tiers.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(energy, name, counted)
+    # the largest key of D is top - 1: 2^61 - 1 fits, 2^61 does not
+    for top, tier in ((GUARD, "_rows_int64"), (GUARD + 1, "_rows_bigint")):
+        vals = [1, 2, top]
+        A = gset_rational(vals)
+        assert energy.sigma_sum(A) == oracles.sigma(vals)
+        assert energy.difference_triple_count(A) == oracles.difference_triples(vals)
+        assert tiers.pop() == tier and not tiers
+
+
+def test_shift_rows_span_blocks():
+    A = generate_from_string("rand(n=24,seed=5)")
+    n = energy.difference_table(A).support_size()
+    step = energy._BLOCK // n
+    assert n > 2 * step and n % step  # several blocks, the last one partial
+    vals = [int(v) for v in A.values()]
+    assert energy.sigma_sum(A) == oracles.sigma(vals)
+    assert energy.difference_triple_count(A) == oracles.difference_triples(vals)
+
+
 MODP_PRIMES = (3, 7, 13, 31, 101, 1009)
 
 

@@ -332,6 +332,25 @@ def test_sigma_computed_once_per_input(monkeypatch):
     assert calls == [s.A for s in inputs]
 
 
+
+def test_shift_rows_built_once_per_set(monkeypatch):
+    builds = []
+    for name in ("_rows_int64", "_rows_bigint"):
+        real = getattr(energy, name)
+
+        def counted(*args, real=real, name=name):
+            builds.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(energy, name, counted)
+    # the second set reaches 2^62, past the int64 tier's guard
+    for A, tier in ((generate_from_string("rand(n=16,seed=3)"), "_rows_int64"),
+                    (gset_rational([1, 3, 4, 9, 1 << 62]), "_rows_bigint")):
+        stats = SetStats(A)
+        stats.sigma(), stats.tri(), stats.tri_pop()
+        assert builds == [tier]
+        builds.clear()
+
 # -- reports -------------------------------------------------------------------
 
 def _tiny_report(deterministic=False):
