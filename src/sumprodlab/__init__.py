@@ -1,10 +1,9 @@
 """Exact-arithmetic workbench for sum-product and additive-energy estimates.
 
 The core modules count: additive energies and their moments (``energy``),
-collinear triples and line profiles on Cartesian grids (``incidence``),
-eigenvalue certificates for the difference-multiplicity matrices
-(``spectral``), and coset geometry of multiplicative subgroups of prime
-fields (``subgroups``).  ``harness`` bundles the named checks, curated
+collinear triples on Cartesian grids (``incidence``), eigenvalue
+certificates for the difference-multiplicity matrices (``spectral``), and
+coset geometry of multiplicative subgroups of prime fields (``subgroups``).  ``harness`` bundles the named checks, curated
 corpora, and report serialization behind the ``sumprodlab`` CLI.
 
 Everything countable is counted in exact integer or rational arithmetic;

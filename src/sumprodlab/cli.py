@@ -120,7 +120,7 @@ def _cmd_subgroup(args) -> int:
         did_something = True
     if not did_something:
         rep = subgroups.gap_H(ctx)
-        print(f"E = {subgroups.gamma_energy(ctx)}, H = {rep.gap}")
+        print(f"E = {stats.energy()}, H = {rep.gap}")
     return 0
 
 

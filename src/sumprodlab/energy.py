@@ -247,16 +247,20 @@ def dyadic_energy_level(A: GSet) -> DyadicLevel:
     """Most energetic dyadic class; ties resolve toward the smaller level.
 
     With at most log2|A| + 1 nonempty classes, the winner carries at least
-    E(A) / (2 log2|A| + 2) of the energy.
+    E(A) / (2 log2|A| + 2) of the energy.  Built on the first call and kept
+    on A, like the difference table it is read from.
     """
-    table = difference_table(A)
-    classes: dict[int, int] = {}
-    for c in table.entries.values():
-        classes[c.bit_length() - 1] = classes.get(c.bit_length() - 1, 0) + c * c
-    best_i = min(classes, key=lambda i: (-classes[i], i))
-    delta = 1 << best_i
-    members = {v for v, c in table.entries.items() if delta <= c < 2 * delta}
-    return DyadicLevel(delta, table.decode(members), classes[best_i])
+    level = A.__dict__.get("_dyadic")
+    if level is None:
+        table = difference_table(A)
+        classes: dict[int, int] = {}
+        for c in table.entries.values():
+            classes[c.bit_length() - 1] = classes.get(c.bit_length() - 1, 0) + c * c
+        best_i = min(classes, key=lambda i: (-classes[i], i))
+        delta = 1 << best_i
+        members = {v for v, c in table.entries.items() if delta <= c < 2 * delta}
+        level = A.__dict__["_dyadic"] = DyadicLevel(delta, table.decode(members), classes[best_i])
+    return level
 
 
 def tail_decompose(A: GSet, delta) -> tuple[int, int, int]:

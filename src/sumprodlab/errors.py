@@ -55,10 +55,6 @@ class CrossCheckMismatch(LabError):
     """Two independent routes to the same count disagreed."""
 
 
-class ZeroCoefficient(LabError):
-    """A line coefficient that must be nonzero is zero."""
-
-
 class BadSpec(LabError):
     """A family specification string or parameter set is invalid."""
 

@@ -75,13 +75,17 @@ def _fmt_value(v) -> str:
 
 def _parse_value(text: str):
     text = text.strip()
-    if "^" in text:
-        base, exp = text.split("^")
-        return int(base) ** int(exp)
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return int(text)
+    try:
+        if "^" in text:
+            base, exp = text.split("^")
+            value = Fraction(int(base)) ** int(exp)  # exact for a negative exponent too
+            return int(value) if value.denominator == 1 else value
+        if "/" in text:
+            num, den = text.split("/")
+            return Fraction(int(num), int(den))
+        return int(text)
+    except (ValueError, ZeroDivisionError):
+        raise BadSpec(f"cannot read {text!r} as an integer, a/b or a^b") from None
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -155,6 +159,9 @@ def _make_spec(kind: str, params: dict) -> FamilySpec:
         merged["start"] = Fraction(merged["start"])
     if kind == "arithmetic" and merged["step"] == 0:
         raise BadSpec("arithmetic step must be nonzero")
+    for key in ("n", "seed", "max", "min", "p", "t"):
+        if key in merged and Fraction(merged[key]).denominator != 1:
+            raise BadSpec(f"{kind} parameter {key}={_fmt_value(merged[key])} is not an integer")
     if "n" in merged and int(merged["n"]) < 1:
         raise BadSpec("family size n must be >= 1")
     order = {"geometric": ("q", "n", "start"), "arithmetic": ("n", "start", "step"),

@@ -80,13 +80,9 @@ def mod_pow(base: ModP, exponent: int) -> ModP:
     return ModP(pow(base.value, exponent, base.p), base.p)
 
 
-def format_element(x: GroundElement) -> str:
-    """Text form: 'num/den' (or bare 'num') for rationals, 'v mod p' for residues."""
-    return str(x)
-
-
 def parse_element(text: str, kind: str, p: int | None = None) -> GroundElement:
-    """Parse one element in the text form written by format_element."""
+    """Parse one element in its text form, str(x): 'num/den' (or bare 'num')
+    for rationals, 'v mod p' (or bare 'v') for residues."""
     text = text.strip()
     if kind == "modp":
         if p is None:

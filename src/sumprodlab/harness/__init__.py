@@ -5,8 +5,7 @@ from .base import (FAILED, PROVED_EXACT, RATIO_ONLY, CheckResult, CheckSpec,
                    SetStats, check_ids, feasible_pairs, registry, run_check,
                    run_suite)
 from .corpus import (CORPORA, named_corpus, series_corpus, smooth_primes,
-                     stats_from_spec, subgroup_scan, subgroup_stats,
-                     window_triples)
+                     stats_from_spec, subgroup_scan, subgroup_stats)
 from .rect import (DESK_PROFILE, PAPER_PROFILE, RectCover, RectProfile,
                    SumStats, profile_by_name, rect_decompose,
                    sum_construction_stats)
@@ -18,7 +17,7 @@ __all__ = [
     "CheckResult", "CheckSpec", "SetStats",
     "check_ids", "feasible_pairs", "registry", "run_check", "run_suite",
     "CORPORA", "named_corpus", "series_corpus", "smooth_primes",
-    "stats_from_spec", "subgroup_scan", "subgroup_stats", "window_triples",
+    "stats_from_spec", "subgroup_scan", "subgroup_stats",
     "DESK_PROFILE", "PAPER_PROFILE", "RectCover", "RectProfile", "SumStats",
     "profile_by_name", "rect_decompose", "sum_construction_stats",
     "SCHEMA", "Report", "build_report", "emit_report", "parse_report",

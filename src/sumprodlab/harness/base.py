@@ -51,8 +51,10 @@ def _stringify(x) -> str:
 class SetStats:
     """One input set plus a lazy cache of everything the checks share.
 
-    The difference table itself is kept on the set (energy.difference_table),
-    so every check and library call on one input shares a single build.
+    The difference table and the dyadic level are kept on the set itself
+    (energy.difference_table, energy.dyadic_energy_level), so every check and
+    library call on one input shares a single build.  A subgroup input's set
+    is ctx.gamma_set().
     """
 
     def __init__(self, A: GSet, name: str | None = None, ctx=None):
@@ -105,7 +107,7 @@ class SetStats:
             self.A, restrict=self.pop().members))
 
     def dyadic(self):
-        return self.memo("dyadic", lambda: energy.dyadic_energy_level(self.A))
+        return energy.dyadic_energy_level(self.A)
 
     def support(self, op: str) -> int:
         if op == "-":
@@ -209,12 +211,7 @@ def feasible_pairs(check_ids_: Sequence[str], inputs: Sequence[SetStats],
 
 
 def _run_input_batch(payload) -> list[CheckResult]:
-    A, name, ctx_params, cids, options = payload
-    ctx = None
-    if ctx_params is not None:
-        from ..subgroups import subgroup_context
-
-        ctx = subgroup_context(*ctx_params)
+    A, name, ctx, cids, options = payload
     stats = SetStats(A, name, ctx)
     return [run_check(cid, stats, options=options) for cid in cids]
 
@@ -226,16 +223,16 @@ def run_suite(check_ids_: Sequence[str], inputs: Iterable[SetStats], *,
     With jobs > 1 the inputs are distributed over a process pool (one batch
     per input, so per-input caches still amortize); the merged result order
     is deterministic either way, keyed by (input position, check position).
+    A set and its subgroup context are pickled together, so in the worker the
+    set is still the one its context keeps, with the tables built so far.
     """
     inputs = list(inputs)
     if jobs <= 1:
         return [run_check(cid, s, options=options)
                 for stats in inputs for cid, s in feasible_pairs(check_ids_, [stats])]
-    payloads = []
-    for stats in inputs:
-        cids = [cid for cid, _ in feasible_pairs(check_ids_, [stats])]
-        ctx_params = (stats.ctx.p, stats.ctx.t) if stats.ctx is not None else None
-        payloads.append((stats.A, stats.name, ctx_params, cids, options or {}))
+    payloads = [(stats.A, stats.name, stats.ctx,
+                 [cid for cid, _ in feasible_pairs(check_ids_, [stats])], options or {})
+                for stats in inputs]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
     merged: list[CheckResult] = []

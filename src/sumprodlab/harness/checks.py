@@ -421,7 +421,7 @@ def _chk_thm20_gap(stats: SetStats, opts: dict):
 
 def _chk_subgr_energy(stats: SetStats, opts: dict):
     ctx = stats.ctx
-    lhs = subgroups.gamma_energy(ctx)
+    lhs = stats.energy()  # E(Gamma): the input set is ctx.gamma_set()
     rhs = ctx.t ** (49 / 20) * math.log2(ctx.t) ** (1 / 5)
     return lhs, rhs, lhs / rhs, True
 
@@ -458,7 +458,7 @@ def _chk_thm19_energy(stats: SetStats, opts: dict):
     lt, lp = math.log(ctx.t), math.log(ctx.p)
     main = max((104 * lt - 3 * lp) / 40, (68 * lt - 5 * lp) / 24)
     rhs = math.exp(main) * math.log2(ctx.t) ** 0.25
-    lhs = subgroups.gamma_energy(ctx)
+    lhs = stats.energy()
     return lhs, rhs, lhs / rhs, True
 
 

@@ -54,8 +54,6 @@ SERIES_LABELS = (
 EXACT_SUBGROUP_PRIMES = ((7, 6), (11, 10), (13, 12), (101, 64), (257, 64))
 EXACT_SUBGROUP_SAMPLED = ((1009, (2, 4, 7, 12, 16, 28)),)
 
-WINDOW_PRIMES = (7, 11, 13, 101, 1009)
-
 SMOOTH_STEP = 2520  # smooth primes are p = SMOOTH_STEP * k + 1
 SCAN_T_CAP = 1024  # largest subgroup order subgroup_scan picks
 
@@ -146,8 +144,3 @@ def named_corpus(name: str) -> list[SetStats]:
         raise BadSpec(f"unknown corpus {name!r}; choose from {sorted(CORPORA)}")
     return CORPORA[name]()
 
-
-def window_triples() -> list[tuple[int, int, int]]:
-    """(p, t, h) grid for the dual-route window count sweep."""
-    return [(p, t, h) for p in WINDOW_PRIMES for t in subgroups.divisors(p - 1) if t >= 2
-            for h in sorted({1, 2, max(1, p // 10)}) if h <= (p - 1) // 2]

@@ -47,15 +47,11 @@ PAPER_PROFILE = RectProfile("paper", Fraction(1), 10)
 DESK_PROFILE = RectProfile("desk", Fraction(1, 4), 2)
 
 
-def profile_by_name(name: str, *, c1=None, c2=None) -> RectProfile:
-    base = {"paper": PAPER_PROFILE, "desk": DESK_PROFILE}.get(name)
-    if base is None:
+def profile_by_name(name: str) -> RectProfile:
+    profile = {"paper": PAPER_PROFILE, "desk": DESK_PROFILE}.get(name)
+    if profile is None:
         raise DegenerateInput(f"unknown rect profile {name!r}")
-    if c1 is None and c2 is None:
-        return base
-    return RectProfile(base.name,
-                       base.c1 if c1 is None else Fraction(c1),
-                       base.c2 if c2 is None else int(c2))
+    return profile
 
 
 @dataclass(frozen=True)

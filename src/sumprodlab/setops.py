@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Iterable, TYPE_CHECKING
 
 from .errors import BadSpec, IndexOutOfRange, MixedKinds, NotPrime, ZeroDenominator
-from .ground import GroundElement, ModP, parse_element
+from .ground import ModP, parse_element
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only, avoids an import cycle
     from .subgroups import SubgroupCtx
@@ -300,22 +300,6 @@ def iterated_sum_counts(A: GSet, k: int) -> CountTable:
                 nxt[key] = nxt.get(key, 0) + c
         cur = nxt
     return CountTable(cur, A.size**k, p, scale)
-
-
-def translate_intersect(A: GSet, d: GroundElement) -> GSet:
-    """A intersect (A + d); its size equals r_{A-A}(d)."""
-    if isinstance(d, ModP) != (A.p is not None) or getattr(d, "p", A.p) != A.p:
-        raise MixedKinds("translation by an element of a different kind")
-    ints, scale = A.int_view()
-    if A.p is not None:
-        k = d.value
-    else:
-        d = Fraction(d)
-        k, rem = divmod(d.numerator * scale, d.denominator)
-        if rem:  # d is off A's scale, so it is no difference of A
-            return GSet((), 1, None)
-    members = difference_lookup(dict.fromkeys(ints), A.p)
-    return GSet(tuple(v for v in ints if v - k in members), scale, A.p)
 
 
 def invariant_union(ctx: "SubgroupCtx", coset_indices: Iterable[int]) -> GSet:

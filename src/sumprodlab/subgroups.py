@@ -2,7 +2,7 @@
 
 Builds the order-t subgroup Gamma from the smallest primitive root, indexes
 cosets through a discrete-log table, and provides the statistics the harness
-consumes: largest coset gap (circular by default), window membership counts
+consumes: largest circular coset gap, window membership counts
 computed by two independent routes, exponential sums with their moment
 identities, and the Kolmogorov-style smallness criterion.
 """
@@ -118,26 +118,24 @@ class SubgroupCtx:
     gamma: tuple[int, ...]
     _dlog: np.ndarray | None = field(default=None, repr=False, compare=False)
     _chars: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _energy: int | None = field(default=None, repr=False, compare=False)
+    _gset: GSet | None = field(default=None, repr=False, compare=False)
 
     @property
     def cosets(self) -> int:
         return (self.p - 1) // self.t
 
     def gamma_set(self) -> GSet:
-        return GSet(self.gamma, 1, self.p)  # gamma is sorted, distinct and 0-free
+        """Gamma as one GSet, built on the first call and kept, so every table
+        kept on it (r_{Gamma-Gamma} first) is built once per context."""
+        if self._gset is None:
+            self._gset = GSet(self.gamma, 1, self.p)  # gamma is sorted, distinct and 0-free
+        return self._gset
 
     def dlog(self) -> np.ndarray:
         """dlog()[x] = k with g^k = x, for x in [1, p-1]; entry 0 is unused."""
         if self._dlog is None:
             self._dlog = _dlog_table(self.p, self.g)
         return self._dlog
-
-    def coset_of(self, x: int) -> int:
-        x %= self.p
-        if x == 0:
-            raise BadSpec("0 lies in no coset")
-        return int(self.dlog()[x]) % self.cosets
 
     def label(self) -> str:
         return f"subgroup(p={self.p},t={self.t})"
@@ -169,7 +167,6 @@ class GapReport:
     gap: int
     coset: int
     start: int
-    circular: bool
 
 
 def _bucket_positions(ctx: SubgroupCtx) -> list[list[int]]:
@@ -180,13 +177,13 @@ def _bucket_positions(ctx: SubgroupCtx) -> list[list[int]]:
     return [part.tolist() for part in np.split(members, ends)]
 
 
-def gap_H(ctx: SubgroupCtx, *, circular: bool = True) -> GapReport:
+def gap_H(ctx: SubgroupCtx) -> GapReport:
     """Longest run of consecutive residues u+1, ..., u+H avoiding a coset,
     maximized over the cosets.
 
     Runs live in Z/p, so they may pass through 0 (never a coset member) and
-    wrap around; the linear variant confines runs to [0, p-1] instead.  The
-    winning run is re-verified pointwise before returning.
+    wrap around.  The winning run is re-verified against the discrete-log
+    table before returning.
     """
     p = ctx.p
     best = (0, 0, 0)  # run length, coset, first residue of the run
@@ -195,21 +192,15 @@ def gap_H(ctx: SubgroupCtx, *, circular: bool = True) -> GapReport:
             d = pos[i + 1] - pos[i] - 1
             if d > best[0]:
                 best = (d, j, pos[i] + 1)
-        if circular:
-            d = pos[0] + (p - 1) - pos[-1]  # through p-1, 0, 1, ...
-            if d > best[0]:
-                best = (d, j, pos[-1] + 1)
-        else:
-            if pos[0] > best[0]:
-                best = (pos[0], j, 0)
-            if p - 1 - pos[-1] > best[0]:
-                best = (p - 1 - pos[-1], j, pos[-1] + 1)
+        d = pos[0] + (p - 1) - pos[-1]  # through p-1, 0, 1, ...
+        if d > best[0]:
+            best = (d, j, pos[-1] + 1)
     gap, coset, start = best
-    for step in range(gap):
-        x = (start + step) % p  # 0 lies in no coset
-        if x and ctx.coset_of(x) == coset:
-            raise CrossCheckMismatch("gap witness contains a coset element")
-    return GapReport(p, ctx.t, gap, coset, start, circular)
+    run = (start + np.arange(gap)) % p
+    run = run[run != 0]  # 0 lies in no coset
+    if (ctx.dlog()[run] % ctx.cosets == coset).any():
+        raise CrossCheckMismatch("gap witness contains a coset element")
+    return GapReport(p, ctx.t, gap, coset, start)
 
 
 def scan_gaps(primes: Iterable[int], *,
@@ -268,16 +259,6 @@ def window_counts(ctx: SubgroupCtx, h: int) -> tuple[int, list[int]]:
 
 # -- exponential sums --------------------------------------------------------
 
-def gamma_energy(ctx: SubgroupCtx) -> int:
-    """E(Gamma), vectorized over the t^2 pairwise differences and cached."""
-    if ctx._energy is None:
-        gamma = np.asarray(ctx.gamma, dtype=np.int64)
-        diffs = (gamma[:, None] - gamma[None, :]) % ctx.p
-        _, counts = np.unique(diffs, return_counts=True)
-        ctx._energy = int((counts.astype(np.int64) ** 2).sum())
-    return ctx._energy
-
-
 @dataclass
 class CharReport:
     p: int
@@ -310,8 +291,11 @@ def char_sums(ctx: SubgroupCtx) -> np.ndarray:
     |S| is constant on cosets, so these n values carry the full spectrum.
     The table is verified once against the second and fourth moment
     identities (t sum|S|^2 = t(p - t) and t sum|S|^4 = p E(Gamma) - t^4)
-    before being cached on the context.
+    before being cached on the context.  E(Gamma) is read off the difference
+    table kept on ctx.gamma_set().
     """
+    from .energy import energy_pair  # energy imports this module
+
     if ctx._chars is not None:
         return ctx._chars
     p, t = ctx.p, ctx.t
@@ -327,7 +311,7 @@ def char_sums(ctx: SubgroupCtx) -> np.ndarray:
         raise CrossCheckMismatch(
             f"second moment {second} != t(p-t) = {t * (p - t)}")
     fourth = t * float((absS**4).sum())
-    target = p * gamma_energy(ctx) - t**4
+    target = p * energy_pair(ctx.gamma_set()) - t**4
     if abs(fourth - target) > MOMENT_TOL * max(1.0, abs(target)):
         raise CrossCheckMismatch(
             f"fourth moment {fourth} != pE - t^4 = {target}")
@@ -336,9 +320,11 @@ def char_sums(ctx: SubgroupCtx) -> np.ndarray:
 
 
 def char_moment_report(ctx: SubgroupCtx) -> CharReport:
+    from .energy import energy_pair
+
     S = np.abs(char_sums(ctx))
     return CharReport(ctx.p, ctx.t, float((S**4).sum()), float((S**2).sum()),
-                      gamma_energy(ctx))
+                      energy_pair(ctx.gamma_set()))
 
 
 @dataclass(frozen=True)

@@ -199,8 +199,9 @@ def window_total(p, gamma, h) -> int:
     return count
 
 
-def coset_gap(p, gamma, *, circular=True) -> int:
-    """Longest run of consecutive residues avoiding some coset of Gamma."""
+def coset_gap(p, gamma) -> int:
+    """Longest run of consecutive residues mod p (wrapping past p - 1)
+    avoiding some coset of Gamma."""
     members = set(gamma)
     cosets = []
     seen = set()
@@ -216,8 +217,6 @@ def coset_gap(p, gamma, *, circular=True) -> int:
             run = 0
             while run < p:
                 if (start + run) % p in coset:
-                    break
-                if not circular and start + run >= p:
                     break
                 run += 1
             best = max(best, run)

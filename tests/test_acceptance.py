@@ -17,10 +17,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sumprodlab import energy, incidence, setops, spectral, subgroups
+from sumprodlab import energy, incidence, spectral, subgroups
 from sumprodlab.harness import (check_ids, named_corpus, rect_decompose,
                                 run_suite, stats_from_spec)
-from sumprodlab.setops import gset_modp, gset_rational
+from sumprodlab.setops import GSet, gset_modp, gset_rational
 
 TIMINGS: dict[str, float] = {}
 
@@ -107,7 +107,12 @@ def test_criterion_01_cubic_energy_three_routes():
         A = stats.A
         table = energy.difference_table(A)
         by_moment = sum(c**3 for c in table.entries.values())
-        slices = {d: setops.translate_intersect(A, d) for d in table.support_set().elements}
+        # A ^ (A + d) for every difference d, on the integer view (a rational corpus)
+        ints, scale = A.int_view()
+        own = set(ints)
+        slices = {d: GSet(tuple(v for v in ints if v - d in own), scale)
+                  for d in table.entries}
+        assert all(S.size == table.entries[d] for d, S in slices.items()), stats.name
         members = {d: _member_set(S) for d, S in slices.items()}
         by_intersections = sum(
             len(m1 & m2) ** 2

@@ -98,6 +98,13 @@ def test_malformed_set_file_is_usage_error(tmp_path, capsys, text):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["ap(n=abc)", "geo(q=2,n=4))", "rand(n=3,seed=1/0)",
+                                  "subgroup(p=7,t=3/2)"])
+def test_malformed_family_spec_is_usage_error(capsys, spec):
+    assert cli.run(["stats", "--family", spec]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_stats_no_input_is_usage_error(capsys):
     assert cli.run(["stats"]) == 2
     assert "no input" in capsys.readouterr().err

@@ -33,6 +33,8 @@ def test_parse_round_trips_through_label():
 def test_power_notation():
     spec = parse_family("rand(n=5,max=10^4)")
     assert spec.get("max") == 10_000
+    A = generate_from_string("geo(q=3^-1,n=3)")
+    assert A.values() == (Fraction(1, 9), Fraction(1, 3), Fraction(1))
 
 
 def test_geometric_generation():
@@ -76,6 +78,7 @@ def test_subgroup_family():
 
 def test_malformed_specs_rejected():
     for text in ("geo", "geo(q=2)", "nope(n=3)", "geo(q=2,n=3,extra=1)",
-                 "geo(q=1,n=3)", "union(ap(n=3))"):
+                 "geo(q=1,n=3)", "union(ap(n=3))", "ap(n=5/2)", "rand(n=4,seed=1/2)",
+                 "subgroup(p=7,t=3/2)", "geo(q=0^-1,n=3)"):
         with pytest.raises(BadSpec):
             parse_family(text)

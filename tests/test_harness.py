@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -13,14 +14,15 @@ from sumprodlab.errors import (BadSpec, CrossCheckMismatch, DegenerateInput,
                                UnknownCheck)
 from sumprodlab.families import generate_from_string
 from sumprodlab.harness import (CORPORA, FAILED, PROVED_EXACT, RATIO_ONLY,
-                                DESK_PROFILE, PAPER_PROFILE, SetStats,
+                                DESK_PROFILE, PAPER_PROFILE, RectProfile, SetStats,
                                 build_report, check_ids, emit_report,
                                 feasible_pairs, named_corpus, parse_report,
                                 profile_by_name, read_report, rect_decompose,
                                 registry, run_check, run_suite, smooth_primes,
                                 stats_from_spec, sum_construction_stats,
-                                summary_line, window_triples, write_report)
+                                summary_line, write_report)
 from sumprodlab.harness import base as hbase
+from sumprodlab.harness.corpus import exact_subgroups
 from sumprodlab.setops import gset_modp, gset_rational, invariant_union
 from sumprodlab.subgroups import divisors, subgroup_context
 
@@ -120,13 +122,14 @@ def test_run_suite_parallel_matches_sequential():
 
 
 def test_run_suite_parallel_report_is_byte_identical():
-    # every check on a whole corpus; the second run pickles sets that already
-    # carry their difference tables into the workers
-    inputs = named_corpus("identity")
+    # every check on a whole corpus and on the exact corpus's subgroups; the
+    # second run pickles inputs that already carry their difference tables
+    # into the workers, and a subgroup's set must stay its context's Gamma set
+    inputs = named_corpus("identity") + exact_subgroups()
     ids = check_ids("all")
     seq = build_report(run_suite(ids, inputs), corpus="identity", deterministic=True)
     par = build_report(run_suite(ids, inputs, jobs=2), corpus="identity", deterministic=True)
-    assert len(seq.results) == 558
+    assert len(seq.results) == 558 + 1169
     assert emit_report(seq, "json") == emit_report(par, "json")
 
 
@@ -150,6 +153,28 @@ def test_each_input_builds_one_difference_table(monkeypatch):
     assert builds == [1, 1]
 
 
+def test_worker_reads_the_tables_its_input_carries(monkeypatch):
+    # jobs > 1 pickles a set with its context, so in the worker the set is still
+    # the context's Gamma set and E(Gamma) reads the table built before pickling
+    stats = _stats("subgroup(p=101,t=20)")
+    stats.table()
+    cids = ["thm19_energy", "orthogonality_fourth"]
+    payload = pickle.loads(pickle.dumps((stats.A, stats.name, stats.ctx, cids, {})))
+    monkeypatch.setattr(energy, "combine", lambda *args: pytest.fail("table rebuilt"))
+    assert all(r.ok for r in hbase._run_input_batch(payload))
+
+
+def test_each_input_builds_one_dyadic_level(monkeypatch):
+    # dyadic_level, rect_structure's first round and, when there is no case-1
+    # cover (ap(n=3) is too small for one), sum_stats all read A's level
+    built = []
+    level = energy.DyadicLevel
+    monkeypatch.setattr(energy, "DyadicLevel", lambda *args: built.append(args) or level(*args))
+    run_suite(["dyadic_level", "rect_structure", "sum_stats"],
+              [_stats("ap(n=16)"), _stats("ap(n=3)")])
+    assert len(built) == 2
+
+
 def test_run_suite_unknown_check():
     with pytest.raises(UnknownCheck):
         run_suite(["nope"], [_stats("ap(n=4)")])
@@ -170,13 +195,9 @@ def test_corpus_sizes():
         named_corpus("everything")
 
 
-def test_smooth_primes_and_window_grid():
+def test_smooth_primes():
     assert smooth_primes(2521) == [2521]
     assert all((p - 1) % 2520 == 0 for p in smooth_primes(100_000))
-    grid = window_triples()
-    assert grid
-    for p, t, h in grid:
-        assert (p - 1) % t == 0 and 1 <= h <= (p - 1) // 2
 
 
 # -- rectangle decomposition ---------------------------------------------------
@@ -208,7 +229,7 @@ def test_rect_rich_mass_matches_oracle():
 
 def test_rect_case2_iteration():
     # an unreachable width threshold forces the dropping branch every round
-    profile = profile_by_name("desk", c1=100, c2=0)
+    profile = RectProfile("desk", Fraction(100), 0)
     for spec, rounds in (("ap(n=16)", 1), ("union(ap(n=12),geo(q=3,n=6,start=1000))", 2)):
         A = generate_from_string(spec)
         cover = rect_decompose(A, profile=profile)
@@ -289,7 +310,7 @@ def kernel_inputs(draw):
 
 # the last profile's width threshold is unreachable, so every round drops
 @given(kernel_inputs(), st.sampled_from([PAPER_PROFILE, DESK_PROFILE,
-                                         profile_by_name("desk", c1=100, c2=0)]))
+                                         RectProfile("desk", Fraction(100), 0)]))
 @settings(max_examples=60, deadline=None)
 def test_rect_and_sum_kernels_match_oracles(A, profile):
     cover = rect_decompose(A, profile=profile)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from sumprodlab import setops
-from sumprodlab.errors import BadSpec, MixedKinds, RestrictNotSubset, ZeroCoefficient
+from sumprodlab.errors import BadSpec, MixedKinds, RestrictNotSubset
 from sumprodlab.ground import ModP
 from sumprodlab.setops import GSet, combine, gset_modp, gset_rational
 
@@ -184,12 +184,6 @@ def test_iterated_sum_counts_matches_brute():
                     s = a + b + c
                     want[s] = want.get(s, 0) + 1
         assert dict(decoded(table)) == want
-
-
-def test_translate_intersect_sizes_are_multiplicities():
-    A = gset_rational([1, 2, 3, 5, 8])
-    for d, r in decoded(combine(A, A, "-")):
-        assert setops.translate_intersect(A, d).size == r
 
 
 def test_ap_doubling_worked_example():

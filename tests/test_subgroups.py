@@ -7,10 +7,11 @@ import oracles
 from sumprodlab import energy, subgroups
 from sumprodlab.errors import (BadSpec, CrossCheckMismatch, NotPrime, OrderDoesNotDivide,
                                TooLarge)
+from sumprodlab.harness import subgroup_stats
 from sumprodlab.setops import gset_modp
-from sumprodlab.subgroups import (char_moment_report, gap_H, gamma_energy,
-                                  ks_criterion, lifted_context, mod_p2_subgroup,
-                                  scan_gaps, subgroup_context, tk_cyclic, window_counts)
+from sumprodlab.subgroups import (char_moment_report, gap_H, ks_criterion, lifted_context,
+                                  mod_p2_subgroup, scan_gaps, subgroup_context, tk_cyclic,
+                                  window_counts)
 
 
 def test_is_prime_small_table():
@@ -37,7 +38,7 @@ def test_subgroup_context_worked_example():
     ctx = subgroup_context(7, 3)
     assert ctx.gamma == (1, 2, 4)
     assert ctx.cosets == 2
-    assert gamma_energy(ctx) == 15
+    assert energy.energy_pair(ctx.gamma_set()) == 15
     assert oracles.energy([1, 2, 4], p=7) == 15
 
 
@@ -84,14 +85,6 @@ def test_gap_full_group_is_one():
     # t = p - 1: the only missing residue is 0, runs have length 1
     ctx = subgroup_context(11, 10)
     assert gap_H(ctx).gap == 1
-
-
-def test_gap_linear_variant():
-    for p, t in ((7, 3), (13, 4), (17, 4)):
-        ctx = subgroup_context(p, t)
-        lin = gap_H(ctx, circular=False)
-        assert lin.gap == oracles.coset_gap(p, ctx.gamma, circular=False)
-        assert lin.gap <= gap_H(ctx).gap
 
 
 def test_scan_gaps_agrees_with_gap_H():
@@ -210,6 +203,10 @@ def test_mod_p2_guard():
 
 
 def test_gamma_energy_matches_generic_counter():
+    # E(Gamma) is read off the one set a context keeps, which is the input set
     for p, t in ((7, 3), (11, 5), (101, 25)):
-        ctx = subgroup_context(p, t)
-        assert gamma_energy(ctx) == energy.energy_pair(ctx.gamma_set())
+        stats = subgroup_stats(p, t)
+        ctx = stats.ctx
+        assert stats.A is ctx.gamma_set() is ctx.gamma_set()
+        want = sum(c * c for c in oracles.diff_counts(ctx.gamma, p).values())
+        assert char_moment_report(ctx).energy == stats.energy() == want
