@@ -22,14 +22,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadSpec, RestrictNotSubset, TooLarge
-from .setops import CountTable, GSet, combine, difference_lookup, int_counts, iterated_sum_counts
+from .setops import (_BLOCK, CountTable, GSet, combine, difference_lookup, int_counts,
+                     iterated_sum_counts)
 from .subgroups import divisors, is_prime, powers, primitive_root
 
 # Cap on |A-A| for Sigma, whose shift rows take |A-A|^2 lookups; the checks
 # that need Sigma skip inputs above it.
 SIGMA_SUPPORT_CAP = 5000
-
-_BLOCK = 1 << 16  # lookups per block of the int64 shift rows, so memory stays flat
 
 
 def difference_table(A: GSet) -> CountTable:

@@ -131,6 +131,8 @@ def parse_family(text: str) -> FamilySpec:
         if "=" not in item:
             raise BadSpec(f"expected name=value, got {item!r}")
         key, _, val = item.partition("=")
+        if key.strip() in params:
+            raise BadSpec(f"parameter {key.strip()!r} given twice in {text!r}")
         params[key.strip()] = _parse_value(val)
     return _make_spec(_KIND_NAMES[name], params)
 

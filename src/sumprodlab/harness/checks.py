@@ -65,9 +65,9 @@ def _grid_sizes_ok(stats: SetStats) -> bool:
 
 def _gamma_t3(ctx) -> int:
     p = ctx.p
-    gamma = np.asarray(ctx.gamma, dtype=np.int64)
-    two = np.bincount(((gamma[:, None] + gamma[None, :]) % p).ravel(),
-                      minlength=p).astype(np.int64)
+    keys, counts = setops.residue_counts(ctx.gamma_set(), ctx.gamma_set(), "+")
+    two = np.zeros(p, dtype=np.int64)
+    two[keys] = counts  # r_{Gamma + Gamma} by residue
     three = np.zeros(p, dtype=np.int64)
     for x in ctx.gamma:
         three += np.roll(two, x)
@@ -78,25 +78,30 @@ def _gamma_t3(ctx) -> int:
 
 
 def _chk_e3_identity(stats: SetStats, opts: dict):
+    # sum_d E(A, A ^ (A+d)) from M[i, j], the index of a_i - a_j: a_j is in A ^ (A+d) iff
+    # d = a_j - a_l for one l, so the keys (M[j, l], M[i, j]) count r_{A - (A ^ (A+d))}.
     A = stats.A
     table = stats.table()
     direct = stats.energy3()
-    ints, scale = A.int_view()  # the scale of the table's keys
-    members = setops.difference_lookup(dict.fromkeys(ints), A.p)
-    via_slices = 0
-    for d, r in table.entries.items():
-        Ad = GSet(tuple(v for v in ints if v - d in members), scale, A.p)
-        if Ad.size != r:
-            raise CrossCheckMismatch(f"|A ^ (A+d)| = {Ad.size} but r = {r}, "
-                                     f"d = {d} on the int view")
-        via_slices += energy.energy_pair(A, Ad)
+    p = A.p  # differences are shift-invariant: a rational set starts at 0, so |a_i - a_j| <= max
+    ints = A.ints if p is not None or not A.ints else [v - A.ints[0] for v in A.ints]
+    col = np.array(ints, dtype=np.int64 if (p or max(ints, default=0)) < 1 << 62 else object)[:, None]
+    diffs = col - col.T if p is None else (col - col.T) % p
+    keys, M = np.unique(diffs, return_inverse=True)  # keys on the table's scale
+    M = M.reshape(diffs.shape).astype(np.int32 if keys.size < 1 << 15 else np.int64)  # keys < |D|^2
+    sizes = dict(zip(keys.tolist(), np.bincount(M.ravel()).tolist()))  # |A ^ (A+d)|
+    bad = [d for d in sizes.keys() | table.entries.keys() if sizes.get(d) != table.entries.get(d)]
+    if bad:
+        raise CrossCheckMismatch(f"|A ^ (A+d)| != r(d) at d = {min(bad)} on the int view")
+    _, counts = np.unique(M[:, :, None] * keys.size + M.T[:, None, :], return_counts=True)
+    via_slices = int((counts * counts).sum())
     ok = direct == via_slices
     if ok and energy.t_k(A, 2) != stats.energy():
         raise CrossCheckMismatch("T_2 disagrees with the energy")
     if ok and A.size <= 14:
+        members = setops.difference_lookup(dict.fromkeys(ints), p)
         slices = [frozenset(v for v in ints if v - d in members) for d in table.entries]
-        third = sum(len(s & s2) ** 2 for s in slices for s2 in slices)
-        ok = third == direct
+        ok = direct == sum(len(s & s2) ** 2 for s in slices for s2 in slices)
     return direct, via_slices, 1.0, ok
 
 
@@ -467,10 +472,8 @@ def _chk_lemma18_invariant(stats: SetStats, opts: dict):
     t, p = ctx.t, ctx.p
     cosets = max(1, min(ctx.cosets, INVARIANT_PAIRS // (t * t)))
     q_set = setops.invariant_union(ctx, range(cosets))
-    qv = np.asarray(q_set.ints, dtype=np.int64)
-    gv = np.asarray(ctx.gamma, dtype=np.int64)
-    counts = np.bincount(((qv[:, None] - gv[None, :]) % p).ravel(), minlength=p)
-    lhs = int((counts.astype(np.int64) ** 2).sum())
+    counts = setops.residue_counts(q_set, ctx.gamma_set(), "-")[1]  # r_{Q - Gamma}
+    lhs = int((counts * counts).sum())
     size = q_set.size
     rhs = t**2 * size**2 / p + t * size**1.5
     return lhs, rhs, lhs / rhs, True

@@ -11,11 +11,12 @@ these ints.  Fraction and ModP objects are built only where input is parsed
 decoded on first read and kept).  Input sets exclude 0; derived sets
 (differences, supports, popular levels) may hold it.
 
-One pair kernel computes a op b on the ints for every op and kind, by plain
-O(|A||B|) enumeration.  A CountTable keeps the kernel's integer keys and the
-scale they were built with, and CountTable.decode and combined_set turn
-selected keys into a GSet on that scale.  The test suite compares every op
-against a Fraction/ModP brute-force route.
+One pair kernel computes a op b on the ints for every op and kind: residues
+mod m with m * m < 2^63 on int64 arrays, at most max(_BLOCK, m) pairs at a
+time (residue_counts), rationals and larger moduli by an O(|A||B|) Python loop
+(_pair_keys).  Either way keys are listed as they first occur, a outer and
+b inner.  A CountTable keeps the integer keys and their scale; its decode and
+combined_set turn keys into a GSet.  Tests pin every op to Fraction/ModP.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from operator import floordiv
 from pathlib import Path
 from typing import Iterable, TYPE_CHECKING
 
+import numpy as np
+
 from .errors import BadSpec, IndexOutOfRange, MixedKinds, NotPrime, ZeroDenominator
 from .ground import ModP, parse_element
 
@@ -39,6 +42,8 @@ RATIONAL = "rational"
 MODP = "modp"
 
 _OPS = ("+", "-", "*", "/")
+
+_BLOCK = 1 << 16  # pairs or lookups per block of the int64 kernels, so memory stays flat
 
 
 @dataclass(frozen=True)
@@ -195,24 +200,16 @@ def _pair_keys(A: GSet, B: GSet, op: str, into) -> int | None:
     """Feed the key of a op b, for every ordered pair in (a, b) order, into
     ``into`` (a Counter or a set); return the scale of those keys.
 
-    The keys are computed on the integer views, brought to one scale s when
-    A and B are rational.  Mod p they are residues (scale 1); over the
-    rationals sums and differences are keyed at scale s and products at s^2,
-    while a quotient is keyed by its reduced (numerator, denominator) pair,
-    which has no common scale (None).
+    The keys are computed on the integer views, brought to one scale s: sums
+    and differences are keyed at scale s and products at s^2, a rational
+    quotient by its reduced (numerator, denominator) pair (scale None), and
+    a residue past the int64 tier mod p.  Callers run residue_counts first.
     """
-    if op not in _OPS:
-        raise BadSpec(f"op must be one of {_OPS}, got {op!r}")
-    if A.p != B.p:
-        raise MixedKinds(f"cannot combine {A.kind} (p={A.p}) with {B.kind} (p={B.p})")
-    if op == "/" and 0 in B.ints:
-        raise ZeroDenominator("division by a set containing 0")
     (av, sa), (bv, sb) = A.int_view(), B.int_view()
     p = A.p
-    if p is None:
-        s = math.lcm(sa, sb)
-        av = [a * (s // sa) for a in av]
-        bv = [b * (s // sb) for b in bv]
+    s = math.lcm(sa, sb)
+    av = [a * (s // sa) for a in av]
+    bv = [b * (s // sb) for b in bv]
     # a - b = a + (-b), and mod p a / b = a * b^-1.  The rows are list
     # comprehensions, which run faster here than chains of map calls.
     if op == "-":
@@ -220,12 +217,7 @@ def _pair_keys(A: GSet, B: GSet, op: str, into) -> int | None:
     elif op == "/" and p is not None:
         bv = [pow(b, -1, p) for b in bv]
     additive = op in "+-"
-    if p is not None:
-        def row(a):
-            return [(a + b) % p for b in bv] if additive else [a * b % p for b in bv]
-
-        scale = 1
-    elif op == "/":
+    if op == "/" and p is None:
         signs = [1 if b > 0 else -1 for b in bv]
         mags = list(map(abs, bv))
 
@@ -241,8 +233,46 @@ def _pair_keys(A: GSet, B: GSet, op: str, into) -> int | None:
 
         scale = s if additive else s * s
     for a in av:
-        into.update(row(a))
+        into.update(row(a) if p is None else [k % p for k in row(a)])
     return scale
+
+
+def residue_counts(A: GSet, B: GSet, op: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """(keys, counts) of r_{A op B} mod m as int64 arrays, keys in first-occurrence
+    order; None for rationals and m * m >= 2^63 (see _pair_keys).  One np.unique
+    when |A||B| < m, else a bincount per block of at most max(_BLOCK, m) pairs into
+    one length-m count, with each key's first pair index kept to order the keys."""
+    if op not in _OPS:
+        raise BadSpec(f"op must be one of {_OPS}, got {op!r}")
+    if A.p != B.p:
+        raise MixedKinds(f"cannot combine {A.kind} (p={A.p}) with {B.kind} (p={B.p})")
+    if op == "/" and 0 in B.ints:
+        raise ZeroDenominator("division by a set containing 0")
+    m = A.p
+    if m is None or m * m >= 1 << 63:
+        return None
+    a, b = np.array(A.ints, dtype=np.int64), np.array(B.ints, dtype=np.int64)
+    if op in "-/":  # a - b = a + (-b) and a / b = a * b^-1
+        b = -b if op == "-" else np.array([pow(v, -1, m) for v in B.ints], dtype=np.int64)
+
+    def block(rows):  # a op b for a in rows, row-major
+        keys = (rows[:, None] + b if op in "+-" else rows[:, None] * b).ravel()
+        return np.remainder(keys, m, out=keys)
+
+    if a.size * b.size < m:
+        keys, first, counts = np.unique(block(a), return_index=True, return_counts=True)
+        order = np.argsort(first)
+        return keys[order], counts[order]
+    counts, first = np.zeros(m, dtype=np.int64), np.full(m, a.size * b.size)
+    step = max(1, max(_BLOCK, m) // b.size)  # each block's O(m) bincount then costs O(1) a pair
+    for lo in range(0, a.size, step):
+        keys = block(a[lo:lo + step])
+        new = np.flatnonzero(counts[keys] == 0)  # keys no earlier block met
+        np.minimum.at(first, keys[new], new + lo * b.size)
+        counts += np.bincount(keys, minlength=m)
+    keys = np.flatnonzero(counts)
+    keys = keys[np.argsort(first[keys])]
+    return keys, counts[keys]
 
 
 def difference_lookup(items, p: int | None) -> dict:
@@ -255,8 +285,14 @@ def difference_lookup(items, p: int | None) -> dict:
     return out
 
 
-def int_counts(A: GSet, B: GSet, op: str) -> tuple[Counter, int | None]:
-    """r_{A op B} on the integer scale: (Counter of keys, their scale)."""
+def int_counts(A: GSet, B: GSet, op: str) -> tuple[dict, int | None]:
+    """r_{A op B} on the integer scale: (dict of key counts, their scale), keys
+    in first-occurrence order; residues mod m with m * m < 2^63 on int64 blocks
+    of at most max(_BLOCK, m) pairs, rationals and larger moduli on the Python loop."""
+    residues = residue_counts(A, B, op)
+    if residues is not None:
+        residues = [v.tolist() for v in residues]  # frees the arrays before the dict grows
+        return dict(zip(*residues)), 1
     counts: Counter = Counter()
     return counts, _pair_keys(A, B, op, counts)
 
@@ -273,16 +309,16 @@ def combine(A: GSet, B: GSet, op: str) -> CountTable:
 
 def support_size(A: GSet, B: GSet, op: str) -> int:
     """|A op B| without keeping the multiplicity table."""
-    keys: set = set()
-    _pair_keys(A, B, op, keys)
-    return len(keys)
+    return combined_set(A, B, op).size
 
 
 def combined_set(A: GSet, B: GSet, op: str) -> GSet:
     """The set A op B itself (support of the combine table)."""
+    residues = residue_counts(A, B, op)
+    if residues is not None:
+        return GSet(tuple(np.sort(residues[0]).tolist()), 1, A.p)
     keys: set = set()
-    scale = _pair_keys(A, B, op, keys)
-    return _keyed_set(keys, scale, A.p)
+    return _keyed_set(keys, _pair_keys(A, B, op, keys), A.p)
 
 
 def iterated_sum_counts(A: GSet, k: int) -> CountTable:

@@ -65,6 +65,22 @@ def moment3(vals, p=None) -> int:
     return count
 
 
+def slice_energy_sum(vals, p=None) -> int:
+    """sum over d in A - A of E(A, A ^ (A + d)), each slice built from its
+    definition and E(A, S) taken as sum_x r_{A-S}(x)^2; residues mod p if given."""
+    members = set(vals)
+    total = 0
+    for d in diff_counts(vals, p):
+        slice_ = [b for b in vals if ((b - d) % p if p is not None else b - d) in members]
+        r: dict = {}
+        for a in vals:
+            for b in slice_:
+                x = (a - b) % p if p is not None else a - b
+                r[x] = r.get(x, 0) + 1
+        total += sum(c * c for c in r.values())
+    return total
+
+
 def t_k(vals, k, p=None) -> int:
     """T_k: ordered 2k-tuples with equal k-fold sums."""
     count = 0

@@ -99,7 +99,8 @@ def test_malformed_set_file_is_usage_error(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("spec", ["ap(n=abc)", "geo(q=2,n=4))", "rand(n=3,seed=1/0)",
-                                  "subgroup(p=7,t=3/2)"])
+                                  "subgroup(p=7,t=3/2)", "ap(n=3,n=5)",
+                                  "union(ap(n=3),ap(n=3,n=4))"])
 def test_malformed_family_spec_is_usage_error(capsys, spec):
     assert cli.run(["stats", "--family", spec]) == 2
     assert "error:" in capsys.readouterr().err

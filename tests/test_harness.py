@@ -22,6 +22,7 @@ from sumprodlab.harness import (CORPORA, FAILED, PROVED_EXACT, RATIO_ONLY,
                                 stats_from_spec, sum_construction_stats,
                                 summary_line, write_report)
 from sumprodlab.harness import base as hbase
+from sumprodlab.harness import checks
 from sumprodlab.harness.corpus import exact_subgroups
 from sumprodlab.setops import gset_modp, gset_rational, invariant_union
 from sumprodlab.subgroups import divisors, subgroup_context
@@ -335,6 +336,48 @@ def test_spectral_kernels_match_oracles(A):
         assert route == pytest.approx(want, rel=1e-9)
     N = spectral.incidence_factor(A)
     assert np.array_equal(N @ N.T, spectral.build_matrices(A).R)
+
+
+# rationals with differing denominators, keys past 2^62 (object dtype), and
+# values near 2^100, which lie close together when drawn alone
+e3_values = st.one_of(st.integers(-30, 30), st.fractions(-6, 6, max_denominator=5),
+                      st.integers(-40, 40).map(lambda v: 2**62 + v),
+                      st.integers(-40, 40).map(lambda v: -(2**62) + v),
+                      st.integers(-40, 40).map(lambda v: 2**100 + v)).filter(lambda x: x != 0)
+
+
+@st.composite
+def e3_inputs(draw):
+    if draw(st.booleans()):
+        return gset_rational(draw(st.lists(e3_values, min_size=1, max_size=9)))
+    p = draw(st.sampled_from([7, 13, 101, 2**31 - 1]))
+    return gset_modp(draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=9)), p)
+
+
+@given(e3_inputs())
+@example(generate_from_string("geo(q=2,n=64)"))  # elements to 2^63, differences past 2^62
+@example(generate_from_string("ap(n=4,start=10^20)"))  # past 2^63, with span 3
+@settings(max_examples=40, deadline=None)
+def test_e3_slice_route_matches_oracle(A):
+    res = run_check("e3_identity", SetStats(A))
+    assert res.rhs == str(oracles.slice_energy_sum(list(A.values()), A.p))
+    assert res.verdict == PROVED_EXACT
+
+
+def test_e3_slice_route_checks_each_slice_size():
+    stats = SetStats(gset_rational([1, 2, 3, 5, 8]))
+    stats.table().entries[1] += 1  # r(1) now disagrees with |A ^ (A+1)| = 2
+    with pytest.raises(CrossCheckMismatch, match="d = 1 "):
+        checks._chk_e3_identity(stats, {})
+
+
+@pytest.mark.parametrize("p,t", [(13, 4), (31, 5)])
+def test_subgroup_pair_table_checks_match_oracles(p, t):
+    # for these primes Q is every unit mod p, and both checks read residue pair tables
+    stats = _stats(f"subgroup(p={p},t={t})")
+    gamma = list(stats.ctx.gamma)
+    assert run_check("lemma18_invariant", stats).lhs == str(oracles.energy(list(range(1, p)), gamma, p))
+    assert run_check("subgr_t3_bound", stats).lhs == str(oracles.t_k(gamma, 3, p))
 
 
 def test_sigma_computed_once_per_input(monkeypatch):

@@ -1,9 +1,10 @@
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -142,18 +143,57 @@ def test_combine_difference_matches_oracle(sets):
     assert table.entries[0] == A.size  # the difference 0 is key 0 on either view
 
 
-@given(ground_sets(count=2))
-@settings(max_examples=80, deadline=None)
+# 2^61 - 1 has m * m >= 2^63, so its tables take the Python loop, not int64
+KERNEL_MODULI = MODULI + [(2**61 - 1, 2**61 - 1)]
+
+
+@st.composite
+def residue_pairs(draw):
+    """(A, B) of units mod one modulus, with |A||B| below m or, where the
+    units allow it, at least m, so both counting branches of the kernel run."""
+    m, q = draw(st.sampled_from(KERNEL_MODULI))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    units = range(1, m) if m == q else [x for x in range(1, m) if x % q]
+    low = math.isqrt(m - 1) + 1 if draw(st.booleans()) and m <= 101 * 101 else 1
+    return [gset_modp(rng.sample(units, draw(st.integers(low, min(low + 12, len(units))))), m)
+            for _ in range(2)]
+
+
+@given(st.one_of(ground_sets(count=2), residue_pairs()))
+@example([gset_modp([1, 5], 2**31 + 11), gset_modp([3], 2**31 + 11)])  # m * m just past 2^62
+@settings(max_examples=120, deadline=None)
 def test_combine_all_ops_totals(sets):
     A, B = sets
     for op in "+-*/":
         want = oracles.pair_counts(A.elements, B.elements, op)
         table = combine(A, B, op)
-        assert decoded(table) == list(want.items())  # counts and order
+        assert decoded(table) == list(want.items())  # counts and row-major first-occurrence order
         assert table.support_set().elements == tuple(sorted(want))
         assert table.total == A.size * B.size
         assert setops.support_size(A, B, op) == len(want)
         assert setops.combined_set(A, B, op).elements == tuple(sorted(want))
+
+
+def test_residue_kernel_tier_is_m_squared_below_2_63():
+    for m, _ in KERNEL_MODULI:
+        A = gset_modp([1, 2], m)
+        assert (setops.residue_counts(A, A, "+") is None) == (m * m >= 1 << 63)
+    assert setops.residue_counts(gset_rational([1, 2]), gset_rational([3]), "+") is None
+
+
+@pytest.mark.parametrize("m, na, nb", [
+    (2**17 - 1, 3, (1 << 16) + 5),  # |B| > max(2^16, m) / 2: one row in each block
+    (7919, 200, 1000),  # 65 rows a block, four blocks
+])
+def test_residue_kernel_over_several_blocks(m, na, nb):
+    rng = random.Random(3)
+    A, B = (gset_modp(rng.sample(range(1, m), n), m) for n in (na, nb))
+    assert A.size * B.size > max(setops._BLOCK, m)  # the bincount branch, in more than one block
+    for op in "-*":
+        want = oracles.pair_counts(A.elements, B.elements, op)
+        table = combine(A, B, op)
+        assert decoded(table) == list(want.items())
+        assert setops.support_size(A, B, op) == len(want)
 
 
 def test_combine_division_modp_uses_inverses():
