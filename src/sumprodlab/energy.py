@@ -4,11 +4,10 @@ popular differences and dyadic energy levels.
 All integer-valued quantities are computed with exact integer arithmetic;
 the only float on offer is the fractional moment (q = 3/2 and friends).
 They all read one table r_{A-A} keyed on the set's integer view (see setops),
-which difference_table builds once per set and keeps on it.  Sigma and the
-rational difference-triple count share the shift rows of A-A, also kept on
-the set (see _shift_rows).  Mod a prime, the difference-triple count sums one
-translate overlap per orbit of the subgroup of F_p^* that fixes its sets,
-times the orbit size.
+which difference_table builds once per set and keeps on it.  T_3, Sigma and
+the difference-triple count, for rationals and residues alike, read the
+shift rows of A-A, also kept on the set: one row per orbit of the largest
+group of units that fixes r (see _shift_rows).
 Counting conventions: every count is over ordered tuples, and r_{A-B}(d) is
 the number of ordered pairs (a, b) with a - b = d.
 """
@@ -16,15 +15,15 @@ the number of ordered pairs (a, b) with a - b = d.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import BadSpec, RestrictNotSubset, TooLarge
-from .setops import (_BLOCK, CountTable, GSet, combine, difference_lookup, int_counts,
-                     iterated_sum_counts)
-from .subgroups import divisors, is_prime, powers, primitive_root
+from .setops import _BLOCK, CountTable, GSet, combine, difference_lookup, int_counts
+from .subgroups import _dlog_table, divisors, is_prime, primitive_root
 
 # Cap on |A-A| for Sigma, whose shift rows take |A-A|^2 lookups; the checks
 # that need Sigma skip inputs above it.
@@ -60,10 +59,17 @@ def moment_energy(A: GSet, q):
 
 
 def t_k(A: GSet, k: int) -> int:
-    """T_k(A): ordered 2k-tuples with equal k-fold sums; T_2 = E."""
-    if k < 2:
-        raise BadSpec(f"T_k needs k >= 2, got {k}")
-    return sum(c * c for c in iterated_sum_counts(A, k).entries.values())
+    """T_k(A) for k in {2, 3}: ordered 2k-tuples with equal k-fold sums.
+
+    T_2 = E(A).  a1 + a2 + a3 = a4 + a5 + a6 says (a1 - a4) + (a2 - a5) =
+    a6 - a3, and r is symmetric, so T_3 = sum_e r(e) lin(e) off the shift rows.
+    """
+    if k == 2:
+        return energy_pair(A)
+    if k != 3:
+        raise BadSpec(f"T_k is counted for k = 2 and 3, got {k}")
+    rows = _shift_rows(A)
+    return sum(map(operator.mul, rows.mass, rows.lin))
 
 
 def sigma_sum(A: GSet) -> int:
@@ -73,141 +79,162 @@ def sigma_sum(A: GSet) -> int:
     a1 - a2 = a3 - a4 = (a5 - a6) - (a7 - a8).  Read off the shift rows as
     sum_e r(e) weight(e); guarded by SIGMA_SUPPORT_CAP.
     """
-    table = difference_table(A)
-    support = table.support_size()
+    support = difference_table(A).support_size()
     if support > SIGMA_SUPPORT_CAP:
         raise TooLarge(f"|A-A| = {support} exceeds the sigma_sum guard {SIGMA_SUPPORT_CAP}")
-    return sum(table.entries[e] * weight for e, (_, weight) in _shift_rows(A).items())
+    rows = _shift_rows(A)
+    return sum(map(operator.mul, rows.mass, rows.weight))
 
 
 def difference_triple_count(A: GSet, restrict: GSet | None = None) -> int:
     """Ordered pairs (d, d') in D x R with d - d' in D, where D = A - A.
 
     R defaults to D; otherwise restrict must be a subset of D.  The count is
-    the sum over d' in R of |D ^ (D + d')|, which over the rationals is
-    hits(d') of the shift rows.  Mod a prime p it runs over orbits: when h
-    in F_p^* maps D and R onto themselves, x -> hx maps D ^ (D + r) onto
-    D ^ (D + hr), so with H the largest subgroup of F_p^* that maps the
-    nonzero elements of D and of R onto themselves,
-
-        count = [0 in R] |D| + |H| * sum_r |D ^ (D + r)|,
-
-    with one r per H-orbit of the nonzero elements of R.  Composite moduli
-    (the mod p^2 lifts) keep H = {1}.
+    the sum over d' in R of |D ^ (D + d')| = hits(d') of the shift rows,
+    each of whose orbits stands for |orbit| keys of D.
     """
     table = difference_table(A)
     if restrict is not None and restrict.p != table.p:
         raise RestrictNotSubset("restriction set has the wrong kind")
-    if table.p is not None:
-        return _orbit_triples(table, restrict)
     rows = _shift_rows(A)
     if restrict is None:
-        return sum(hits for hits, _ in rows.values())
+        return sum(map(operator.mul, rows.size, rows.hits))
     # a key fits the table only when restrict's scale divides the table's
     rints, rscale = restrict.int_view()
     if table.scale % rscale:
         raise RestrictNotSubset("restriction set is off the difference set's scale")
-    keys = [v * (table.scale // rscale) for v in rints]
-    for k in keys:
-        if k not in rows:
-            raise RestrictNotSubset(f"{Fraction(k, table.scale)} not in the difference set")
-    return sum(rows[k][0] for k in keys)
+    keys = rints if rscale == table.scale else [v * (table.scale // rscale) for v in rints]
+    if not all(map(table.entries.__contains__, keys)):
+        k = next(k for k in keys if k not in table.entries)
+        where = Fraction(k, table.scale) if table.p is None else f"{k} mod {table.p}"
+        raise RestrictNotSubset(f"{where} not in the difference set")
+    labels = _orbit_labels(np.array(keys, dtype=rows.labels.dtype), table.p, rows.order)
+    return int(np.take(rows.hits, np.searchsorted(rows.labels, labels)).sum())
 
 
-def _shift_rows(A: GSet) -> dict:
-    """e -> (hits(e), weight(e)) for each key e of D, the support of r = r_{A-A}:
-    hits(e) = #{d in D : d - e in D} and weight(e) = sum_d r(d) r(d - e)^2,
-    with d - e mod p for residues.  Built on the first call and kept on A, so
-    Sigma and every rational triple count share one pass over D x D.  The
-    int64 tier runs while every key lies in (-2^61, 2^61), so each d - e
-    fits, and max r^2 |A|^2, which bounds each weight, is below 2^63."""
+@dataclass(frozen=True)
+class _Rows:
+    """The shift rows of D = A - A, one per H-orbit of D, sorted by label
+    (see _orbit_labels): the orbit's size and r-mass, and hits, lin and
+    weight, which are constant on it."""
+
+    order: int  # |H|
+    labels: np.ndarray
+    size: list
+    mass: list
+    hits: list
+    lin: list
+    weight: list
+
+
+def _shift_rows(A: GSet) -> _Rows:
+    """The columns, for r = r_{A-A} with support D and e in D,
+
+        hits(e) = #{d in D : d - e in D},   lin(e) = sum_d r(d) r(d - e),
+        weight(e) = sum_d r(d) r(d - e)^2,
+
+    with d - e mod p for residues.  H is the largest group of units with
+    r(hx) = r(x): {1, -1} over the rationals, {1} for composite moduli, and
+    mod a prime the stabiliser _fixing_group finds.  x -> hx maps the pairs
+    counted at e onto those at he, so each column is computed at one key per
+    H-orbit.  Kept on A, so T_3, Sigma and every triple count share one build.
+    The int64 tier runs while every key lies in (-2^61, 2^61), so each d - e
+    fits, and max r^2 |A|^2, which bounds each weight, is below 2^63.  Mod p,
+    r is spread into one dense length-p table, which H and the int64 rows
+    read, only while p <= max(_BLOCK, |A| |D|); past that H = {1}."""
     rows = A.__dict__.get("_shift_rows")
     if rows is None:
         table = difference_table(A)
-        keys = sorted(table.entries)
-        counts = [table.entries[k] for k in keys]
-        lim = 1 << 61
-        fits = (bool(keys) and -lim < keys[0] and keys[-1] < lim and (table.p or 0) < lim
-                and table.max_count() ** 2 * table.total < 1 << 63)
-        tier = _rows_int64 if fits else _rows_bigint
-        rows = A.__dict__["_shift_rows"] = dict(zip(keys, zip(*tier(keys, counts, table.p))))
+        p, n, lim = table.p, table.support_size(), 1 << 61
+        fits = n > 0 and table.max_count() ** 2 * table.total < 1 << 63 and (
+            p < lim if p is not None else -lim < min(table.entries) and max(table.entries) < lim)
+        dtype = np.int64 if fits else object
+        keys = np.fromiter(table.entries, dtype, n)
+        counts = np.fromiter(table.entries.values(), dtype, n)
+        dense = None
+        if fits and p is not None and p <= max(_BLOCK, A.size * n):
+            dense = np.zeros(p, dtype=np.int64)
+            dense[keys] = counts
+        order = 2 if p is None else 1 if dense is None else _fixing_group(p, dense)
+        labels, first, size = np.unique(_orbit_labels(keys, p, order),
+                                        return_index=True, return_counts=True)
+        columns = (_rows_int64(keys, counts, keys[first], p, dense) if fits
+                   else _rows_bigint(keys, counts, keys[first], p))
+        rows = A.__dict__["_shift_rows"] = _Rows(
+            order, labels, size.tolist(), (size * counts[first]).tolist(), *columns)
     return rows
 
 
-def _rows_int64(keys: list, counts: list, p: int | None) -> tuple[list, list]:
-    """(hits, weights) for the sorted keys, in blocks of at most _BLOCK
-    lookups: one searchsorted per block and one int64 dot product per row."""
+def _rows_int64(keys, counts, reps, p: int | None, dense=None) -> tuple[list, list, list]:
+    """(hits, lin, weight) at each key of reps, in blocks of at most _BLOCK
+    lookups, one int64 dot product per column; r(d - e) is read from dense (r
+    over (-p, p) by negative-index wrap) or by searchsorted into the keys."""
     kv, cv = np.asarray(keys, dtype=np.int64), np.asarray(counts, dtype=np.int64)
-    # slot len(keys) is a sentinel no shifted key equals, so a miss needs no clipping
-    kx, cx = np.append(kv, np.iinfo(np.int64).max), np.append(cv, 0)
-    hits, weights = [], []
-    step = max(1, _BLOCK // len(keys))
-    for lo in range(0, len(keys), step):
-        shifted = kv - kv[lo:lo + step, None]
-        if p is not None:
-            shifted %= p
-        idx = np.searchsorted(kv, shifted)
-        found = kx[idx] == shifted
-        r = np.where(found, cx[idx], 0)
-        hits += np.count_nonzero(found, axis=1).tolist()
-        weights += ((r * r) @ cv).tolist()
-    return hits, weights
+    if dense is not None:
+        lookup = dense.__getitem__
+    else:
+        by_key = np.argsort(kv)
+        kv, cv = kv[by_key], cv[by_key]
+        # slot len(keys) is a sentinel no shifted key equals, so a miss needs no clipping
+        kx, cx = np.append(kv, np.iinfo(np.int64).max), np.append(cv, 0)
+
+        def lookup(shifted):
+            if p is not None:
+                shifted %= p
+            idx = np.searchsorted(kv, shifted)
+            return np.where(kx[idx] == shifted, cx[idx], 0)
+    rv = np.asarray(reps, dtype=np.int64)
+    hits, lin, weight = [], [], []
+    step = max(1, _BLOCK // kv.size)
+    for lo in range(0, rv.size, step):
+        r = lookup(kv - rv[lo:lo + step, None])
+        hits += np.count_nonzero(r, axis=1).tolist()
+        lin += (r @ cv).tolist()
+        weight += ((r * r) @ cv).tolist()
+    return hits, lin, weight
 
 
-def _rows_bigint(keys: list, counts: list, p: int | None) -> tuple[list, list]:
-    """(hits, weights) for the sorted keys on Python ints, one loop over D x D."""
+def _rows_bigint(keys, counts, reps, p: int | None) -> tuple[list, list, list]:
+    """(hits, lin, weight) at each key of reps on Python ints, one loop over D per row."""
     rmap = difference_lookup(zip(keys, counts), p)
-    hits, weights = [], []
-    for e in keys:
+    hits, lin, weight = [], [], []
+    for e in reps:
         row = [(rd, rmap[d - e]) for d, rd in zip(keys, counts) if d - e in rmap]
         hits.append(len(row))
-        weights.append(sum(rd * c * c for rd, c in row))
-    return hits, weights
+        lin.append(sum(rd * c for rd, c in row))
+        weight.append(sum(rd * c * c for rd, c in row))
+    return hits, lin, weight
 
 
-def _orbit_triples(table: CountTable, restrict: GSet | None) -> int:
-    """The mod-p difference-triple count, one overlap per H-orbit of R - {0}."""
-    p = table.p
-    dv = np.fromiter(table.entries, dtype=np.int64, count=len(table.entries))
-    ind = np.zeros(p, dtype=bool)  # indicator of D
-    ind[dv] = True
-    rv = dv if restrict is None else np.asarray(restrict.ints, dtype=np.int64)
-    outside = rv[~ind[rv]]
-    if outside.size:
-        raise RestrictNotSubset(f"{outside[0]} mod {p} not in the difference set")
-    rnz = rv[rv != 0]
-    group = _fixing_group(p, ind, dv[dv != 0], rnz)
-    seen = np.zeros(p, dtype=bool)
-    total = 0
-    for r in rnz:
-        if not seen[r]:
-            seen[group * r % p] = True
-            # x in D with x - r in D, for x >= r and for x < r (wrapping)
-            total += int(np.count_nonzero(ind[r:] & ind[:p - r]))
-            total += int(np.count_nonzero(ind[:r] & ind[p - r:]))
-    zero_term = dv.size if rnz.size < rv.size else 0  # d' = 0: |D ^ D| = |D|
-    return zero_term + group.size * total
+def _fixing_group(p: int, r: np.ndarray) -> int:
+    """|H| for the largest subgroup H of F_p^* with r(hx) = r(x) for every x,
+    r given as a dense length-p table; 1 when p is not prime.
 
-
-def _fixing_group(p: int, ind: np.ndarray, dnz: np.ndarray, rnz: np.ndarray) -> np.ndarray:
-    """Elements of the largest subgroup H of F_p^* that maps the residues dnz
-    (indicator ind) and rnz each onto themselves; [1] when p is not prime.
-
-    Both sets are unions of H-cosets, so |H| divides p - 1, |dnz| and |rnz|.
-    F_p^* is cyclic, so the order-k candidate is generated by g^((p-1)/k);
-    orders are tried largest first and k = 1 always passes.
+    H always holds -1, as r is symmetric.  D - {0} is a union of H-cosets, so
+    |H| divides p - 1 and |D| - 1.  F_p^* is cyclic, so the order-k candidate
+    is generated by g^((p-1)/k); orders are tried largest first and k = 1
+    always passes.
     """
     # products of two residues must stay inside int64
     if p * p >= 1 << 63 or not is_prime(p):
-        return np.ones(1, dtype=np.int64)
-    rind = np.zeros(p, dtype=bool)
-    rind[rnz] = True
+        return 1
+    keys = np.flatnonzero(r)
     g = primitive_root(p)
-    for k in reversed(divisors(math.gcd(p - 1, dnz.size, rnz.size))):
-        h = pow(g, (p - 1) // k, p)
-        if ind[dnz * h % p].all() and rind[rnz * h % p].all():
-            break
-    return powers(h, p, k)
+    for k in reversed(divisors(math.gcd(p - 1, keys.size - 1))):
+        if (r[keys * pow(g, (p - 1) // k, p) % p] == r[keys]).all():
+            return k
+
+
+def _orbit_labels(keys: np.ndarray, p: int | None, order: int) -> np.ndarray:
+    """The label of each key's H-orbit, |H| = order: |e| over the rationals,
+    e itself when H = {1}, and mod a prime 0 for e = 0 and otherwise 1 plus
+    the discrete-log coset dlog(e) mod (p - 1)/|H|."""
+    if p is None:
+        return np.abs(keys)
+    if order == 1:
+        return keys
+    dlog = _dlog_table(p, primitive_root(p))
+    return np.where(keys == 0, 0, 1 + dlog[keys] % ((p - 1) // order))
 
 
 @dataclass(frozen=True)

@@ -63,17 +63,6 @@ def _grid_sizes_ok(stats: SetStats) -> bool:
     return _a_over_aa(stats).size <= cap
 
 
-def _gamma_t3(ctx) -> int:
-    p = ctx.p
-    keys, counts = setops.residue_counts(ctx.gamma_set(), ctx.gamma_set(), "+")
-    two = np.zeros(p, dtype=np.int64)
-    two[keys] = counts  # r_{Gamma + Gamma} by residue
-    three = np.zeros(p, dtype=np.int64)
-    for x in ctx.gamma:
-        three += np.roll(two, x)
-    return int((three**2).sum())
-
-
 # -- exact identities and inequalities on one set ------------------------------
 
 
@@ -96,8 +85,8 @@ def _chk_e3_identity(stats: SetStats, opts: dict):
     _, counts = np.unique(M[:, :, None] * keys.size + M.T[:, None, :], return_counts=True)
     via_slices = int((counts * counts).sum())
     ok = direct == via_slices
-    if ok and energy.t_k(A, 2) != stats.energy():
-        raise CrossCheckMismatch("T_2 disagrees with the energy")
+    if ok and sum(c * c for c in setops.combine(A, A, "+").entries.values()) != stats.energy():
+        raise CrossCheckMismatch("E from r_{A+A} disagrees with E from r_{A-A}")
     if ok and A.size <= 14:
         members = setops.difference_lookup(dict.fromkeys(ints), p)
         slices = [frozenset(v for v in ints if v - d in members) for d in table.entries]
@@ -439,7 +428,7 @@ def _chk_lemma5_b2(stats: SetStats, opts: dict):
 
 def _chk_subgr_t3_bound(stats: SetStats, opts: dict):
     ctx = stats.ctx
-    lhs = _gamma_t3(ctx)
+    lhs = stats.t3()  # T_3(Gamma): the input set is ctx.gamma_set()
     rhs = ctx.t**4 * math.log2(ctx.t)
     return lhs, rhs, lhs / rhs, True
 

@@ -321,23 +321,6 @@ def combined_set(A: GSet, B: GSet, op: str) -> GSet:
     return _keyed_set(keys, _pair_keys(A, B, op, keys), A.p)
 
 
-def iterated_sum_counts(A: GSet, k: int) -> CountTable:
-    """Multiplicity table of the k-fold sumset kA, ordered k-tuples, on the integer view."""
-    if k < 1:
-        raise BadSpec(f"k must be >= 1, got {k}")
-    vals, scale = A.int_view()
-    p = A.p
-    cur = dict.fromkeys(vals, 1)
-    for _ in range(k - 1):
-        nxt: dict = {}
-        for s, c in cur.items():
-            for v in vals:
-                key = s + v if p is None else (s + v) % p
-                nxt[key] = nxt.get(key, 0) + c
-        cur = nxt
-    return CountTable(cur, A.size**k, p, scale)
-
-
 def invariant_union(ctx: "SubgroupCtx", coset_indices: Iterable[int]) -> GSet:
     """Union of the cosets g^j * Gamma for the given j; Gamma-invariant by design."""
     indices = list(coset_indices)

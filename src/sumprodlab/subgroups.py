@@ -384,9 +384,9 @@ def tk_cyclic(members: Iterable[int], m: int, k: int) -> int:
     """T_k inside Z/m: enumerate all t^k k-fold sums and count collisions
     with a sort (memory t^k, independent of m, which matters when m = p^2).
 
-    An independent route to the dictionary counter in ``energy.t_k``; the
-    test suite cross-checks them.  Its caller, ``mod_p2_subgroup``, keeps
-    t <= LIFT_T_CAP, so there are at most 64^3 sums for k <= 3.
+    An independent route to ``energy.t_k``, which reads T_3 off the shift
+    rows; the test suite cross-checks them.  Its caller, ``mod_p2_subgroup``,
+    keeps t <= LIFT_T_CAP, so there are at most 64^3 sums for k <= 3.
     """
     arr = np.asarray([x % m for x in members], dtype=np.int64)
     sums = arr

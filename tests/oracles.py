@@ -132,6 +132,12 @@ def stabilizer_order(p, *sets) -> int:
                if all({h * x % p for x in s} == s for s in sets))
 
 
+def difference_stabilizer_order(vals, p) -> int:
+    """Number of h in F_p^* with r(h x) = r(x) for every x, r = r_{A-A} mod p."""
+    r = diff_counts(vals, p)
+    return sum(1 for h in range(1, p) if all(r.get(h * x % p, 0) == c for x, c in r.items()))
+
+
 def collinear_triples(xvals, yvals=None, include_degenerate=False, p=None) -> int:
     """Ordered collinear triples of pairwise-distinct points of X x Y,
     by the cross-product test; optionally adds the repeated-point tuples."""

@@ -75,6 +75,14 @@ def test_stats_set_file(tmp_path, capsys):
     assert "|A| = 3" in out and "E = 19" in out and "T3 = 141" in out
 
 
+def test_stats_set_file_large_prime(tmp_path, capsys):
+    # {1, 2, 4} mod 2^31 - 1 has no wrap-around: T3 is the rational count
+    f = tmp_path / "big.txt"
+    f.write_text("kind: modp p=2147483647\n1\n2\n4\n")
+    out = run_ok(capsys, ["stats", "--set", str(f)])
+    assert "|A| = 3" in out and "T3 = 99" in out
+
+
 def test_stats_set_file_reads_decimals(tmp_path, capsys):
     f = tmp_path / "decimal.txt"
     f.write_text("kind: rational\n1.5\n2\n3\n")

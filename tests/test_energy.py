@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from sumprodlab import energy, setops
-from sumprodlab.errors import RestrictNotSubset, TooLarge
+from sumprodlab.errors import BadSpec, RestrictNotSubset, TooLarge
 from sumprodlab.families import generate_from_string
 from sumprodlab.ground import ModP
 from sumprodlab.harness import SetStats, subgroup_stats
@@ -50,6 +50,9 @@ def test_fractional_moment_worked_example():
 def test_t3_worked_example():
     assert energy.t_k(A123, 3) == 141
     assert oracles.t_k(A123.values(), 3) == 141
+    for k in (1, 4):
+        with pytest.raises(BadSpec):
+            energy.t_k(A123, k)
 
 
 def test_t2_equals_energy():
@@ -158,6 +161,30 @@ def shift_row_inputs(draw):
     return A, vals, p, R
 
 
+def _rows_at_every_key(A):
+    """(keys, counts, columns): the kept orbit rows spread back over every key of
+    D, checked against the orbits' sizes and r-masses on the way."""
+    rows, table = energy._shift_rows(A), energy.difference_table(A)
+    keys = sorted(table.entries)
+    counts = [table.entries[k] for k in keys]
+    labels = energy._orbit_labels(np.array(keys, dtype=rows.labels.dtype), A.p, rows.order)
+    idx = np.searchsorted(rows.labels, labels)
+    assert (rows.labels[idx] == labels).all()
+    assert np.bincount(idx, minlength=len(rows.size)).tolist() == rows.size
+    mass = [0] * len(rows.size)
+    for i, c in zip(idx.tolist(), counts):
+        mass[i] += c
+    assert mass == rows.mass
+    return keys, counts, tuple([col[i] for i in idx] for col in (rows.hits, rows.lin, rows.weight))
+
+
+def _scaled(vals) -> list:
+    """Rationals times the lcm of their denominators: T_3 counts the same
+    tuples, and the oracle runs on ints."""
+    scale = math.lcm(*(Fraction(v).denominator for v in vals))
+    return [int(Fraction(v) * scale) for v in vals]
+
+
 @given(shift_row_inputs())
 @settings(max_examples=80, deadline=None)
 def test_shift_rows_match_oracles(case):
@@ -165,14 +192,13 @@ def test_shift_rows_match_oracles(case):
     assert energy.sigma_sum(A) == oracles.sigma(vals, p)
     assert energy.difference_triple_count(A, R) == oracles.difference_triples(
         vals, None if R is None else R.values(), p)
-    # both tiers give the rows the kernel kept, wherever the int64 tier may run
-    table = energy.difference_table(A)
-    keys = sorted(table.entries)
-    counts = [table.entries[k] for k in keys]
-    want = energy._rows_bigint(keys, counts, p)
-    assert list(energy._shift_rows(A).items()) == list(zip(keys, zip(*want)))
+    if len(vals) <= 8:
+        assert energy.t_k(A, 3) == oracles.t_k(_scaled(vals), 3, p)
+    # the kept rows are both tiers' columns at every key, wherever the int64 tier may run
+    keys, counts, got = _rows_at_every_key(A)
+    assert got == energy._rows_bigint(keys, counts, keys, p)
     if -GUARD < keys[0] and keys[-1] < GUARD:
-        assert energy._rows_int64(keys, counts, p) == want
+        assert energy._rows_int64(keys, counts, keys, p) == got
 
 
 def test_shift_rows_tier_guard(monkeypatch):
@@ -191,6 +217,7 @@ def test_shift_rows_tier_guard(monkeypatch):
         A = gset_rational(vals)
         assert energy.sigma_sum(A) == oracles.sigma(vals)
         assert energy.difference_triple_count(A) == oracles.difference_triples(vals)
+        assert energy.t_k(A, 3) == oracles.t_k(vals, 3)
         assert tiers.pop() == tier and not tiers
 
 
@@ -242,15 +269,6 @@ def modp_triple_inputs(draw):
     return m, A, gset_modp(picked, m, allow_zero=True)
 
 
-def _group_order(m, dvals, rvals) -> int:
-    """|H| as the mod-p triple count derives it from D and R."""
-    ind = np.zeros(m, dtype=bool)
-    ind[list(dvals)] = True
-    dnz = np.array([d for d in dvals if d], dtype=np.int64)
-    rnz = np.array([r for r in rvals if r], dtype=np.int64)
-    return energy._fixing_group(m, ind, dnz, rnz).size
-
-
 @given(modp_triple_inputs())
 @settings(max_examples=60, deadline=None)
 def test_triple_count_modp_matches_oracle(case):
@@ -258,32 +276,52 @@ def test_triple_count_modp_matches_oracle(case):
     rvals = None if R is None else R.values()
     assert energy.difference_triple_count(A, R) == oracles.difference_triples(
         A.values(), rvals, p=m)
-    dvals = set(oracles.diff_counts(A.values(), m))
-    rset = dvals if R is None else set(rvals)
-    order = _group_order(m, dvals, rset)
-    if m in MODP_PRIMES and m <= 101:
-        assert order == oracles.stabilizer_order(m, dvals - {0}, rset - {0})
-    elif m not in MODP_PRIMES:
+    assert energy.sigma_sum(A) == oracles.sigma(A.values(), m)
+    if A.size <= 8:
+        assert energy.t_k(A, 3) == oracles.t_k(A.values(), 3, m)
+    order = energy._shift_rows(A).order
+    if m in MODP_PRIMES:
+        assert order == oracles.difference_stabilizer_order(A.values(), m)
+    else:
         assert order == 1  # composite moduli are not searched
+    _rows_at_every_key(A)
 
 
 def test_triple_count_modp_group_choice():
-    # D = Gamma - Gamma is invariant under Gamma and under -1
-    ctx = subgroup_context(31, 5)
-    G = ctx.gamma_set()
-    dvals = set(oracles.diff_counts(G.values(), 31))
-    assert _group_order(31, dvals, dvals) == oracles.stabilizer_order(31, dvals - {0}) > 1
-    assert energy.difference_triple_count(G) == oracles.difference_triples(G.values(), p=31)
-    # a restriction that is not symmetric leaves only H = {1}
-    lone = gset_modp([1], 31)
-    assert 1 in dvals and _group_order(31, dvals, {1}) == 1
-    assert energy.difference_triple_count(G, lone) == oracles.difference_triples(
-        G.values(), [1], p=31)
+    # H fixes r's values, not only D - {0}, which here has a larger stabiliser
+    for p, t, wider in ((13, 6, 12), (31, 10, 30)):
+        G = subgroup_context(p, t).gamma_set()
+        dvals = set(oracles.diff_counts(G.values(), p))
+        order = energy._shift_rows(G).order
+        assert order == oracles.difference_stabilizer_order(G.values(), p) == t
+        assert oracles.stabilizer_order(p, dvals - {0}) == wider
+        assert energy.difference_triple_count(G) == oracles.difference_triples(G.values(), p=p)
+        assert energy.t_k(G, 3) == oracles.t_k(G.values(), 3, p)
+        assert energy.sigma_sum(G) == oracles.sigma(G.values(), p)
+        # a restriction that is not H-invariant reads its keys' own orbits
+        assert 1 in dvals
+        assert energy.difference_triple_count(G, gset_modp([1], p)) == oracles.difference_triples(
+            G.values(), [1], p=p)
     # mod 7^2 the modulus is not prime, so H = {1}
     A = gset_modp([1, 8, 18, 30], 49)
-    dvals49 = set(oracles.diff_counts(A.values(), 49))
-    assert _group_order(49, dvals49, dvals49) == 1
+    assert energy._shift_rows(A).order == 1
     assert energy.difference_triple_count(A) == oracles.difference_triples(A.values(), p=49)
+
+
+def test_shift_rows_large_prime_need_no_length_p_table():
+    # past p = max(_BLOCK, |A| |D|) the rows look residues up by searchsorted with
+    # H = {1}: a length-p table would take 16 GB mod 2^31 - 1, numpy refuses one
+    # mod 2^61 - 1, and 2^62 - 57 is past the int64 tier
+    for p in ((1 << 31) - 1, (1 << 61) - 1, (1 << 62) - 57):
+        vals = [1, 2, 4, p - 1, p - 3]
+        A = gset_modp(vals, p)
+        assert energy.t_k(A, 3) == oracles.t_k(vals, 3, p)
+        assert energy.sigma_sum(A) == oracles.sigma(vals, p)
+        assert energy.difference_triple_count(A) == oracles.difference_triples(vals, p=p)
+        assert energy.difference_triple_count(A, gset_modp([1, p - 2], p)) == (
+            oracles.difference_triples(vals, [1, p - 2], p=p))
+        assert energy._shift_rows(A).order == 1
+        _rows_at_every_key(A)
 
 
 def test_triple_count_pinned_subgroup():
@@ -291,6 +329,7 @@ def test_triple_count_pinned_subgroup():
     stats = SetStats(ctx.gamma_set(), ctx=ctx)
     assert stats.tri() == 8_447_848_585
     assert stats.tri_pop() == 7_066_981_945
+    assert stats.t3() == 5_265_032_133_120
 
 
 def test_energy_kernels_build_no_modp_objects(monkeypatch):

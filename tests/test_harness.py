@@ -371,6 +371,13 @@ def test_e3_slice_route_checks_each_slice_size():
         checks._chk_e3_identity(stats, {})
 
 
+def test_e3_sum_route_checks_the_energy():
+    stats = SetStats(gset_rational([1, 2, 3, 5, 8]))
+    stats._cache["energy"] = stats.energy() + 1  # E now disagrees with sum_s r_{A+A}(s)^2
+    with pytest.raises(CrossCheckMismatch, match=r"r_\{A\+A\}"):
+        checks._chk_e3_identity(stats, {})
+
+
 @pytest.mark.parametrize("p,t", [(13, 4), (31, 5)])
 def test_subgroup_pair_table_checks_match_oracles(p, t):
     # for these primes Q is every unit mod p, and both checks read residue pair tables
@@ -411,7 +418,7 @@ def test_shift_rows_built_once_per_set(monkeypatch):
     for A, tier in ((generate_from_string("rand(n=16,seed=3)"), "_rows_int64"),
                     (gset_rational([1, 3, 4, 9, 1 << 62]), "_rows_bigint")):
         stats = SetStats(A)
-        stats.sigma(), stats.tri(), stats.tri_pop()
+        stats.sigma(), stats.tri(), stats.tri_pop(), stats.t3()
         assert builds == [tier]
         builds.clear()
 

@@ -213,19 +213,6 @@ def test_support_size_agrees_with_combined_set():
         assert setops.support_size(A, A, op) == setops.combined_set(A, A, op).size
 
 
-def test_iterated_sum_counts_matches_brute():
-    for A in (gset_rational([1, 2, 3, 10]), gset_rational([Fraction(-1, 2), 1, Fraction(7, 3)]),
-              gset_modp([1, 2, 4, 5], 7)):
-        table = setops.iterated_sum_counts(A, 3)
-        want = {}
-        for a in A.elements:
-            for b in A.elements:
-                for c in A.elements:
-                    s = a + b + c
-                    want[s] = want.get(s, 0) + 1
-        assert dict(decoded(table)) == want
-
-
 def test_ap_doubling_worked_example():
     A = gset_rational(range(1, 11))
     assert setops.support_size(A, A, "+") == 19
