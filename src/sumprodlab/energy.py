@@ -4,7 +4,9 @@ popular differences and dyadic energy levels.
 All integer-valued quantities are computed with exact integer arithmetic;
 the only float on offer is the fractional moment (q = 3/2 and friends).
 They all read one table r_{A-A} keyed on the set's integer view (see setops),
-which difference_table builds once per set and keeps on it.  T_3, Sigma and
+which difference_table builds once per set and keeps on it: E, E_q and the
+energy splits sum over its count profile, the popular set and the dyadic level
+are masks over its sorted keys.  T_3, Sigma and
 the difference-triple count, for rationals and residues alike, read the
 shift rows of A-A, also kept on the set: one row per orbit of the largest
 group of units that fixes r (see _shift_rows).
@@ -22,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadSpec, RestrictNotSubset, TooLarge
-from .setops import _BLOCK, CountTable, GSet, combine, difference_lookup, int_counts
+from .setops import _BLOCK, CountTable, GSet, _int_array, combine
 from .subgroups import _dlog_table, divisors, is_prime, primitive_root
 
 # Cap on |A-A| for Sigma, whose shift rows take |A-A|^2 lookups; the checks
@@ -41,8 +43,7 @@ def difference_table(A: GSet) -> CountTable:
 
 def energy_pair(A: GSet, B: GSet | None = None) -> int:
     """E(A, B) = sum_d |A ^ (B + d)|^2; E(A) when B is omitted."""
-    counts = difference_table(A).entries if B is None else int_counts(A, B, "-")[0]
-    return sum(c * c for c in counts.values())
+    return (difference_table(A) if B is None else combine(A, B, "-")).moment(2)
 
 
 def moment_energy(A: GSet, q):
@@ -50,12 +51,11 @@ def moment_energy(A: GSet, q):
     qf = Fraction(q)
     if qf < 1:
         raise BadSpec(f"moment exponent must be >= 1, got {q}")
-    counts = difference_table(A).entries.values()
+    table = difference_table(A)
     if qf.denominator == 1:
-        k = qf.numerator
-        return sum(c**k for c in counts)
-    qq = float(qf)
-    return math.fsum(float(c) ** qq for c in counts)
+        return table.moment(qf.numerator)
+    qq = float(qf)  # the exact sum, rounded once, is what fsum over every key gives
+    return float(sum(m * Fraction(float(v) ** qq) for v, m in zip(*table.profile)))
 
 
 def t_k(A: GSet, k: int) -> int:
@@ -91,7 +91,8 @@ def difference_triple_count(A: GSet, restrict: GSet | None = None) -> int:
 
     R defaults to D; otherwise restrict must be a subset of D.  The count is
     the sum over d' in R of |D ^ (D + d')| = hits(d') of the shift rows,
-    each of whose orbits stands for |orbit| keys of D.
+    each of whose orbits stands for |orbit| keys of D; R's keys find their rows
+    by one searchsorted into the table's keys.
     """
     table = difference_table(A)
     if restrict is not None and restrict.p != table.p:
@@ -104,22 +105,22 @@ def difference_triple_count(A: GSet, restrict: GSet | None = None) -> int:
     if table.scale % rscale:
         raise RestrictNotSubset("restriction set is off the difference set's scale")
     keys = rints if rscale == table.scale else [v * (table.scale // rscale) for v in rints]
-    if not all(map(table.entries.__contains__, keys)):
-        k = next(k for k in keys if k not in table.entries)
+    at = table.index(_int_array(keys))
+    if (at < 0).any():
+        k = keys[int(np.argmax(at < 0))]
         where = Fraction(k, table.scale) if table.p is None else f"{k} mod {table.p}"
         raise RestrictNotSubset(f"{where} not in the difference set")
-    labels = _orbit_labels(np.array(keys, dtype=rows.labels.dtype), table.p, rows.order)
-    return int(np.take(rows.hits, np.searchsorted(rows.labels, labels)).sum())
+    return int(np.take(rows.hits, rows.row[at]).sum())
 
 
 @dataclass(frozen=True)
 class _Rows:
     """The shift rows of D = A - A, one per H-orbit of D, sorted by label
     (see _orbit_labels): the orbit's size and r-mass, and hits, lin and
-    weight, which are constant on it."""
+    weight, which are constant on it; row[i] is the row of the table's i-th key."""
 
     order: int  # |H|
-    labels: np.ndarray
+    row: np.ndarray
     size: list
     mass: list
     hits: list
@@ -145,36 +146,33 @@ def _shift_rows(A: GSet) -> _Rows:
     rows = A.__dict__.get("_shift_rows")
     if rows is None:
         table = difference_table(A)
-        p, n, lim = table.p, table.support_size(), 1 << 61
-        fits = n > 0 and table.max_count() ** 2 * table.total < 1 << 63 and (
-            p < lim if p is not None else -lim < min(table.entries) and max(table.entries) < lim)
-        dtype = np.int64 if fits else object
-        keys = np.fromiter(table.entries, dtype, n)
-        counts = np.fromiter(table.entries.values(), dtype, n)
+        p, keys, counts, lim = table.p, table.keys, table.counts, 1 << 61
+        fits = keys.size > 0 and table.max_count() ** 2 * table.total < 1 << 63 and (
+            p < lim if p is not None else -lim < keys[0] and keys[-1] < lim)
         dense = None
-        if fits and p is not None and p <= max(_BLOCK, A.size * n):
+        if fits and p is not None and p <= max(_BLOCK, A.size * keys.size):
             dense = np.zeros(p, dtype=np.int64)
             dense[keys] = counts
         order = 2 if p is None else 1 if dense is None else _fixing_group(p, dense)
-        labels, first, size = np.unique(_orbit_labels(keys, p, order),
-                                        return_index=True, return_counts=True)
-        columns = (_rows_int64(keys, counts, keys[first], p, dense) if fits
-                   else _rows_bigint(keys, counts, keys[first], p))
+        _, first, row, size = np.unique(_orbit_labels(keys, p, order), return_index=True,
+                                        return_inverse=True, return_counts=True)
+        reps = keys[first]
+        columns = (_rows_int64(keys, counts, reps, p, dense) if fits
+                   else _rows_bigint(keys.tolist(), counts.tolist(), reps.tolist(), p))
         rows = A.__dict__["_shift_rows"] = _Rows(
-            order, labels, size.tolist(), (size * counts[first]).tolist(), *columns)
+            order, row.astype(np.int32), size.tolist(), (size * counts[first]).tolist(), *columns)
     return rows
 
 
 def _rows_int64(keys, counts, reps, p: int | None, dense=None) -> tuple[list, list, list]:
     """(hits, lin, weight) at each key of reps, in blocks of at most _BLOCK
     lookups, one int64 dot product per column; r(d - e) is read from dense (r
-    over (-p, p) by negative-index wrap) or by searchsorted into the keys."""
+    over (-p, p) by negative-index wrap) or by searchsorted into the keys,
+    which come ascending."""
     kv, cv = np.asarray(keys, dtype=np.int64), np.asarray(counts, dtype=np.int64)
     if dense is not None:
         lookup = dense.__getitem__
     else:
-        by_key = np.argsort(kv)
-        kv, cv = kv[by_key], cv[by_key]
         # slot len(keys) is a sentinel no shifted key equals, so a miss needs no clipping
         kx, cx = np.append(kv, np.iinfo(np.int64).max), np.append(cv, 0)
 
@@ -196,7 +194,9 @@ def _rows_int64(keys, counts, reps, p: int | None, dense=None) -> tuple[list, li
 
 def _rows_bigint(keys, counts, reps, p: int | None) -> tuple[list, list, list]:
     """(hits, lin, weight) at each key of reps on Python ints, one loop over D per row."""
-    rmap = difference_lookup(zip(keys, counts), p)
+    rmap = dict(zip(keys, counts))
+    if p is not None:  # d - e lies in (-p, p), so each residue key is also kept minus p
+        rmap.update([(k - p, c) for k, c in rmap.items()])
     hits, lin, weight = [], [], []
     for e in reps:
         row = [(rd, rmap[d - e]) for d, rd in zip(keys, counts) if d - e in rmap]
@@ -264,9 +264,9 @@ def popular_differences(A: GSet) -> PopularSet:
     table = difference_table(A)
     n2 = table.total  # |A|^2
     twice_support = 2 * table.support_size()
-    members = {v for v, c in table.entries.items() if twice_support * c >= n2}  # r(d) >= Delta
-    mass = sum(table.entries[v] for v in members)
-    return PopularSet(Fraction(n2, twice_support), table.decode(members), mass)
+    popular = table.counts >= -(-n2 // twice_support)  # r(d) >= Delta
+    mass = int(table.counts[popular].sum())
+    return PopularSet(Fraction(n2, twice_support), table.decode(table.keys[popular]), mass)
 
 
 def dyadic_energy_level(A: GSet) -> DyadicLevel:
@@ -280,11 +280,11 @@ def dyadic_energy_level(A: GSet) -> DyadicLevel:
     if level is None:
         table = difference_table(A)
         classes: dict[int, int] = {}
-        for c in table.entries.values():
-            classes[c.bit_length() - 1] = classes.get(c.bit_length() - 1, 0) + c * c
+        for c, m in zip(*table.profile):
+            classes[c.bit_length() - 1] = classes.get(c.bit_length() - 1, 0) + m * c * c
         best_i = min(classes, key=lambda i: (-classes[i], i))
         delta = 1 << best_i
-        members = {v for v, c in table.entries.items() if delta <= c < 2 * delta}
+        members = table.keys[(delta <= table.counts) & (table.counts < 2 * delta)]
         level = A.__dict__["_dyadic"] = DyadicLevel(delta, table.decode(members), classes[best_i])
     return level
 
@@ -295,7 +295,7 @@ def tail_decompose(A: GSet, delta) -> tuple[int, int, int]:
     E' sums r^2 over r <= delta, E'' over r > delta; E' + E'' = E(A).
     tail_support counts the differences with r > delta.
     """
-    counts = difference_table(A).entries.values()
-    high = [c for c in counts if c > delta]
-    e_high = sum(c * c for c in high)
-    return sum(c * c for c in counts) - e_high, e_high, len(high)
+    table = difference_table(A)
+    high = [(c, m) for c, m in zip(*table.profile) if c > delta]
+    e_high = sum(m * c * c for c, m in high)
+    return table.moment(2) - e_high, e_high, sum(m for _, m in high)

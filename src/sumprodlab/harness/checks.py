@@ -72,24 +72,23 @@ def _chk_e3_identity(stats: SetStats, opts: dict):
     A = stats.A
     table = stats.table()
     direct = stats.energy3()
-    p = A.p  # differences are shift-invariant: a rational set starts at 0, so |a_i - a_j| <= max
-    ints = A.ints if p is not None or not A.ints else [v - A.ints[0] for v in A.ints]
-    col = np.array(ints, dtype=np.int64 if (p or max(ints, default=0)) < 1 << 62 else object)[:, None]
-    diffs = col - col.T if p is None else (col - col.T) % p
+    diffs = setops._difference_matrix(A)
     keys, M = np.unique(diffs, return_inverse=True)  # keys on the table's scale
     M = M.reshape(diffs.shape).astype(np.int32 if keys.size < 1 << 15 else np.int64)  # keys < |D|^2
-    sizes = dict(zip(keys.tolist(), np.bincount(M.ravel()).tolist()))  # |A ^ (A+d)|
-    bad = [d for d in sizes.keys() | table.entries.keys() if sizes.get(d) != table.entries.get(d)]
-    if bad:
-        raise CrossCheckMismatch(f"|A ^ (A+d)| != r(d) at d = {min(bad)} on the int view")
+    sizes = np.bincount(M.ravel())  # |A ^ (A+d)|
+    if not (np.array_equal(keys, table.keys) and np.array_equal(sizes, table.counts)):
+        bad = {*zip(keys.tolist(), sizes.tolist())} ^ {
+            *zip(table.keys.tolist(), table.counts.tolist())}
+        raise CrossCheckMismatch(f"|A ^ (A+d)| != r(d) at d = {min(bad)[0]} on the int view")
     _, counts = np.unique(M[:, :, None] * keys.size + M.T[:, None, :], return_counts=True)
     via_slices = int((counts * counts).sum())
     ok = direct == via_slices
-    if ok and sum(c * c for c in setops.combine(A, A, "+").entries.values()) != stats.energy():
+    if ok and setops.combine(A, A, "+").moment(2) != stats.energy():
         raise CrossCheckMismatch("E from r_{A+A} disagrees with E from r_{A-A}")
     if ok and A.size <= 14:
-        members = setops.difference_lookup(dict.fromkeys(ints), p)
-        slices = [frozenset(v for v in ints if v - d in members) for d in table.entries]
+        ints, p = A.ints, A.p  # mod p, a - d lies in (-p, p)
+        members = set(ints) if p is None else {w for v in ints for w in (v, v - p)}
+        slices = [frozenset(v for v in ints if v - d in members) for d in table.keys.tolist()]
         ok = direct == sum(len(s & s2) ** 2 for s in slices for s2 in slices)
     return direct, via_slices, 1.0, ok
 
@@ -123,7 +122,7 @@ def _chk_popular_pigeonhole(stats: SetStats, opts: dict):
 
 def _chk_dyadic_level(stats: SetStats, opts: dict):
     lvl = stats.dyadic()
-    nclasses = len({c.bit_length() for c in stats.table().entries.values()})
+    nclasses = len({c.bit_length() for c in stats.table().profile[0]})
     lhs = stats.energy()
     rhs = lvl.mass * nclasses
     ok = lhs <= rhs and nclasses <= 2 * max(1, math.ceil(stats.log2())) + 2
@@ -255,19 +254,24 @@ def _prop7_parts(stats: SetStats, opts: dict):
         delta = stats.pop().delta
         ints, scale = stats.A.int_view()
         p = stats.A.p
-        taa, taa_scale = _taa(stats)
-        lift = scale * scale // taa_scale
-        heavy = [k * lift for k, c in taa.items() if c * delta.denominator >= delta.numerator]
+        taa = _taa(stats)
+        lift = scale * scale // taa.scale
+        heavy = taa.keys[taa.counts >= -(-delta.numerator // delta.denominator)]  # r >= delta
+        heavy = setops._int_array([k * lift for k in heavy.tolist()])[:, None]
         count3 = stats.tri_pop()
         dset = stats.table().support_set()
-        r_dd, dd_scale = setops.int_counts(dset, dset, "-")
-        r_dd = {k * (scale // dd_scale): c for k, c in r_dd.items()}
-        if p is None:
-            count4 = sum(r_dd.get(s // x, 0) for s in heavy for x in ints if s % x == 0)
+        r_dd = setops.combine(dset, dset, "-")
+        if p is None:  # S / x on scale s is key (S / x) / lift_dd of r_dd, where x divides S
+            lift_dd = scale // r_dd.scale
+            divides = (heavy % setops._int_array([x * lift_dd for x in ints])) == 0
+            quotients = (heavy // setops._int_array(list(ints)))[divides] // lift_dd
         else:
-            inverses = [pow(x, -1, p) for x in ints]
-            count4 = sum(r_dd.get(s * y % p, 0) for s in heavy for y in inverses)
-        return delta, len(heavy), stats.combined("*").size, count3, count4
+            inverses = np.array([pow(x, -1, p) for x in ints],
+                                dtype=np.int64 if p * p < 1 << 63 else object)
+            quotients = heavy * inverses % p
+        at = r_dd.index(quotients.ravel())
+        count4 = int(r_dd.counts[at[at >= 0]].sum())
+        return delta, heavy.size, stats.combined("*").size, count3, count4
 
     return stats.memo("prop7", build)
 
@@ -461,8 +465,7 @@ def _chk_lemma18_invariant(stats: SetStats, opts: dict):
     t, p = ctx.t, ctx.p
     cosets = max(1, min(ctx.cosets, INVARIANT_PAIRS // (t * t)))
     q_set = setops.invariant_union(ctx, range(cosets))
-    counts = setops.residue_counts(q_set, ctx.gamma_set(), "-")[1]  # r_{Q - Gamma}
-    lhs = int((counts * counts).sum())
+    lhs = energy.energy_pair(q_set, ctx.gamma_set())  # sum of r_{Q - Gamma}^2
     size = q_set.size
     rhs = t**2 * size**2 / p + t * size**1.5
     return lhs, rhs, lhs / rhs, True
@@ -486,10 +489,10 @@ def _needs_sigma(stats: SetStats) -> bool:
     return stats.support("-") <= energy.SIGMA_SUPPORT_CAP
 
 
-def _taa(stats: SetStats):
-    """r_{AA-AA} on the integer scale: (Counter, scale)."""
+def _taa(stats: SetStats) -> setops.CountTable:
+    """r_{AA-AA} on the integer scale."""
     aa = stats.combined("*")
-    return stats.memo("taa", lambda: setops.int_counts(aa, aa, "-"))
+    return stats.memo("taa", lambda: setops.combine(aa, aa, "-"))
 
 
 def _needs_prop7(stats: SetStats) -> bool:
@@ -497,7 +500,7 @@ def _needs_prop7(stats: SetStats) -> bool:
     # the count4 loop is |AA - AA| * |A| integer divisions.
     if stats.support("-") > 1200 or stats.support("*") > 600:
         return False
-    return len(_taa(stats)[0]) <= 20_000
+    return _taa(stats).support_size() <= 20_000
 
 
 def _needs_sum_stats(stats: SetStats) -> bool:

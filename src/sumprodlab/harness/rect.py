@@ -27,6 +27,8 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
+
 from .. import energy, setops
 from ..errors import CrossCheckMismatch, DegenerateInput, InfeasibleSize, TooLarge
 from ..setops import GSet
@@ -130,6 +132,12 @@ def _on_scale(B: GSet, scale: int) -> list[int]:
     return [x * (scale // own) for x in ints]
 
 
+def _level_lookup(keys: list, p: int | None) -> frozenset:
+    """A level's keys to test a - b against, for a, b on one integer view:
+    mod p each key is also kept minus p, as a - b then lies in (-p, p)."""
+    return frozenset(keys) if p is None else frozenset(keys + [k - p for k in keys])
+
+
 def _decoded(rects: list, B: GSet) -> list:
     """Rectangles on B's integer view with their coordinates as B's elements."""
     elem = dict(zip(B.ints, B.elements)).get
@@ -149,14 +157,15 @@ def rect_decompose(A: GSet, *, profile: RectProfile = PAPER_PROFILE) -> RectCove
     for _ in range(_log_ceil(A.size) ** 5):
         rounds += 1
         table = energy.difference_table(current)
-        ledger.append(sum(c * c for c in table.entries.values()))
+        ledger.append(energy.energy_pair(current))
         lvl = energy.dyadic_energy_level(current)
         ints, scale = current.int_view()
-        level_keys = _on_scale(lvl.members, scale)  # the table's keys, on current's scale
-        level = setops.difference_lookup(dict.fromkeys(level_keys), current.p)
-        points = [(a, b) for a in ints for b in ints if a - b in level]
+        in_level = (lvl.delta <= table.counts) & (table.counts < 2 * lvl.delta)
+        level = _level_lookup(table.keys[in_level].tolist(), current.p)
+        rows, cols = np.nonzero(in_level[table.index(setops._difference_matrix(current))])
+        points = [(ints[i], ints[j]) for i, j in zip(rows.tolist(), cols.tolist())]
         mass = len(points)
-        if mass != sum(table.entries[d] for d in level_keys):
+        if mass != int(table.counts[in_level].sum()):
             raise CrossCheckMismatch("point-set size disagrees with the level mass")
         n = current.size
         L = _log_ceil(n)
@@ -195,7 +204,7 @@ def rect_decompose(A: GSet, *, profile: RectProfile = PAPER_PROFILE) -> RectCove
                      rich_points, final, final, 0, rounds, ledger, loads)
 
 
-def _case1(current: GSet, lvl, level: dict, mass: int, points: list, rich: list,
+def _case1(current: GSet, lvl, level: frozenset, mass: int, points: list, rich: list,
            rich_points: int, rect: Rectangle, loads: list, rounds: int,
            ledger: list) -> RectCover:
     L = _log_ceil(current.size)
@@ -271,12 +280,12 @@ def sum_construction_stats(A: GSet, *, cover: RectCover | None = None) -> SumSta
         level = energy.dyadic_energy_level(A).members
     ints, scale = A.int_view()
     p = A.p
-    sums = set(setops.int_counts(A, A, "+")[0])
+    sums = set(setops.combine(A, A, "+").keys.tolist())
     members = frozenset(ints)
     ap_members = frozenset(_on_scale(aprime, scale))
     app = _on_scale(adouble, scale)
     p_size = level.size
-    level = setops.difference_lookup(dict.fromkeys(_on_scale(level, scale)), p)
+    level = _level_lookup(_on_scale(level, scale), p)
     lam_total = pair_mass = e_times = sum_cubes = triples_lower = 0
     q_sizes: dict = {}
     for lam in quot.elements:

@@ -11,12 +11,14 @@ these ints.  Fraction and ModP objects are built only where input is parsed
 decoded on first read and kept).  Input sets exclude 0; derived sets
 (differences, supports, popular levels) may hold it.
 
-One pair kernel computes a op b on the ints for every op and kind: residues
-mod m with m * m < 2^63 on int64 arrays, at most max(_BLOCK, m) pairs at a
-time (residue_counts), rationals and larger moduli by an O(|A||B|) Python loop
-(_pair_keys).  Either way keys are listed as they first occur, a outer and
-b inner.  A CountTable keeps the integer keys and their scale; its decode and
-combined_set turn keys into a GSet.  Tests pin every op to Fraction/ModP.
+One pair kernel computes a op b on the ints for every op and kind: on int64
+arrays in blocks (int64_counts) for residues mod m with m * m < 2^63 and for
+rational sums, differences and products whose keys fit, and by an O(|A||B|)
+Python loop (_pair_keys) for rational quotients, larger keys and moduli.
+Either way a CountTable holds the result as two arrays sorted by key, keys
+and counts, with the keys' scale: every reader is a numpy reduction, mask or
+searchsorted over them, and decode turns a slice of the keys into a GSet
+without sorting.  Tests pin every op to Fraction/ModP.
 """
 
 from __future__ import annotations
@@ -154,41 +156,82 @@ def gset_modp(values: Iterable[int], p: int, *, allow_zero: bool = False) -> GSe
     return GSet.from_elements(values, allow_zero=allow_zero, p=p)
 
 
-@dataclass
+@dataclass(eq=False)
 class CountTable:
-    """Multiplicity table r_{A op B}: key -> number of ordered pairs.
+    """Multiplicity table r_{A op B}: every key with the number of ordered pairs
+    giving it, as two arrays sorted by key.
 
     Keys live on the integer view: a residue mod p, k for the value k / scale,
-    or a reduced (numerator, denominator) pair when scale is None.
+    or a reduced (numerator, denominator) pair when scale is None.  keys is
+    int64 while every key fits and an object array past that (of Python ints,
+    or of the pairs); counts is int64.
     """
 
-    entries: dict
+    keys: np.ndarray
+    counts: np.ndarray
     total: int
     p: int | None = None
     scale: int | None = 1  # keys times scale are integers; None for rational quotients
 
     def __post_init__(self) -> None:
-        s = sum(self.entries.values())
+        s = int(self.counts.sum())
         if s != self.total:
             raise BadSpec(f"count table sums to {s}, expected {self.total}")
 
+    @cached_property
+    def profile(self) -> tuple[list, list]:
+        """(the distinct counts ascending, how many keys have each), from one
+        bincount, as no count exceeds min(|A|, |B|)."""
+        keys_with = np.bincount(self.counts)
+        return np.flatnonzero(keys_with).tolist(), keys_with[keys_with > 0].tolist()
+
+    def moment(self, k: int) -> int:
+        """The sum over keys of count^k, exact."""
+        return sum(m * v**k for v, m in zip(*self.profile))
+
     def support_size(self) -> int:
-        return len(self.entries)
+        return self.keys.size
 
     def max_count(self) -> int:
-        return max(self.entries.values()) if self.entries else 0
+        return self.profile[0][-1] if self.keys.size else 0
 
-    def decode(self, keys) -> GSet:
-        """The set that the given keys (a set or dict of them) stand for."""
-        return _keyed_set(keys, self.scale, self.p)
+    def index(self, keys: np.ndarray) -> np.ndarray:
+        """Each given key's position in self.keys, -1 where it is absent."""
+        at = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+        return np.where(self.keys[at] == keys, at, -1)
+
+    def decode(self, keys: np.ndarray) -> GSet:
+        """The set the given keys stand for; a mask of self.keys needs no sort."""
+        if self.scale is None:
+            return _keyed_set(keys.tolist(), None, self.p)
+        return GSet(tuple(keys.tolist()), self.scale, self.p)
 
     def support_set(self) -> GSet:
-        return self.decode(self.entries)
+        return self.decode(self.keys)
+
+
+def _int_array(values: list) -> np.ndarray:
+    """Python ints as int64 while they all fit, else as an object array."""
+    fits = not values or -1 << 63 < min(values) and max(values) < 1 << 63
+    return np.array(values, dtype=np.int64 if fits else object)
+
+
+def _difference_matrix(A: GSet) -> np.ndarray:
+    """D[i, j] = a_i - a_j on A's integer view (mod p): the keys of r_{A-A} in
+    the pair kernel's row-major order, int64 while they fit, else Python ints.
+    Differences are shift-invariant, so a rational set is moved to start at 0."""
+    ints, p = A.ints, A.p
+    if p is None and ints:
+        ints = [v - ints[0] for v in ints]
+    col = np.array(ints, dtype=np.int64 if (p or max(ints, default=0)) < 1 << 63 else object)
+    diffs = col[:, None] - col
+    return diffs if p is None else diffs % p
 
 
 def _keyed_set(keys, scale: int | None, p: int | None) -> GSet:
-    """The GSet of pair-kernel keys built at ``scale``; reduced (numerator,
-    denominator) keys (scale None) are brought to the lcm of their denominators."""
+    """The GSet of pair-kernel keys (in any order) built at ``scale``; reduced
+    (numerator, denominator) keys (scale None) are brought to the lcm of their
+    denominators."""
     if scale is None:
         keys = list(keys)
         scale = math.lcm(*(den for _, den in keys))
@@ -203,7 +246,7 @@ def _pair_keys(A: GSet, B: GSet, op: str, into) -> int | None:
     The keys are computed on the integer views, brought to one scale s: sums
     and differences are keyed at scale s and products at s^2, a rational
     quotient by its reduced (numerator, denominator) pair (scale None), and
-    a residue past the int64 tier mod p.  Callers run residue_counts first.
+    a residue past the int64 tier mod p.  Callers run int64_counts first.
     """
     (av, sa), (bv, sb) = A.int_view(), B.int_view()
     p = A.p
@@ -237,74 +280,81 @@ def _pair_keys(A: GSet, B: GSet, op: str, into) -> int | None:
     return scale
 
 
-def residue_counts(A: GSet, B: GSet, op: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """(keys, counts) of r_{A op B} mod m as int64 arrays, keys in first-occurrence
-    order; None for rationals and m * m >= 2^63 (see _pair_keys).  One np.unique
-    when |A||B| < m, else a bincount per block of at most max(_BLOCK, m) pairs into
-    one length-m count, with each key's first pair index kept to order the keys."""
+def int64_counts(A: GSet, B: GSet, op: str) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """(keys, counts, scale) of r_{A op B} as int64 arrays sorted by key: residues
+    mod m with m * m < 2^63, and rational sums, differences and products while
+    every key fits in int64; None for the rest (see _pair_keys).
+
+    Mod m, once |A||B| >= m, each block of max(_BLOCK, m) pairs adds one bincount
+    into a length-m count.  Otherwise each block of max(_BLOCK, |keys so far|)
+    pairs is counted by np.unique and merged into the running table by
+    searchsorted, so memory follows the table, not |A||B|."""
     if op not in _OPS:
         raise BadSpec(f"op must be one of {_OPS}, got {op!r}")
     if A.p != B.p:
         raise MixedKinds(f"cannot combine {A.kind} (p={A.p}) with {B.kind} (p={B.p})")
     if op == "/" and 0 in B.ints:
         raise ZeroDenominator("division by a set containing 0")
-    m = A.p
-    if m is None or m * m >= 1 << 63:
+    m, additive = A.p, op in "+-"
+    if m is None:  # on a common scale s; sums and differences keyed at s, products at s^2
+        if op == "/" or not (A.ints and B.ints):
+            return None
+        s = math.lcm(A.scale, B.scale)
+        av, bv = [v * (s // A.scale) for v in A.ints], [v * (s // B.scale) for v in B.ints]
+        top_a, top_b = max(-av[0], av[-1]), max(-bv[0], bv[-1])
+        if (top_a + top_b if additive else top_a * top_b) >= 1 << 63:
+            return None
+        scale = s if additive else s * s
+    elif m * m >= 1 << 63:
         return None
-    a, b = np.array(A.ints, dtype=np.int64), np.array(B.ints, dtype=np.int64)
-    if op in "-/":  # a - b = a + (-b) and a / b = a * b^-1
-        b = -b if op == "-" else np.array([pow(v, -1, m) for v in B.ints], dtype=np.int64)
-
-    def block(rows):  # a op b for a in rows, row-major
-        keys = (rows[:, None] + b if op in "+-" else rows[:, None] * b).ravel()
-        return np.remainder(keys, m, out=keys)
-
-    if a.size * b.size < m:
-        keys, first, counts = np.unique(block(a), return_index=True, return_counts=True)
-        order = np.argsort(first)
-        return keys[order], counts[order]
-    counts, first = np.zeros(m, dtype=np.int64), np.full(m, a.size * b.size)
-    step = max(1, max(_BLOCK, m) // b.size)  # each block's O(m) bincount then costs O(1) a pair
-    for lo in range(0, a.size, step):
-        keys = block(a[lo:lo + step])
-        new = np.flatnonzero(counts[keys] == 0)  # keys no earlier block met
-        np.minimum.at(first, keys[new], new + lo * b.size)
-        counts += np.bincount(keys, minlength=m)
-    keys = np.flatnonzero(counts)
-    keys = keys[np.argsort(first[keys])]
-    return keys, counts[keys]
-
-
-def difference_lookup(items, p: int | None) -> dict:
-    """The dict (from a mapping or (key, value) pairs) to look a - b up in, for
-    a, b on one integer view: mod p each residue key also appears minus p,
-    since a - b then lies in (-p, p) and needs no reduction."""
-    out = dict(items)
-    if p is not None:
-        out.update([(k - p, v) for k, v in out.items()])
-    return out
-
-
-def int_counts(A: GSet, B: GSet, op: str) -> tuple[dict, int | None]:
-    """r_{A op B} on the integer scale: (dict of key counts, their scale), keys
-    in first-occurrence order; residues mod m with m * m < 2^63 on int64 blocks
-    of at most max(_BLOCK, m) pairs, rationals and larger moduli on the Python loop."""
-    residues = residue_counts(A, B, op)
-    if residues is not None:
-        residues = [v.tolist() for v in residues]  # frees the arrays before the dict grows
-        return dict(zip(*residues)), 1
-    counts: Counter = Counter()
-    return counts, _pair_keys(A, B, op, counts)
+    else:  # a / b = a * b^-1
+        av, bv, scale = A.ints, [pow(v, -1, m) for v in B.ints] if op == "/" else B.ints, 1
+    a, b = np.array(av, dtype=np.int64), np.array(bv, dtype=np.int64)
+    if op == "-":  # a - b = a + (-b)
+        b = -b
+    dense = m is not None and a.size * b.size >= m
+    keys, counts = np.zeros(0, dtype=np.int64), np.zeros(m if dense else 0, dtype=np.int64)
+    lo = 0
+    while lo < a.size:
+        rows = a[lo:lo + max(1, max(_BLOCK, m if dense else keys.size) // b.size), None]
+        lo += rows.size
+        k = (rows + b if additive else rows * b).ravel()
+        if m is not None:
+            np.remainder(k, m, out=k)
+        if dense:
+            counts += np.bincount(k, minlength=m)
+            continue
+        k, c = np.unique(k, return_counts=True)
+        if keys.size:  # merge into the running table
+            at = np.searchsorted(keys, k)
+            old = at < keys.size
+            old[old] = keys[at[old]] == k[old]
+            counts[at[old]] += c[old]
+            k, c = np.insert(keys, at[~old], k[~old]), np.insert(counts, at[~old], c[~old])
+        keys, counts = k, c
+    if dense:
+        keys = np.flatnonzero(counts)
+        return keys, counts[keys], scale
+    return keys, counts, scale
 
 
 def combine(A: GSet, B: GSet, op: str) -> CountTable:
     """Full multiplicity table of {a op b : a in A, b in B}, ordered pairs.
 
-    Keyed on the integer view (see CountTable); total is always |A||B|, and
+    Keyed on the integer view (see CountTable): from int64_counts where it
+    applies, else from the Python loop.  total is always |A||B|, and
     support_set() is the set A op B.  Division requires 0 not in B.
     """
-    counts, scale = int_counts(A, B, op)
-    return CountTable(counts, A.size * B.size, A.p, scale)
+    total = A.size * B.size
+    fast = int64_counts(A, B, op)
+    if fast is not None:
+        return CountTable(*fast[:2], total, A.p, fast[2])
+    found: Counter = Counter()
+    scale = _pair_keys(A, B, op, found)
+    keys = sorted(found)
+    counts = np.fromiter(map(found.__getitem__, keys), np.int64, len(keys))
+    keys = _int_array(keys) if scale is not None else np.fromiter(keys, object, len(keys))
+    return CountTable(keys, counts, total, A.p, scale)
 
 
 def support_size(A: GSet, B: GSet, op: str) -> int:
@@ -314,9 +364,9 @@ def support_size(A: GSet, B: GSet, op: str) -> int:
 
 def combined_set(A: GSet, B: GSet, op: str) -> GSet:
     """The set A op B itself (support of the combine table)."""
-    residues = residue_counts(A, B, op)
-    if residues is not None:
-        return GSet(tuple(np.sort(residues[0]).tolist()), 1, A.p)
+    fast = int64_counts(A, B, op)
+    if fast is not None:
+        return GSet(tuple(fast[0].tolist()), fast[2], A.p)
     keys: set = set()
     return _keyed_set(keys, _pair_keys(A, B, op, keys), A.p)
 

@@ -56,8 +56,7 @@ def build_matrices(A: GSet, *, delta: int | None = None) -> EnergyMatrices:
         delta = table.max_count()
     elif delta < 1:
         raise BadSpec(f"truncation level must be >= 1, got {delta}")
-    ints, r = A.int_view()[0], setops.difference_lookup(table.entries, A.p)
-    R = np.array([[r[a - b] for b in ints] for a in ints], dtype=np.float64)
+    R = table.counts[table.index(setops._difference_matrix(A))].astype(np.float64)
     Mt = np.where(R <= delta, R * (1.0 / np.sqrt(float(delta))), 0.0)
     return EnergyMatrices(A, R, np.sqrt(R), delta, Mt)
 
@@ -67,15 +66,17 @@ def incidence_factor(A: GSet) -> np.ndarray:
 
     Satisfies N @ N.T = R exactly.  On the integer view, a_i + w = b in A
     exactly when w = b - a_i, so row i has a 1 in the column of each b - a_i.
+    The columns follow the order in which the differences a - b first occur,
+    a outer and b inner.
     """
-    keys = energy.difference_table(A).entries
-    n = A.size
-    if n * len(keys) > FACTOR_CAP:
+    n, width = A.size, energy.difference_table(A).support_size()
+    if n * width > FACTOR_CAP:
         raise TooLarge("incidence factor would exceed the cell cap")
-    ints = A.int_view()[0]
-    col = setops.difference_lookup({w: j for j, w in enumerate(keys)}, A.p)
-    N = np.zeros((n, len(keys)), dtype=np.float64)
-    N[np.repeat(np.arange(n), n), [col[b - a] for a in ints for b in ints]] = 1.0
+    _, first, key = np.unique(setops._difference_matrix(A).ravel(),
+                              return_index=True, return_inverse=True)
+    column = np.argsort(np.argsort(first))  # each sorted key's rank by first occurrence
+    N = np.zeros((n, width), dtype=np.float64)
+    N[np.repeat(np.arange(n), n), column[key].reshape(n, n).T.ravel()] = 1.0
     return N
 
 

@@ -169,12 +169,11 @@ class GapReport:
     start: int
 
 
-def _bucket_positions(ctx: SubgroupCtx) -> list[list[int]]:
-    """The members of each coset, ascending."""
+def _bucket_positions(ctx: SubgroupCtx) -> tuple[np.ndarray, np.ndarray]:
+    """(residues, coset of each): 1..p-1 grouped by coset, ascending within one."""
     coset = ctx.dlog()[1:] % ctx.cosets
-    members = np.argsort(coset, kind="stable") + 1  # a stable sort keeps residues ascending
-    ends = np.cumsum(np.bincount(coset, minlength=ctx.cosets))[:-1]
-    return [part.tolist() for part in np.split(members, ends)]
+    order = np.argsort(coset, kind="stable")  # a stable sort keeps residues ascending
+    return order + 1, coset[order]
 
 
 def gap_H(ctx: SubgroupCtx) -> GapReport:
@@ -182,20 +181,19 @@ def gap_H(ctx: SubgroupCtx) -> GapReport:
     maximized over the cosets.
 
     Runs live in Z/p, so they may pass through 0 (never a coset member) and
-    wrap around.  The winning run is re-verified against the discrete-log
-    table before returning.
+    wrap around.  Each member opens one candidate run: up to the next member
+    of its coset, or from a coset's last member through p-1, 0, 1, ... to its
+    first.  The first longest candidate, cosets ascending and members
+    ascending, wins; it is re-verified against the discrete-log table before
+    returning.
     """
     p = ctx.p
-    best = (0, 0, 0)  # run length, coset, first residue of the run
-    for j, pos in enumerate(_bucket_positions(ctx)):
-        for i in range(len(pos) - 1):
-            d = pos[i + 1] - pos[i] - 1
-            if d > best[0]:
-                best = (d, j, pos[i] + 1)
-        d = pos[0] + (p - 1) - pos[-1]  # through p-1, 0, 1, ...
-        if d > best[0]:
-            best = (d, j, pos[-1] + 1)
-    gap, coset, start = best
+    pos, coset = _bucket_positions(ctx)
+    last = np.append(coset[1:] != coset[:-1], True)  # the last member of its coset
+    head = pos[np.append(True, last[:-1])]  # the first member of each coset
+    runs = np.where(last, head[coset] + (p - 1) - pos, np.append(pos[1:], 0) - pos - 1)
+    i = int(np.argmax(runs))
+    gap, coset, start = int(runs[i]), int(coset[i]), int(pos[i]) + 1
     run = (start + np.arange(gap)) % p
     run = run[run != 0]  # 0 lies in no coset
     if (ctx.dlog()[run] % ctx.cosets == coset).any():

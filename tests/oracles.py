@@ -245,6 +245,25 @@ def coset_gap(p, gamma) -> int:
     return best
 
 
+def coset_runs(p, g, t) -> list:
+    """Every candidate coset-free run as (length, coset, first residue): coset j
+    holds the x with log_g(x) = j mod (p - 1)/t, and each member x of it opens
+    the run up to the next member, the last one wrapping past p - 1 to the
+    first.  Listed cosets ascending, members ascending."""
+    cosets = (p - 1) // t
+    members = [[] for _ in range(cosets)]
+    x = 1
+    for k in range(p - 1):
+        members[k % cosets].append(x)
+        x = x * g % p
+    runs = []
+    for j, coset in enumerate(members):
+        coset.sort()
+        for x, nxt in zip(coset, coset[1:] + [coset[0] + p]):
+            runs.append((nxt - x - 1, j, x + 1))
+    return runs
+
+
 def rich_rect_mass(points, rects) -> int:
     """Points covered by a list of (abscissa set, ordinate set) rectangles."""
     covered = set()

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sumprodlab import energy, setops
+from sumprodlab import energy, setops, spectral
 from sumprodlab.errors import BadSpec, RestrictNotSubset, TooLarge
 from sumprodlab.families import generate_from_string
 from sumprodlab.ground import ModP
@@ -165,11 +165,12 @@ def _rows_at_every_key(A):
     """(keys, counts, columns): the kept orbit rows spread back over every key of
     D, checked against the orbits' sizes and r-masses on the way."""
     rows, table = energy._shift_rows(A), energy.difference_table(A)
-    keys = sorted(table.entries)
-    counts = [table.entries[k] for k in keys]
-    labels = energy._orbit_labels(np.array(keys, dtype=rows.labels.dtype), A.p, rows.order)
-    idx = np.searchsorted(rows.labels, labels)
-    assert (rows.labels[idx] == labels).all()
+    keys, counts = table.keys.tolist(), table.counts.tolist()
+    assert keys == sorted(keys)
+    # keys share a row exactly when they share an orbit label
+    labels = energy._orbit_labels(table.keys, A.p, rows.order)
+    _, idx = np.unique(labels, return_inverse=True)
+    assert (rows.row == idx).all()
     assert np.bincount(idx, minlength=len(rows.size)).tolist() == rows.size
     mass = [0] * len(rows.size)
     for i, c in zip(idx.tolist(), counts):
@@ -363,6 +364,50 @@ def test_sigma_guard():
         energy.sigma_sum(A)
 
 
+# Rationals with differences past 2^63 (object keys) and residues mod primes,
+# mod 7^2 and 101^2, and mod 2^31 - 1 (a length-p count would be 16 GB).
+table_sets = st.one_of(
+    st.lists(st.one_of(st.integers(-40, 40), st.fractions(-9, 9, max_denominator=6),
+                       st.integers(-2**66, 2**66)).filter(lambda x: x != 0),
+             min_size=1, max_size=9, unique=True).map(gset_rational),
+    st.sampled_from((7, 101, 49, 101 * 101, 2**31 - 1)).flatmap(
+        lambda m: st.lists(st.integers(1, m - 1), min_size=1, max_size=9,
+                           unique=True).map(lambda v: gset_modp(v, m))),
+)
+
+
+@given(table_sets)
+@example(gset_rational([1, 7, 8, 13, 14, 20, 26]))  # Delta = 49/38, and some r(d) = 1 < Delta
+@settings(max_examples=80, deadline=None)
+def test_count_table_readers_match_brute_force(A):
+    r = oracles.diff_counts(A.elements)  # element -> count, first-occurrence order
+    counts = list(r.values())
+    assert energy.energy_pair(A) == sum(c**2 for c in counts)
+    assert energy.moment_energy(A, 3) == sum(c**3 for c in counts)
+    assert energy.moment_energy(A, Fraction(3, 2)) == math.fsum(c**1.5 for c in counts)
+    classes: dict = {}
+    for c in counts:
+        classes[c.bit_length()] = classes.get(c.bit_length(), 0) + c * c
+    top = min(classes, key=lambda k: (-classes[k], k))
+    lvl = energy.dyadic_energy_level(A)
+    assert (lvl.delta, lvl.mass) == (1 << (top - 1), classes[top])
+    assert lvl.members.elements == tuple(sorted(d for d, c in r.items() if c.bit_length() == top))
+    pop = energy.popular_differences(A)
+    assert pop.delta == Fraction(A.size**2, 2 * len(r))
+    assert pop.members.elements == tuple(sorted(d for d, c in r.items() if c >= pop.delta))
+    assert pop.mass == sum(c for c in counts if c >= pop.delta)
+    for delta in (0, 1, Fraction(3, 2), max(counts) // 2, max(counts)):
+        high = [c for c in counts if c > delta]
+        assert energy.tail_decompose(A, delta) == (
+            sum(c * c for c in counts if c <= delta), sum(c * c for c in high), len(high))
+    # R[i, j] = r(a_i - a_j), and the factor's columns in first-occurrence order
+    assert spectral.build_matrices(A).R.tolist() == [[r[a - b] for b in A.elements]
+                                                     for a in A.elements]
+    members = set(A.elements)
+    assert spectral.incidence_factor(A).tolist() == [[float(a + w in members) for w in r]
+                                                     for a in A.elements]
+
+
 def test_popular_differences_majority_mass():
     for vals in ([1, 2, 3], [1, 2, 4, 8], list(range(1, 12))):
         A = gset_rational(vals)
@@ -370,16 +415,16 @@ def test_popular_differences_majority_mass():
         assert pop.delta == Fraction(A.size**2, 2 * energy.difference_table(A).support_size())
         assert 2 * pop.mass >= A.size**2
         table = energy.difference_table(A)  # integer set: key k is the difference k
-        assert pop.mass == sum(table.entries[int(d)] for d in pop.members.elements)
-        assert set(pop.members.elements) == {Fraction(k) for k, c in table.entries.items()
-                                             if c >= pop.delta}
+        r = dict(zip(table.keys.tolist(), table.counts.tolist()))
+        assert pop.mass == sum(r[int(d)] for d in pop.members.elements)
+        assert set(pop.members.elements) == {Fraction(k) for k, c in r.items() if c >= pop.delta}
 
 
 def test_dyadic_level_covers_energy():
     A = gset_rational([1, 2, 3, 5, 8, 13])
     lvl = energy.dyadic_energy_level(A)
     table = energy.difference_table(A)
-    classes = {c.bit_length() for c in table.entries.values()}
+    classes = {c.bit_length() for c in table.counts.tolist()}
     assert energy.energy_pair(A) <= lvl.mass * len(classes)
     assert lvl.delta in {1 << (c - 1) for c in classes}
 
@@ -391,4 +436,4 @@ def test_tail_decompose_partitions_energy():
         low, high, heavy = energy.tail_decompose(A, delta)
         assert low + high == e
         table = energy.difference_table(A)
-        assert heavy == sum(1 for c in table.entries.values() if c > delta)
+        assert heavy == sum(1 for c in table.counts.tolist() if c > delta)

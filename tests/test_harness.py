@@ -321,6 +321,7 @@ def test_rect_and_sum_kernels_match_oracles(A, profile):
 
 
 @given(kernel_inputs())
+@example(gset_rational([Fraction(1, 2), Fraction(3, 2), Fraction(7, 2), Fraction(11, 2)]))  # D on scale 1
 @settings(max_examples=40, deadline=None)
 def test_prop7_count4_matches_oracle(A):
     res = run_check("prop7", SetStats(A))
@@ -366,7 +367,8 @@ def test_e3_slice_route_matches_oracle(A):
 
 def test_e3_slice_route_checks_each_slice_size():
     stats = SetStats(gset_rational([1, 2, 3, 5, 8]))
-    stats.table().entries[1] += 1  # r(1) now disagrees with |A ^ (A+1)| = 2
+    table = stats.table()
+    table.counts[table.index(np.array([1]))] += 1  # r(1) now disagrees with |A ^ (A+1)| = 2
     with pytest.raises(CrossCheckMismatch, match="d = 1 "):
         checks._chk_e3_identity(stats, {})
 
@@ -421,6 +423,30 @@ def test_shift_rows_built_once_per_set(monkeypatch):
         stats.sigma(), stats.tri(), stats.tri_pop(), stats.t3()
         assert builds == [tier]
         builds.clear()
+
+def test_dlog_table_built_once_per_set(monkeypatch):
+    # the restricted triple counts of cor1_lower, lemma_key and prop7 find their
+    # rows through the kept row index, so only a shift-row build reads the dlog
+    dlogs, built = [], []
+    real_dlog, real_rows = energy._dlog_table, energy._shift_rows
+
+    def dlog(*args):
+        dlogs.append(args)
+        return real_dlog(*args)
+
+    def rows(A):
+        if "_shift_rows" not in A.__dict__:
+            built.append(A)
+        return real_rows(A)
+
+    monkeypatch.setattr(energy, "_dlog_table", dlog)
+    monkeypatch.setattr(energy, "_shift_rows", rows)
+    stats = _stats("subgroup(p=1009,t=24)")
+    results = run_suite(check_ids("all"), [stats])
+    assert all(r.ok for r in results)
+    assert stats.tri_pop() > 0 and energy._shift_rows(stats.A).order == 24
+    assert 1 <= len(dlogs) <= len(built)
+
 
 # -- reports -------------------------------------------------------------------
 

@@ -1,8 +1,10 @@
 import math
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,14 +34,22 @@ MODULI = [(7, 7), (101, 101), (2**31 - 1, 2**31 - 1), (2**31 + 11, 2**31 + 11),
 
 
 def decoded(table) -> list:
-    """The table's (element, count) pairs in key order, decoded here rather
-    than by CountTable.decode: k mod p, k / scale, or a (num, den) pair."""
+    """The table as a dict element -> count, decoded here rather than by
+    CountTable.decode: k mod p, k / scale, or a (num, den) pair.
+    Checks on the way that the keys come strictly ascending, int64 exactly
+    while they fit, and that counts is int64."""
+    keys = table.keys.tolist()
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+    ints = table.scale is not None
+    assert (table.keys.dtype == np.int64) == (ints and all(-2**63 < k < 2**63 for k in keys))
+    assert table.counts.dtype == np.int64
+
     def element(k):
         if table.p is not None:
             return ModP(k, table.p)
         return Fraction(*k) if table.scale is None else Fraction(k, table.scale)
 
-    return [(element(k), c) for k, c in table.entries.items()]
+    return {element(k): c for k, c in zip(keys, table.counts.tolist())}
 
 
 @st.composite
@@ -138,9 +148,9 @@ def test_combine_difference_matches_oracle(sets):
     (A,) = sets
     table = combine(A, A, "-")
     # keys on the integer view: every key is int / scale (or int mod p)
-    assert decoded(table) == list(oracles.diff_counts(A.elements).items())  # counts and order
+    assert decoded(table) == oracles.diff_counts(A.elements)
     assert table.total == A.size**2
-    assert table.entries[0] == A.size  # the difference 0 is key 0 on either view
+    assert table.counts[table.index(np.array([0]))].tolist() == [A.size]  # 0 is key 0 on either view
 
 
 # 2^61 - 1 has m * m >= 2^63, so its tables take the Python loop, not int64
@@ -167,7 +177,7 @@ def test_combine_all_ops_totals(sets):
     for op in "+-*/":
         want = oracles.pair_counts(A.elements, B.elements, op)
         table = combine(A, B, op)
-        assert decoded(table) == list(want.items())  # counts and row-major first-occurrence order
+        assert decoded(table) == want
         assert table.support_set().elements == tuple(sorted(want))
         assert table.total == A.size * B.size
         assert setops.support_size(A, B, op) == len(want)
@@ -177,23 +187,53 @@ def test_combine_all_ops_totals(sets):
 def test_residue_kernel_tier_is_m_squared_below_2_63():
     for m, _ in KERNEL_MODULI:
         A = gset_modp([1, 2], m)
-        assert (setops.residue_counts(A, A, "+") is None) == (m * m >= 1 << 63)
-    assert setops.residue_counts(gset_rational([1, 2]), gset_rational([3]), "+") is None
+        assert (setops.int64_counts(A, A, "+") is None) == (m * m >= 1 << 63)
+    assert setops.int64_counts(gset_rational([1, 2]), gset_rational([3]), "/") is None
 
 
 @pytest.mark.parametrize("m, na, nb", [
     (2**17 - 1, 3, (1 << 16) + 5),  # |B| > max(2^16, m) / 2: one row in each block
     (7919, 200, 1000),  # 65 rows a block, four blocks
+    (2**31 - 1, 260, 260),  # |A||B| < m: blocks counted by np.unique, merged into the table
 ])
 def test_residue_kernel_over_several_blocks(m, na, nb):
     rng = random.Random(3)
     A, B = (gset_modp(rng.sample(range(1, m), n), m) for n in (na, nb))
-    assert A.size * B.size > max(setops._BLOCK, m)  # the bincount branch, in more than one block
+    assert A.size * B.size > setops._BLOCK  # more than one block, on either branch
     for op in "-*":
         want = oracles.pair_counts(A.elements, B.elements, op)
         table = combine(A, B, op)
-        assert decoded(table) == list(want.items())
+        assert decoded(table) == want
         assert setops.support_size(A, B, op) == len(want)
+
+
+def test_rational_kernel_over_several_blocks():
+    # eight rows of B a block at first, then more as the table grows past _BLOCK keys
+    rng = random.Random(4)
+    A = gset_rational([Fraction(rng.randint(-10**9, 10**9), 2) for _ in range(20)])
+    B = gset_rational(rng.sample(range(-10**6, 10**6), 7000))
+    assert A.size * B.size > 2 * setops._BLOCK
+    assert decoded(combine(A, B, "-")) == oracles.pair_counts(A.elements, B.elements, "-")
+    # the Python loop, itself pinned to the oracles, is the second route for + and *
+    for op in "+*":
+        loop = Counter()
+        scale = setops._pair_keys(A, B, op, loop)
+        table = combine(A, B, op)
+        assert table.scale == scale and dict(zip(table.keys.tolist(), table.counts.tolist())) == loop
+        assert setops.combined_set(A, B, op) == GSet(tuple(sorted(loop)), scale)
+
+
+def test_rational_kernel_tier_is_int64_keys():
+    top = 1 << 62
+    for A, B, op, fits in ((gset_rational([top, top - 5]), gset_rational([top - 1]), "+", True),
+                           (gset_rational([top]), gset_rational([top]), "+", False),
+                           (gset_rational([-top]), gset_rational([top - 1]), "-", True),
+                           (gset_rational([3 << 30]), gset_rational([3 << 31]), "*", False),
+                           # the bound refuses the int64 tier, yet every key fits in int64
+                           (gset_rational([-top - 1, 3]), gset_rational([top + 1]), "+", False)):
+        assert (setops.int64_counts(A, B, op) is not None) == fits
+        want = oracles.pair_counts(A.elements, B.elements, op)
+        assert decoded(combine(A, B, op)) == want
 
 
 def test_combine_division_modp_uses_inverses():
@@ -204,7 +244,7 @@ def test_combine_division_modp_uses_inverses():
         for b in (1, 2, 4):
             d = a * pow(b, -1, 7) % 7
             want[d] = want.get(d, 0) + 1
-    assert dict(table.entries) == want
+    assert dict(zip(table.keys.tolist(), table.counts.tolist())) == want
 
 
 def test_support_size_agrees_with_combined_set():

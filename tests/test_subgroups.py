@@ -59,12 +59,21 @@ def test_gap_worked_example():
 
 
 def test_gap_matches_oracle_across_small_primes():
-    for p in (5, 7, 11, 13, 17, 19):
+    # the witness is the first longest run in (coset, member) order; past p = 19
+    # several runs reach the longest length, so the tie-breaking is exercised
+    tied = 0
+    for p in (5, 7, 11, 13, 17, 19, 31, 37, 61, 101):
         for t in subgroups.divisors(p - 1):
             if t < 2 or t == p - 1:
                 continue
             ctx = subgroup_context(p, t)
-            assert gap_H(ctx).gap == oracles.coset_gap(p, ctx.gamma), (p, t)
+            rep = gap_H(ctx)
+            runs = oracles.coset_runs(p, ctx.g, t)
+            longest = max(run[0] for run in runs)
+            assert rep.gap == longest == oracles.coset_gap(p, ctx.gamma), (p, t)
+            assert (rep.coset, rep.start) == next(r[1:] for r in runs if r[0] == longest), (p, t)
+            tied += sum(run[0] == longest for run in runs) > 1
+    assert tied > 10
 
 
 def test_gap_witness_is_rechecked(monkeypatch):
@@ -72,9 +81,10 @@ def test_gap_witness_is_rechecked(monkeypatch):
     real = subgroups._bucket_positions
 
     def lossy(ctx):
-        buckets = real(ctx)
-        buckets[0] = buckets[0][:1]
-        return buckets
+        pos, coset = real(ctx)
+        keep = np.ones(pos.size, dtype=bool)
+        keep[np.flatnonzero(coset == 0)[1:]] = False  # coset 0 keeps its first member only
+        return pos[keep], coset[keep]
 
     monkeypatch.setattr(subgroups, "_bucket_positions", lossy)
     with pytest.raises(CrossCheckMismatch):
