@@ -203,9 +203,13 @@ def _chk_holder_rem4(stats: SetStats, opts: dict):
     return lhs, rhs, lhs / rhs, ok
 
 
-def _chk_rect_structure(stats: SetStats, opts: dict):
+def _cover(stats: SetStats, opts: dict) -> rect_mod.RectCover:
     profile = opts.get("rect_profile", rect_mod.PAPER_PROFILE)
-    cover = rect_mod.rect_decompose(stats.A, profile=profile)
+    return stats.memo(("cover", profile), lambda: rect_mod.rect_decompose(stats.A, profile=profile))
+
+
+def _chk_rect_structure(stats: SetStats, opts: dict):
+    cover = _cover(stats, opts)
     ok = 2 * cover.rich_points >= cover.mass
     for q_i, size_i in cover.class_loads:
         ok = ok and q_i * size_i <= 2 * cover.mass
@@ -217,14 +221,9 @@ def _chk_rect_structure(stats: SetStats, opts: dict):
 
 
 def _sum_stats(stats: SetStats, opts: dict) -> rect_mod.SumStats:
-    def build():
-        cover = None
-        if rect_mod.RECT_MIN_SIZE <= stats.size <= rect_mod.RECT_SET_CAP:
-            cover = rect_mod.rect_decompose(
-                stats.A, profile=opts.get("rect_profile", rect_mod.PAPER_PROFILE))
-        return rect_mod.sum_construction_stats(stats.A, cover=cover)
-
-    return stats.memo("sum_stats", build)
+    fits = rect_mod.RECT_MIN_SIZE <= stats.size <= rect_mod.RECT_SET_CAP
+    return stats.memo("sum_stats", lambda: rect_mod.sum_construction_stats(
+        stats.A, cover=_cover(stats, opts) if fits else None))
 
 
 def _chk_sum_stats(stats: SetStats, opts: dict):
@@ -500,7 +499,12 @@ def _needs_prop7(stats: SetStats) -> bool:
     # the count4 loop is |AA - AA| * |A| integer divisions.
     if stats.support("-") > 1200 or stats.support("*") > 600:
         return False
-    return _taa(stats).support_size() <= 20_000
+    # |AA - AA| is at least the number of differences of AA's first rows with AA
+    aa, cap = stats.combined("*"), 20_000
+    head = GSet(aa.ints[:2 * cap // aa.size + 1], aa.scale, aa.p)
+    if head.size < aa.size and setops.support_size(head, aa, "-") > cap:
+        return False
+    return _taa(stats).support_size() <= cap
 
 
 def _needs_sum_stats(stats: SetStats) -> bool:

@@ -7,8 +7,8 @@ each abscissa class) partitions PP into at most L^2 rectangles, L rounded-up
 log2|A|; the rectangles holding at least |PP| / (2 L^2) points must jointly
 hold more than half of PP.
 
-Case 1: some rich rectangle is wide (width >= c1 |A| / L^c2, in either
-orientation; PP is symmetric, so transposing is free).  The wide rectangle is
+Case 1: some rich rectangle is wide (width >= c1 |A| / L^c2; PP is symmetric,
+as P = -P, so its transposed cover is the same cover).  The wide rectangle is
 refined to A' x A'' where every abscissa of A' supports at least q points.
 
 Case 2: no rich rectangle is wide.  Drop the index sets of the rich
@@ -18,12 +18,14 @@ rectangles from A, rebuild everything for the smaller set, and iterate
 The top degree class [2^(L-1), 2^L] is closed on the right so that class
 indices never exceed L; this keeps the rectangle count at L^2 and makes the
 half-mass pigeonhole an exact statement at every input size.
+
+PP is kept as index pairs (i, j) into A's integer view, and the degree
+classes come from bincount and frexp.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -31,7 +33,7 @@ import numpy as np
 
 from .. import energy, setops
 from ..errors import CrossCheckMismatch, DegenerateInput, InfeasibleSize, TooLarge
-from ..setops import GSet
+from ..setops import GSet, _find
 
 RECT_MIN_SIZE = 4
 RECT_SET_CAP = 512
@@ -63,7 +65,6 @@ class Rectangle:
     points: int
     level_i: int
     level_j: int
-    transposed: bool
 
     @property
     def width(self) -> int:
@@ -94,55 +95,33 @@ def _log_ceil(n: int) -> int:
     return max(1, math.ceil(math.log2(n)))
 
 
-def _class_index(deg: int, cap: int) -> int:
-    # dyadic class [2^(i-1), 2^i), top class closed at 2^cap
-    return min(cap, deg.bit_length())
-
-
-def _build_cover(points: list, n: int, transposed: bool) -> tuple[list[Rectangle], list]:
-    """Double dyadic bucketing of the point list; returns (rectangles, loads)."""
+def _build_cover(xs: np.ndarray, ys: np.ndarray, n: int) -> tuple[list[Rectangle], list]:
+    """Double dyadic bucketing of the points (xs[k], ys[k]), indices into a set of
+    n elements; returns (rectangles on those indices, loads).  A degree's class
+    is its bit length, frexp's exponent (exact below 2^53), capped at L."""
     L = _log_ceil(n)
-    deg = Counter(x for x, _ in points)
-    classes: dict[int, list] = {}
-    for x, d in deg.items():
-        classes.setdefault(_class_index(d, L), []).append(x)
+    xcls = np.minimum(L, np.frexp(np.bincount(xs, minlength=n))[1])
+    odeg = np.bincount(xcls[xs].astype(np.intp) * n + ys, minlength=(L + 1) * n).reshape(L + 1, n)
+    ocls = np.minimum(L, np.frexp(odeg)[1])
     rects: list[Rectangle] = []
     loads = []
-    for i, xs in sorted(classes.items()):
-        xset = set(xs)
-        loads.append((1 << i, len(xs)))
-        sub = [(x, y) for x, y in points if x in xset]
-        odeg = Counter(y for _, y in sub)
-        oclasses: dict[int, list] = {}
-        for y, d in odeg.items():
-            oclasses.setdefault(_class_index(d, L), []).append(y)
-        for j, ys in sorted(oclasses.items()):
-            yset = set(ys)
-            cnt = sum(1 for _, y in sub if y in yset)
-            rects.append(Rectangle(tuple(sorted(xs)), tuple(sorted(ys)),
-                                   cnt, i, j, transposed))
-    if sum(r.points for r in rects) != len(points):
+    for i in np.flatnonzero(np.bincount(xcls, minlength=L + 1)[1:]) + 1:
+        abscissae = tuple(np.flatnonzero(xcls == i).tolist())
+        loads.append((1 << int(i), len(abscissae)))
+        for j in np.flatnonzero(np.bincount(ocls[i], minlength=L + 1)[1:]) + 1:
+            ys_ij = np.flatnonzero(ocls[i] == j)
+            rects.append(Rectangle(abscissae, tuple(ys_ij.tolist()),
+                                   int(odeg[i, ys_ij].sum()), int(i), int(j)))
+    if sum(r.points for r in rects) != xs.size:
         raise CrossCheckMismatch("rectangle cover lost points")
     return rects, loads
 
 
-def _on_scale(B: GSet, scale: int) -> list[int]:
-    """B's integer view brought to ``scale``, a multiple of B's own scale."""
-    ints, own = B.int_view()
-    return [x * (scale // own) for x in ints]
-
-
-def _level_lookup(keys: list, p: int | None) -> frozenset:
-    """A level's keys to test a - b against, for a, b on one integer view:
-    mod p each key is also kept minus p, as a - b then lies in (-p, p)."""
-    return frozenset(keys) if p is None else frozenset(keys + [k - p for k in keys])
-
-
 def _decoded(rects: list, B: GSet) -> list:
-    """Rectangles on B's integer view with their coordinates as B's elements."""
-    elem = dict(zip(B.ints, B.elements)).get
-    return [replace(r, abscissae=tuple(map(elem, r.abscissae)),
-                    ordinates=tuple(map(elem, r.ordinates))) for r in rects]
+    """Rectangles on indices into B with their coordinates as B's elements."""
+    elem = B.elements
+    return [replace(r, abscissae=tuple(elem[i] for i in r.abscissae),
+                    ordinates=tuple(elem[i] for i in r.ordinates)) for r in rects]
 
 
 def rect_decompose(A: GSet, *, profile: RectProfile = PAPER_PROFILE) -> RectCover:
@@ -159,19 +138,16 @@ def rect_decompose(A: GSet, *, profile: RectProfile = PAPER_PROFILE) -> RectCove
         table = energy.difference_table(current)
         ledger.append(energy.energy_pair(current))
         lvl = energy.dyadic_energy_level(current)
-        ints, scale = current.int_view()
         in_level = (lvl.delta <= table.counts) & (table.counts < 2 * lvl.delta)
-        level = _level_lookup(table.keys[in_level].tolist(), current.p)
-        rows, cols = np.nonzero(in_level[table.index(setops._difference_matrix(current))])
-        points = [(ints[i], ints[j]) for i, j in zip(rows.tolist(), cols.tolist())]
-        mass = len(points)
+        xs, ys = np.nonzero(in_level[table.index(setops._difference_matrix(current))])
+        mass = xs.size
         if mass != int(table.counts[in_level].sum()):
             raise CrossCheckMismatch("point-set size disagrees with the level mass")
         n = current.size
         L = _log_ceil(n)
         rich_thr = Fraction(mass, 2 * L * L)
         wide_thr = profile.c1 * Fraction(n, L**profile.c2)
-        rects, loads = _build_cover(points, n, transposed=False)
+        rects, loads = _build_cover(xs, ys, n)
         for q_i, size_i in loads:
             if q_i * size_i > 2 * mass:
                 raise CrossCheckMismatch("abscissa class load exceeds twice the mass")
@@ -180,60 +156,51 @@ def rect_decompose(A: GSet, *, profile: RectProfile = PAPER_PROFILE) -> RectCove
         if 2 * rich_points < mass:
             raise CrossCheckMismatch("rich rectangles cover less than half the mass")
         wide = [r for r in rich if r.width >= wide_thr]
-        if not wide:
-            # PP is symmetric (P = -P), so the transposed cover is equally valid
-            t_rects, t_loads = _build_cover([(b, a) for a, b in points], n, transposed=True)
-            for q_i, size_i in t_loads:
-                if q_i * size_i > 2 * mass:
-                    raise CrossCheckMismatch("ordinate class load exceeds twice the mass")
-            t_rich = [r for r in t_rects if r.points >= rich_thr]
-            wide = [r for r in t_rich if r.width >= wide_thr]
         if wide:
             rect = max(wide, key=lambda r: (r.points, r.width, r.abscissae))
-            return _case1(current, lvl, level, mass, points, rich, rich_points,
+            return _case1(current, lvl, table.keys[in_level], mass, xs, ys, rich, rich_points,
                           rect, loads, rounds, ledger)
         # Case 2: drop the rich rectangles' index sets and go again
-        drop = {x for r in rich for x in r.abscissae + r.ordinates}
-        remaining = tuple(v for v in ints if v not in drop)
+        drop = {i for r in rich for i in r.abscissae + r.ordinates}
+        remaining = tuple(v for i, v in enumerate(current.ints) if i not in drop)
         last_state = (lvl, mass, rich, rich_points, current, loads)
         if len(remaining) < RECT_MIN_SIZE:
             break
-        current = GSet(remaining, scale, current.p)
+        current = GSet(remaining, current.scale, current.p)
     lvl, mass, rich, rich_points, final, loads = last_state
     return RectCover("case2-iterated", lvl.delta, lvl.members, mass, _decoded(rich, final),
                      rich_points, final, final, 0, rounds, ledger, loads)
 
 
-def _case1(current: GSet, lvl, level: frozenset, mass: int, points: list, rich: list,
-           rich_points: int, rect: Rectangle, loads: list, rounds: int,
+def _case1(current: GSet, lvl, level: np.ndarray, mass: int, xs: np.ndarray, ys: np.ndarray,
+           rich: list, rich_points: int, rect: Rectangle, loads: list, rounds: int,
            ledger: list) -> RectCover:
-    L = _log_ceil(current.size)
-    q_thr = Fraction(mass, 16 * L * L * rect.width)
-    q = max(1, math.ceil(q_thr))
+    q = max(1, math.ceil(Fraction(mass, 16 * _log_ceil(current.size) ** 2 * rect.width)))
+    in_a, in_o = np.zeros((2, current.size), dtype=bool)
+    in_a[list(rect.abscissae)] = in_o[list(rect.ordinates)] = True
     # route 1: per-abscissa counts read off the cover's own point list
-    aset = set(rect.abscissae)
-    oset = set(rect.ordinates)
-    counts = {a: 0 for a in rect.abscissae}
-    for u, v in points:
-        x, y = (v, u) if rect.transposed else (u, v)
-        if x in aset and y in oset:
-            counts[x] += 1
-    aprime = [a for a in rect.abscissae if counts[a] >= q]
-    if not aprime:
+    counts = np.bincount(xs[in_a[xs] & in_o[ys]], minlength=current.size)
+    aprime = np.flatnonzero(in_a & (counts >= q))
+    if not aprime.size:
         raise CrossCheckMismatch("case-1 refinement emptied the abscissa set")
     if q > rect.height:
         raise CrossCheckMismatch("q exceeds the ordinate projection")
-    if q * len(aprime) > mass:
+    if q * aprime.size > mass:
         raise CrossCheckMismatch("q |A'| exceeds the point count")
-    # route 2: pointwise membership re-verification, independent of the cover
-    for a in aprime:
-        supported = sum(1 for b in oset if ((b - a) if rect.transposed else (a - b)) in level)
-        if supported < q or supported != counts[a]:
-            raise CrossCheckMismatch(f"abscissa {a} (integer view) supports {supported} "
-                                     f"points, cover says {counts[a]}, q = {q}")
-    # both coordinate tuples are sorted ints of current
-    Ap = GSet(tuple(aprime), current.scale, current.p)
-    App = GSet(rect.ordinates, current.scale, current.p)
+    # route 2: pointwise membership re-verification, independent of the cover,
+    # of a - b on the integer view moved to start at 0 (mod p, a - b is in (-p, p))
+    ints, p = current.ints, current.p
+    vals = setops._int_array([v - ints[0] for v in ints] if p is None else list(ints))
+    if p is not None:
+        level = np.concatenate([level - p, level])
+    supported = _find(level, vals[aprime, None] - vals[list(rect.ordinates)])[1].sum(axis=1)
+    bad = np.flatnonzero((supported < q) | (supported != counts[aprime]))
+    if bad.size:
+        a = aprime[bad[0]]
+        raise CrossCheckMismatch(f"abscissa {ints[a]} (integer view) supports "
+                                 f"{supported[bad[0]]} points, cover says {counts[a]}, q = {q}")
+    Ap = GSet(tuple(ints[a] for a in aprime.tolist()), current.scale, p)
+    App = GSet(tuple(ints[b] for b in rect.ordinates), current.scale, p)
     return RectCover("case1", lvl.delta, lvl.members, mass, _decoded(rich, current),
                      rich_points, Ap, App, q, rounds, ledger, loads)
 
@@ -247,10 +214,20 @@ class SumStats:
     adoubleprime_size: int
     pair_mass: int  # sum over lambda of |A'_lambda|  (= |A| |A'|)
     energy_times: int  # sum over lambda of |A'_lambda|^2
-    q_sizes: dict  # lambda -> |Q_lambda| (distinct points)
+    q_sizes: dict  # lambda's integer-view key -> |Q_lambda| (distinct points)
     sum_q_cubes: int
     line_bound: int  # |S|^4 |P|^2
     triples_lower: int  # sum over used lines of k (k-1) (k-2)
+
+
+def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[s], starts[s] + 1, ..., starts[s] + counts[s] - 1 for each s in turn."""
+    return np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+
+
+def _runs(sorted_keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal keys starts."""
+    return np.flatnonzero(np.append(True, sorted_keys[1:] != sorted_keys[:-1]))
 
 
 def sum_construction_stats(A: GSet, *, cover: RectCover | None = None) -> SumStats:
@@ -261,76 +238,113 @@ def sum_construction_stats(A: GSet, *, cover: RectCover | None = None) -> SumSta
     lambda a' - a in P, the point (a' + b, a + lambda b).  Each such point
     lies on the slope-lambda line y = lambda x + (a - lambda a'), whose
     offset stays in P, so Q_lambda occupies at most |P| lines.  Identities
-    verified exactly: sum |A_lambda| = |A|^2, sum |A'_lambda| = |A| |A'|,
-    the Cauchy-Schwarz bound on sum |A'_lambda|^2, the per-lambda power-mean
-    inequality |P|^2 sum k^3 >= |Q_lambda|^3, and pointwise membership of
-    every constructed point in (A+A) x (A+A) with offset in P.
+    verified exactly: |A_lambda| = r_{A/A}(lambda) for every lambda, sum
+    |A'_lambda| = |A| |A'|, the Cauchy-Schwarz bound on sum |A'_lambda|^2,
+    the per-lambda power-mean inequality |P|^2 sum k^3 >= |Q_lambda|^3, and
+    pointwise membership of every constructed point in (A+A) x (A+A) with
+    offset in P.
 
-    All of it runs on A's integer view.  With lambda = u/v in lowest terms
-    (mod p: u = lambda, v = 1), lambda a is in A' when v | u a and u a / v is
-    in A'; a point is kept as (X, Y) = (a' + b, v a + u b), offset (Y - u X) / v.
+    All of it runs on index arrays over A's integer view: one sort groups the
+    pairs (a, lambda a) by slope, and a point is (x, o) = (a' + b, a - lambda a')
+    with y = a + lambda b, all within twice A's range.  Points come in blocks
+    of whole slope classes (at most setops._BLOCK points unless one class is
+    larger), keyed (lambda, index of x in A+A, index of o in P), and one sort
+    per block dedupes them and counts each line's points.
     """
-    quot = setops.combined_set(A, A, "/")
-    if quot.size > RATIO_SET_CAP:
-        raise InfeasibleSize(f"|A/A| = {quot.size} exceeds {RATIO_SET_CAP}")
+    quot = setops.combine(A, A, "/")
+    if quot.support_size() > RATIO_SET_CAP:
+        raise InfeasibleSize(f"|A/A| = {quot.support_size()} exceeds {RATIO_SET_CAP}")
     if cover is not None and cover.case == "case1":
         aprime, adouble, level = cover.Aprime, cover.Adoubleprime, cover.level
     else:
         aprime = adouble = A
         level = energy.dyadic_energy_level(A).members
     ints, scale = A.int_view()
-    p = A.p
-    sums = set(setops.combine(A, A, "+").keys.tolist())
-    members = frozenset(ints)
-    ap_members = frozenset(_on_scale(aprime, scale))
-    app = _on_scale(adouble, scale)
-    p_size = level.size
-    level = _level_lookup(_on_scale(level, scale), p)
-    lam_total = pair_mass = e_times = sum_cubes = triples_lower = 0
-    q_sizes: dict = {}
-    for lam in quot.elements:
-        u, v = (lam.value, 1) if p is not None else (lam.numerator, lam.denominator)
-        images = ([(a, u * a // v) for a in ints if u * a % v == 0] if p is None
-                  else [(a, u * a % p) for a in ints])
-        in_a = [(a, la) for a, la in images if la in members]
-        lam_total += len(in_a)
-        slice_ = [(a, la) for a, la in in_a if la in ap_members]
-        pair_mass += len(slice_)
-        e_times += len(slice_) ** 2
-        if not slice_:
-            continue
-        row = [(b, u * b) for b, _ in slice_]
-        pts = set()
-        for ap, lap in slice_:
-            for a in app:
-                if lap - a in level:
-                    va = v * a
-                    pts.update([(ap + b, va + ub) for b, ub in row])
-        if p is not None:
-            pts = {(x % p, y % p) for x, y in pts}
-        lines: dict = {}
-        for x, y in pts:
-            if x not in sums or y % v or y // v not in sums:
-                raise CrossCheckMismatch("constructed point left the sumset grid")
-            off, rem = divmod(y - u * x, v)
-            if p is not None:
-                off %= p
-            if rem or off not in level:
-                raise CrossCheckMismatch("line offset left the popular level")
-            lines[off] = lines.get(off, 0) + 1
-        size = len(pts)
-        q_sizes[lam] = size
-        cube = sum(k**3 for k in lines.values())
-        if p_size**2 * cube < size**3:
-            raise CrossCheckMismatch("power-mean bound failed on a slope class")
-        sum_cubes += size**3
-        triples_lower += sum(k * (k - 1) * (k - 2) for k in lines.values())
-    if lam_total != A.size**2:
-        raise CrossCheckMismatch("sum of |A_lambda| misses |A|^2")
-    if pair_mass != A.size * aprime.size:
+    p, n = A.p, A.size
+    dtype = np.int64 if 2 * (p or max(-ints[0], ints[-1])) < 1 << 63 else object
+
+    def on_scale(B: GSet) -> np.ndarray:  # B's integer view brought to A's scale
+        return np.array(B.ints, dtype=dtype) * (scale // B.scale)
+
+    vals, app, levels = np.array(ints, dtype=dtype), on_scale(adouble), on_scale(level)
+    sums = setops.combine(A, A, "+").keys.astype(dtype)
+    # route 1 sorts the n^2 pairs (a, c), flat index a * n + c, by slope; route 2 is r_{A/A}
+    if p is not None:
+        inv = np.array([pow(v, -1, p) for v in ints], dtype=np.int64 if p * p < 1 << 63 else object)
+        cols = [(inv[:, None] * vals.astype(inv.dtype) % p).ravel()]
+    else:
+        g = np.gcd(vals[:, None], vals)
+        cols = [(abs(vals[:, None]) // g).ravel(), (vals * np.sign(vals[:, None]) // g).ravel()]
+    order = np.lexsort(cols)  # by numerator, then denominator
+    cols = [c[order] for c in cols]
+    starts = np.flatnonzero(np.append(True, np.any([c[1:] != c[:-1] for c in cols], axis=0)))
+    keys = [c[starts].tolist() for c in cols]
+    lam_keys = keys[0] if p is not None else list(zip(keys[1], keys[0]))
+    sizes = np.diff(np.append(starts, order.size))
+    if lam_keys != quot.keys.tolist() or not np.array_equal(sizes, quot.counts):
+        raise CrossCheckMismatch("|A_lambda| disagrees with r_{A/A}")
+    # the slice: the pairs (a', lambda a') with lambda a' in A', by slope
+    keep = _find(on_scale(aprime), vals)[1][order % n]
+    SI, SJ = np.divmod(order[keep], n)
+    SG = np.repeat(np.arange(starts.size), sizes)[keep]
+    m = np.bincount(SG, minlength=starts.size)  # |A'_lambda|
+    first = np.cumsum(m) - m
+    pair_mass, e_times = SI.size, int((m * m).sum())
+    if pair_mass != n * aprime.size:
         raise CrossCheckMismatch("sum of |A'_lambda| misses |A| |A'|")
-    if e_times * quot.size < pair_mass**2:
+    if e_times * starts.size < pair_mass**2:
         raise CrossCheckMismatch("Cauchy-Schwarz failed on the slice profile")
-    return SumStats(len(sums), p_size, quot.size, aprime.size, adouble.size,
-                    pair_mass, e_times, q_sizes, sum_cubes,
-                    len(sums)**4 * p_size**2, triples_lower)
+    # row j lists the a in A'' with a_j - a in P, as indices into A''
+    diffs = vals[:, None] - app
+    valid = _find(levels, diffs if p is None else diffs % p)[1]
+    row_len = valid.sum(axis=1)
+    row_at, row_cols = np.cumsum(row_len) - row_len, np.nonzero(valid)[1]
+    per_pair = np.append(0, np.cumsum(row_len[SJ]))
+    cum = np.append(0, np.cumsum((per_pair[first + m] - per_pair[first]) * m))  # points
+    bounds = [0]
+    while bounds[-1] < starts.size:
+        hi = np.searchsorted(cum, cum[bounds[-1]] + setops._BLOCK, "right") - 1
+        bounds.append(max(bounds[-1] + 1, int(hi)))
+    q = [0] * starts.size
+    sum_cubes = triples_lower = 0
+    s_size, p_size = sums.size, levels.size
+    for lo, hi in zip(bounds, bounds[1:]):
+        s = np.arange(first[lo], first[hi - 1] + m[hi - 1])
+        pair = np.repeat(s, row_len[SJ[s]])  # one entry per (a', a)
+        if not pair.size:
+            continue
+        k = row_cols[_segments(row_at[SJ[s]], row_len[SJ[s]])]
+        g = SG[pair]
+        off = app[k] - vals[SJ[pair]]
+        off_at, found = _find(levels, off if p is None else off % p)
+        if not found.all():
+            raise CrossCheckMismatch("line offset left the popular level")
+        e = np.repeat(np.arange(pair.size), m[g])  # one point per (a', a, b)
+        b = _segments(first[g], m[g])
+        x, y = vals[SI[pair]][e] + vals[SI[b]], app[k][e] + vals[SJ[b]]
+        x, y = (x, y) if p is None else (x % p, y % p)
+        x_at, found = _find(sums, x)
+        if not (found.all() and _find(sums, y)[1].all()):
+            raise CrossCheckMismatch("constructed point left the sumset grid")
+        line = (g - lo) * p_size + off_at
+        if (hi - lo) * p_size * s_size >= 1 << 63:
+            line = line.astype(object)
+        key = np.sort(line[e] * s_size + x_at)
+        line = key[_runs(key)] // s_size  # the line of each distinct point
+        at = _runs(line)
+        k_line = np.diff(np.append(at, line.size))
+        lam = line[at] // p_size
+        if int(k_line.max()) ** 3 * k_line.size >= 1 << 63:
+            k_line = k_line.astype(object)
+        at = _runs(lam)
+        for gl, size, cube, trip in zip(lam[at].tolist(), *(
+                np.add.reduceat(v, at).tolist()
+                for v in (k_line, k_line**3, k_line * (k_line - 1) * (k_line - 2)))):
+            if p_size**2 * cube < size**3:
+                raise CrossCheckMismatch("power-mean bound failed on a slope class")
+            q[lo + gl] = size
+            sum_cubes += size**3
+            triples_lower += trip
+    return SumStats(s_size, p_size, starts.size, aprime.size, adouble.size,
+                    pair_mass, e_times, {lam_keys[g]: q[g] for g in np.flatnonzero(m).tolist()},
+                    sum_cubes, s_size**4 * p_size**2, triples_lower)

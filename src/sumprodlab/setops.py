@@ -197,8 +197,8 @@ class CountTable:
 
     def index(self, keys: np.ndarray) -> np.ndarray:
         """Each given key's position in self.keys, -1 where it is absent."""
-        at = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
-        return np.where(self.keys[at] == keys, at, -1)
+        at, found = _find(self.keys, keys)
+        return np.where(found, at, -1)
 
     def decode(self, keys: np.ndarray) -> GSet:
         """The set the given keys stand for; a mask of self.keys needs no sort."""
@@ -208,6 +208,12 @@ class CountTable:
 
     def support_set(self) -> GSet:
         return self.decode(self.keys)
+
+
+def _find(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position in the sorted, nonempty keys, whether it is there) of each value."""
+    at = np.minimum(np.searchsorted(keys, values), keys.size - 1)
+    return at, keys[at] == values
 
 
 def _int_array(values: list) -> np.ndarray:

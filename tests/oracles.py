@@ -289,7 +289,7 @@ def _dyadic_level(elems, kind, p):
     return delta, classes[best], GSet.from_elements(members, allow_zero=True, kind=kind, p=p), r
 
 
-def _cover(points, n, transposed):
+def _cover(points, n):
     """Double dyadic bucketing of a point list into Rectangles, with loads."""
     from sumprodlab.harness.rect import Rectangle
 
@@ -314,7 +314,7 @@ def _cover(points, n, transposed):
         for j, ys in sorted(oclasses.items()):
             yset = set(ys)
             cnt = sum(1 for _, y in sub if y in yset)
-            rects.append(Rectangle(tuple(sorted(xs)), tuple(sorted(ys)), cnt, i, j, transposed))
+            rects.append(Rectangle(tuple(sorted(xs)), tuple(sorted(ys)), cnt, i, j))
     return rects, loads
 
 
@@ -337,20 +337,18 @@ def rect_cover(A, profile):
         L = max(1, math.ceil(math.log2(n)))
         rich_thr = Fraction(mass, 2 * L * L)
         wide_thr = profile.c1 * Fraction(n, L**profile.c2)
-        rects, loads = _cover(points, n, False)
+        rects, loads = _cover(points, n)
+        # PP is symmetric (P = -P), so the transposed cover is the same cover
+        assert _cover([(b, a) for a, b in points], n) == (rects, loads)
         rich = [rc for rc in rects if rc.points >= rich_thr]
         rich_points = sum(rc.points for rc in rich)
         wide = [rc for rc in rich if rc.width >= wide_thr]
-        if not wide:
-            t_rects, _ = _cover([(b, a) for a, b in points], n, True)
-            wide = [rc for rc in t_rects if rc.points >= rich_thr and rc.width >= wide_thr]
         if wide:
             rect = max(wide, key=lambda rc: (rc.points, rc.width, rc.abscissae))
             q = max(1, math.ceil(Fraction(mass, 16 * L * L * rect.width)))
             aprime = []
             for a in rect.abscissae:
-                diffs = [(b - a) if rect.transposed else (a - b) for b in rect.ordinates]
-                if sum(1 for d in diffs if d in members) >= q:
+                if sum(1 for b in rect.ordinates if a - b in members) >= q:
                     aprime.append(a)
             return RectCover("case1", delta, level, mass, rich, rich_points,
                              GSet.from_elements(aprime, kind=A.kind, p=A.p),
@@ -369,7 +367,8 @@ def rect_cover(A, profile):
 
 def sum_construction(A, cover=None):
     """The slope-sliced sum construction on the elements' own Fraction/ModP
-    arithmetic, one point (a' + b, a + lambda b) at a time, as SumStats."""
+    arithmetic, one point (a' + b, a + lambda b) at a time, as SumStats; each
+    slope is keyed by its residue, or its reduced (numerator, denominator)."""
     from sumprodlab.harness.rect import SumStats
 
     elems = A.elements
@@ -396,7 +395,7 @@ def sum_construction(A, cover=None):
         for x, y in pts:
             assert x in sums and y in sums and y - lam * x in level
             lines[y - lam * x] = lines.get(y - lam * x, 0) + 1
-        q_sizes[lam] = len(pts)
+        q_sizes[lam.value if A.p is not None else (lam.numerator, lam.denominator)] = len(pts)
         sum_cubes += len(pts) ** 3
         triples += sum(k * (k - 1) * (k - 2) for k in lines.values())
     assert sum(1 for lam in quot for a in elems if lam * a in members) == len(elems) ** 2

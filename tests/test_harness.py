@@ -309,9 +309,17 @@ def kernel_inputs(draw):
     return A
 
 
-# the last profile's width threshold is unreachable, so every round drops
+# the last profile's width threshold is unreachable, so every round drops;
+# the oracle also checks that the transposed point set gives the same cover
 @given(kernel_inputs(), st.sampled_from([PAPER_PROFILE, DESK_PROFILE,
                                          RectProfile("desk", Fraction(100), 0)]))
+# 93,312 constructed points, two blocks of whole slope classes
+@example(subgroup_context(93241, 18).gamma_set(), PAPER_PROFILE)
+# without a cover the class lambda = 1 alone holds 75,400 points, past setops._BLOCK
+@example(generate_from_string("ap(n=50,start=1001)"), PAPER_PROFILE)
+# two rounds of case 2, the second on what the first left
+@example(generate_from_string("union(ap(n=12),geo(q=3,n=6,start=1000))"),
+         RectProfile("desk", Fraction(100), 0))
 @settings(max_examples=60, deadline=None)
 def test_rect_and_sum_kernels_match_oracles(A, profile):
     cover = rect_decompose(A, profile=profile)
