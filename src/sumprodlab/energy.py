@@ -6,10 +6,13 @@ the only float on offer is the fractional moment (q = 3/2 and friends).
 They all read one table r_{A-A} keyed on the set's integer view (see setops),
 which difference_table builds once per set and keeps on it: E, E_q and the
 energy splits sum over its count profile, the popular set and the dyadic level
-are masks over its sorted keys.  T_3, Sigma and
-the difference-triple count, for rationals and residues alike, read the
-shift rows of A-A, also kept on the set: one row per orbit of the largest
-group of units that fixes r (see _shift_rows).
+are masks over its sorted keys.  A subgroup of F_p^* builds the table from
+one pass over its elements (subgroups.orbit_table).  T_3, Sigma and the
+difference-triple count, for rationals and residues alike, read the shift
+rows of A-A, also kept on the set: one row per orbit of the largest group H
+of units that fixes r.  Three tiers compute the rows (see _shift_rows):
+int64 lookups over D; mod a prime, the cyclotomic numbers of H where that is
+less work; and a big-integer loop past the int64 guards.
 Counting conventions: every count is over ordered tuples, and r_{A-B}(d) is
 the number of ordered pairs (a, b) with a - b = d.
 """
@@ -25,7 +28,7 @@ import numpy as np
 
 from .errors import BadSpec, RestrictNotSubset, TooLarge
 from .setops import _BLOCK, CountTable, GSet, _int_array, combine
-from .subgroups import _dlog_table, divisors, is_prime, primitive_root
+from .subgroups import _dlog_table, divisors, is_prime, orbit_table, primitive_root
 
 # Cap on |A-A| for Sigma, whose shift rows take |A-A|^2 lookups; the checks
 # that need Sigma skip inputs above it.
@@ -34,10 +37,15 @@ SIGMA_SUPPORT_CAP = 5000
 
 def difference_table(A: GSet) -> CountTable:
     """r_{A-A} on A's integer view, built on the first call and kept on A
-    (like GSet.int_view), so every functional of one set shares it."""
+    (like GSet.int_view), so every functional of one set shares it.  A
+    subgroup of F_p^* with |A|^2 >= p takes one pass over A
+    (subgroups.orbit_table); every other set takes the pair kernel."""
     table = A.__dict__.get("_differences")
     if table is None:
-        table = A.__dict__["_differences"] = combine(A, A, "-")
+        table = orbit_table(A, "-")  # one pass over A when A is a subgroup
+        if table is None:
+            table = combine(A, A, "-")
+        A.__dict__["_differences"] = table
     return table
 
 
@@ -139,10 +147,16 @@ def _shift_rows(A: GSet) -> _Rows:
     mod a prime the stabiliser _fixing_group finds.  x -> hx maps the pairs
     counted at e onto those at he, so each column is computed at one key per
     H-orbit.  Kept on A, so T_3, Sigma and every triple count share one build.
-    The int64 tier runs while every key lies in (-2^61, 2^61), so each d - e
-    fits, and max r^2 |A|^2, which bounds each weight, is below 2^63.  Mod p,
-    r is spread into one dense length-p table, which H and the int64 rows
-    read, only while p <= max(_BLOCK, |A| |D|); past that H = {1}."""
+
+    Three tiers compute the columns:
+    * _rows_int64, while every key lies in (-2^61, 2^61), so each d - e fits,
+      and max r^2 |A|^2, which bounds each weight, is below 2^63: |D| lookups
+      per row.  Mod p, r is spread into one dense length-p table, which H and
+      these rows read, only while p <= max(_BLOCK, |A| |D|); past that H = {1}.
+    * _rows_cyclotomic, mod a prime with the dense table and H != {1}, from the
+      n x n cyclotomic numbers of H, n = (p - 1) / |H|: taken when its work,
+      p + rows n^2, is below the lookups' rows |D|.
+    * _rows_bigint past the int64 guards: one Python loop over D per row."""
     rows = A.__dict__.get("_shift_rows")
     if rows is None:
         table = difference_table(A)
@@ -154,11 +168,26 @@ def _shift_rows(A: GSet) -> _Rows:
             dense = np.zeros(p, dtype=np.int64)
             dense[keys] = counts
         order = 2 if p is None else 1 if dense is None else _fixing_group(p, dense)
-        _, first, row, size = np.unique(_orbit_labels(keys, p, order), return_index=True,
-                                        return_inverse=True, return_counts=True)
+        # one discrete-log table per build, for the labels and the cyclotomic numbers
+        dlog = _dlog_table(p, primitive_root(p)) if p is not None and order > 1 else None
+        labels = _orbit_labels(keys, p, order, dlog)
+        if dlog is None:
+            _, first, row, size = np.unique(labels, return_index=True,
+                                            return_inverse=True, return_counts=True)
+        else:  # labels lie in [0, n], so a bincount groups them without a sort
+            n = (p - 1) // order
+            size = np.bincount(labels)
+            row = (np.cumsum(size > 0) - 1)[labels]
+            size = size[size > 0]
+            first = np.zeros(size.size, dtype=np.intp)
+            first[row] = np.arange(keys.size)  # any key of an orbit stands for it
         reps = keys[first]
-        columns = (_rows_int64(keys, counts, reps, p, dense) if fits
-                   else _rows_bigint(keys.tolist(), counts.tolist(), reps.tolist(), p))
+        if dlog is not None and p + first.size * n * n < first.size * keys.size:
+            columns = _rows_cyclotomic(keys, counts, dlog, n)
+        elif fits:
+            columns = _rows_int64(keys, counts, reps, p, dense)
+        else:
+            columns = _rows_bigint(keys.tolist(), counts.tolist(), reps.tolist(), p)
         rows = A.__dict__["_shift_rows"] = _Rows(
             order, row.astype(np.int32), size.tolist(), (size * counts[first]).tolist(), *columns)
     return rows
@@ -225,15 +254,46 @@ def _fixing_group(p: int, r: np.ndarray) -> int:
             return k
 
 
-def _orbit_labels(keys: np.ndarray, p: int | None, order: int) -> np.ndarray:
+def _rows_cyclotomic(keys, counts, dlog: np.ndarray, n: int) -> tuple[list, list, list]:
+    """(hits, lin, weight) at 0 and at one key per coset of H in D - {0},
+    cosets ascending, for residues mod a prime p with keys ascending from 0.
+
+    Let c(y) = dlog(y) mod n label the H-cosets, rho[i] the value of r on coset i,
+    rho_k[i] = rho[i + k], and N[i, j] = #{y not in {0, 1} : c(y) = i,
+    c(y - 1) = j} the cyclotomic numbers of H.  For e in coset k, d = ey runs
+    over F_p, and y = 0 and y = 1 give the terms at d = 0 and d = e:
+
+        lin(e)    = rho_k N rho_k + 2 r(0) r(e),
+        weight(e) = sum_{i,j} N[i, j] rho_k[i] rho_k[j]^2 + r(0) r(e)^2 + r(e) r(0)^2,
+        hits(e)   = the same sum over the indicator of rho_k > 0, plus 2.
+
+    N is one bincount over the dlog table, and every row comes from one int64
+    matrix product; each term is part of a column, so none overflows.  At
+    e = 0 the columns are |D|, sum r^2 and sum r^3.
+    """
+    c = dlog % n  # c[y] for y in [1, p - 1]
+    cyclo = np.bincount(c[2:] * n + c[1:-1], minlength=n * n).reshape(n, n)
+    rho = np.zeros(n, dtype=np.int64)
+    rho[c[keys[1:]]] = counts[1:]
+    k = np.flatnonzero(rho)
+    shifted = rho[(k[:, None] + np.arange(n)) % n]
+    present = (shifted > 0).astype(np.int64)
+    prod = np.vstack((shifted, present)) @ cyclo
+    left, r0, re = prod[:k.size] * shifted, int(counts[0]), rho[k]
+    return ([keys.size] + ((prod[k.size:] * present).sum(axis=1) + 2).tolist(),
+            [int(counts @ counts)] + (left.sum(axis=1) + 2 * r0 * re).tolist(),
+            [int(counts * counts @ counts)]
+            + ((left * shifted).sum(axis=1) + r0 * re * re + re * r0 * r0).tolist())
+
+
+def _orbit_labels(keys: np.ndarray, p: int | None, order: int, dlog) -> np.ndarray:
     """The label of each key's H-orbit, |H| = order: |e| over the rationals,
     e itself when H = {1}, and mod a prime 0 for e = 0 and otherwise 1 plus
-    the discrete-log coset dlog(e) mod (p - 1)/|H|."""
+    the discrete-log coset dlog[e] mod (p - 1)/|H|."""
     if p is None:
         return np.abs(keys)
     if order == 1:
         return keys
-    dlog = _dlog_table(p, primitive_root(p))
     return np.where(keys == 0, 0, 1 + dlog[keys] % ((p - 1) // order))
 
 

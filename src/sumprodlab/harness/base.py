@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .. import energy, setops
+from .. import energy, setops, subgroups
 from ..errors import BadSpec, CrossCheckMismatch, UnknownCheck
 from ..setops import GSet
 
@@ -110,9 +110,22 @@ class SetStats:
         return energy.dyadic_energy_level(self.A)
 
     def support(self, op: str) -> int:
+        """|A op A|: read off the difference and quotient tables for - and /,
+        and for + and * off subgroups.orbit_table when A is a subgroup with
+        |A|^2 >= p, else from the pair kernel."""
         if op == "-":
             return self.table().support_size()
-        return self.memo(("support", op), lambda: setops.support_size(self.A, self.A, op))
+        if op == "/":
+            return self.quotients().support_size()
+
+        def size() -> int:
+            orbit = subgroups.orbit_table(self.A, op)
+            return setops.support_size(self.A, self.A, op) if orbit is None else orbit.support_size()
+        return self.memo(("support", op), size)
+
+    def quotients(self) -> setops.CountTable:
+        """r_{A/A}, shared by |A/A| and the sum construction."""
+        return self.memo("quotients", lambda: setops.combine(self.A, self.A, "/"))
 
     def combined(self, op: str) -> GSet:
         return self.memo(("combined", op), lambda: setops.combined_set(self.A, self.A, op))

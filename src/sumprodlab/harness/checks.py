@@ -33,7 +33,7 @@ from . import rect as rect_mod
 from .base import CheckSpec, SetStats, register
 
 NUMERIC_TOL = 1e-6
-INVARIANT_PAIRS = 500_000  # cap on the |Q| * t difference pairs of lemma18_invariant
+INVARIANT_PAIRS = 500_000  # lemma18_invariant's Q has |Q| t <= this, the generic route's pairs
 
 
 # -- small helpers -------------------------------------------------------------
@@ -223,7 +223,7 @@ def _chk_rect_structure(stats: SetStats, opts: dict):
 def _sum_stats(stats: SetStats, opts: dict) -> rect_mod.SumStats:
     fits = rect_mod.RECT_MIN_SIZE <= stats.size <= rect_mod.RECT_SET_CAP
     return stats.memo("sum_stats", lambda: rect_mod.sum_construction_stats(
-        stats.A, cover=_cover(stats, opts) if fits else None))
+        stats.A, cover=_cover(stats, opts) if fits else None, quot=stats.quotients()))
 
 
 def _chk_sum_stats(stats: SetStats, opts: dict):
@@ -463,9 +463,7 @@ def _chk_lemma18_invariant(stats: SetStats, opts: dict):
     ctx = stats.ctx
     t, p = ctx.t, ctx.p
     cosets = max(1, min(ctx.cosets, INVARIANT_PAIRS // (t * t)))
-    q_set = setops.invariant_union(ctx, range(cosets))
-    lhs = energy.energy_pair(q_set, ctx.gamma_set())  # sum of r_{Q - Gamma}^2
-    size = q_set.size
+    lhs, size = subgroups.coset_union_energy(ctx, range(cosets))  # E(Q, Gamma), |Q|
     rhs = t**2 * size**2 / p + t * size**1.5
     return lhs, rhs, lhs / rhs, True
 

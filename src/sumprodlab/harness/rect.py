@@ -139,7 +139,8 @@ def rect_decompose(A: GSet, *, profile: RectProfile = PAPER_PROFILE) -> RectCove
         ledger.append(energy.energy_pair(current))
         lvl = energy.dyadic_energy_level(current)
         in_level = (lvl.delta <= table.counts) & (table.counts < 2 * lvl.delta)
-        xs, ys = np.nonzero(in_level[table.index(setops._difference_matrix(current))])
+        member = _membership(table.keys[in_level], current, table.support_size())
+        xs, ys = np.nonzero(member(setops._difference_matrix(current)))
         mass = xs.size
         if mass != int(table.counts[in_level].sum()):
             raise CrossCheckMismatch("point-set size disagrees with the level mass")
@@ -158,7 +159,7 @@ def rect_decompose(A: GSet, *, profile: RectProfile = PAPER_PROFILE) -> RectCove
         wide = [r for r in rich if r.width >= wide_thr]
         if wide:
             rect = max(wide, key=lambda r: (r.points, r.width, r.abscissae))
-            return _case1(current, lvl, table.keys[in_level], mass, xs, ys, rich, rich_points,
+            return _case1(current, lvl, member, mass, xs, ys, rich, rich_points,
                           rect, loads, rounds, ledger)
         # Case 2: drop the rich rectangles' index sets and go again
         drop = {i for r in rich for i in r.abscissae + r.ordinates}
@@ -172,7 +173,19 @@ def rect_decompose(A: GSet, *, profile: RectProfile = PAPER_PROFILE) -> RectCove
                      rich_points, final, final, 0, rounds, ledger, loads)
 
 
-def _case1(current: GSet, lvl, level: np.ndarray, mass: int, xs: np.ndarray, ys: np.ndarray,
+def _membership(level: np.ndarray, A: GSet, support: int):
+    """Membership in the level's sorted keys of differences on A's integer
+    view, reduced mod p for residues: one length-p mask while p <= max(_BLOCK,
+    |A| |D|), the dense rule of energy's shift rows, else one searchsorted."""
+    p = A.p
+    if p is not None and p <= max(setops._BLOCK, A.size * support):
+        mask = np.zeros(p, dtype=bool)
+        mask[level] = True
+        return mask.__getitem__
+    return lambda diffs: _find(level, diffs)[1]
+
+
+def _case1(current: GSet, lvl, member, mass: int, xs: np.ndarray, ys: np.ndarray,
            rich: list, rich_points: int, rect: Rectangle, loads: list, rounds: int,
            ledger: list) -> RectCover:
     q = max(1, math.ceil(Fraction(mass, 16 * _log_ceil(current.size) ** 2 * rect.width)))
@@ -188,12 +201,11 @@ def _case1(current: GSet, lvl, level: np.ndarray, mass: int, xs: np.ndarray, ys:
     if q * aprime.size > mass:
         raise CrossCheckMismatch("q |A'| exceeds the point count")
     # route 2: pointwise membership re-verification, independent of the cover,
-    # of a - b on the integer view moved to start at 0 (mod p, a - b is in (-p, p))
+    # of a - b on the integer view moved to start at 0, or mod p
     ints, p = current.ints, current.p
     vals = setops._int_array([v - ints[0] for v in ints] if p is None else list(ints))
-    if p is not None:
-        level = np.concatenate([level - p, level])
-    supported = _find(level, vals[aprime, None] - vals[list(rect.ordinates)])[1].sum(axis=1)
+    diffs = vals[aprime, None] - vals[list(rect.ordinates)]
+    supported = member(diffs if p is None else diffs % p).sum(axis=1)
     bad = np.flatnonzero((supported < q) | (supported != counts[aprime]))
     if bad.size:
         a = aprime[bad[0]]
@@ -230,7 +242,8 @@ def _runs(sorted_keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.append(True, sorted_keys[1:] != sorted_keys[:-1]))
 
 
-def sum_construction_stats(A: GSet, *, cover: RectCover | None = None) -> SumStats:
+def sum_construction_stats(A: GSet, *, cover: RectCover | None = None,
+                           quot: setops.CountTable | None = None) -> SumStats:
     """Slope-sliced point statistics on the grid (A+A) x (A+A).
 
     For each ratio lambda in A/A, the construction places, for every a' in
@@ -249,9 +262,11 @@ def sum_construction_stats(A: GSet, *, cover: RectCover | None = None) -> SumSta
     with y = a + lambda b, all within twice A's range.  Points come in blocks
     of whole slope classes (at most setops._BLOCK points unless one class is
     larger), keyed (lambda, index of x in A+A, index of o in P), and one sort
-    per block dedupes them and counts each line's points.
+    per block dedupes them and counts each line's points.  quot is r_{A/A}
+    when the caller has it.
     """
-    quot = setops.combine(A, A, "/")
+    if quot is None:
+        quot = setops.combine(A, A, "/")
     if quot.support_size() > RATIO_SET_CAP:
         raise InfeasibleSize(f"|A/A| = {quot.support_size()} exceeds {RATIO_SET_CAP}")
     if cover is not None and cover.case == "case1":

@@ -30,15 +30,12 @@ from fractions import Fraction
 from functools import cached_property
 from operator import floordiv
 from pathlib import Path
-from typing import Iterable, TYPE_CHECKING
+from typing import Iterable
 
 import numpy as np
 
-from .errors import BadSpec, IndexOutOfRange, MixedKinds, NotPrime, ZeroDenominator
+from .errors import BadSpec, MixedKinds, NotPrime, ZeroDenominator
 from .ground import ModP, parse_element
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only, avoids an import cycle
-    from .subgroups import SubgroupCtx
 
 RATIONAL = "rational"
 MODP = "modp"
@@ -375,20 +372,6 @@ def combined_set(A: GSet, B: GSet, op: str) -> GSet:
         return GSet(tuple(fast[0].tolist()), fast[2], A.p)
     keys: set = set()
     return _keyed_set(keys, _pair_keys(A, B, op, keys), A.p)
-
-
-def invariant_union(ctx: "SubgroupCtx", coset_indices: Iterable[int]) -> GSet:
-    """Union of the cosets g^j * Gamma for the given j; Gamma-invariant by design."""
-    indices = list(coset_indices)
-    for j in indices:
-        if not 0 <= j < ctx.cosets:
-            raise IndexOutOfRange(f"coset index {j} outside 0..{ctx.cosets - 1}")
-    p = ctx.p
-    values: set[int] = set()
-    for j in sorted(set(indices)):
-        shift = pow(ctx.g, j, p)
-        values.update((shift * x) % p for x in ctx.gamma)
-    return GSet(tuple(sorted(values)), 1, p)
 
 
 def write_gset(A: GSet, path: str | Path) -> None:

@@ -5,6 +5,13 @@ cosets through a discrete-log table, and provides the statistics the harness
 consumes: largest circular coset gap, window membership counts
 computed by two independent routes, exponential sums with their moment
 identities, and the Kolmogorov-style smallness criterion.
+
+Every pair table built from Gamma is constant on the cosets of Gamma, so
+one pass over Gamma gives it (orbit_table): r_{Gamma-Gamma}, r_{Gamma+Gamma}
+and r_{Gamma Gamma}, and lemma 18's E(Q, Gamma) for a union Q of cosets
+(coset_union_energy).  A coset xGamma is labelled by x^t, which needs no
+discrete-log table.  The generic pair kernel setops.combine is their
+cross-check in the tests.
 """
 
 from __future__ import annotations
@@ -17,11 +24,12 @@ import numpy as np
 from .errors import (
     BadSpec,
     CrossCheckMismatch,
+    IndexOutOfRange,
     NotPrime,
     OrderDoesNotDivide,
     TooLarge,
 )
-from .setops import GSet
+from .setops import CountTable, GSet
 
 # Witness set makes Miller-Rabin deterministic below 3.4 * 10^14.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17)
@@ -156,6 +164,77 @@ def subgroup_context(p: int, t: int) -> SubgroupCtx:
     if x != 1 or len(set(members)) != t:
         raise CrossCheckMismatch("generator order is off")
     return SubgroupCtx(p, t, g, tuple(sorted(members)))
+
+
+# -- Gamma-orbit pair tables -------------------------------------------------
+
+def _pow_mod(x: np.ndarray, e: int, p: int) -> np.ndarray:
+    """x^e mod p elementwise, by repeated squaring."""
+    if p * p >= 1 << 63:  # products of two residues must stay inside int64
+        raise TooLarge(f"modulus {p} is too large for int64 powers")
+    out = np.ones_like(x)
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
+
+
+def orbit_table(A: GSet, op: str) -> CountTable | None:
+    """r_{A op A} for op in '+', '-', '*' when A is the order-t subgroup Gamma
+    of F_p^* and t^2 >= p, where the pair kernel would count t^2 pairs into a
+    length-p table; None for any other set or op.  See _orbit_table."""
+    p, t = A.p, A.size
+    if (op not in ("+", "-", "*") or p is None or t * t < p or p * p >= 1 << 63
+            or (p - 1) % t or not is_prime(p)):
+        return None
+    gamma = np.array(A.ints, dtype=np.int64)
+    # t distinct roots of x^t = 1 in the field F_p are all of them, so A is Gamma
+    return _orbit_table(gamma, p, op) if (_pow_mod(gamma, t, p) == 1).all() else None
+
+
+def _orbit_table(gamma: np.ndarray, p: int, op: str) -> CountTable:
+    """r_{Gamma op Gamma} from one pass over Gamma, given sorted as int64.
+
+    Gamma Gamma = Gamma, each element made by t = |Gamma| pairs.  For x != 0,
+    a - b = x with a = ub (u in Gamma) says b = x / (u - 1), which lies in
+    Gamma exactly when u - 1 lies in x Gamma.  So r_{Gamma-Gamma}(x) =
+    #{u in Gamma - {1} : u - 1 in x Gamma}, and likewise r_{Gamma+Gamma}(x) =
+    #{u in Gamma - {-1} : 1 + u in x Gamma}: one count per coset, spread over
+    the coset.  At 0 they count t, and t when -1 is in Gamma.
+    """
+    t = gamma.size
+    if op == "*":
+        return CountTable(gamma, np.full(t, t, dtype=np.int64), t * t, p)
+    shifted = gamma[gamma != 1] - 1 if op == "-" else gamma[gamma != p - 1] + 1
+    _, first, m = np.unique(_pow_mod(shifted, t, p), return_index=True, return_counts=True)
+    r = np.zeros(p, dtype=np.int64)
+    r[shifted[first, None] * gamma % p] = m[:, None]
+    r[0] = t * (t - shifted.size)  # t pairs when the excluded u is in Gamma
+    keys = np.flatnonzero(r)
+    return CountTable(keys, r[keys], t * t, p)
+
+
+def coset_union_energy(ctx: SubgroupCtx, indices: Iterable[int]) -> tuple[int, int]:
+    """(E(Q, Gamma), |Q|) for Q the union of the cosets g^j Gamma, j in
+    indices, from one pass over Q (lemma 18).
+
+    Q is Gamma-invariant, so q - b = x with q = vb (v in Q) says b = x / (v - 1):
+    for x != 0 in g^j Gamma, r_{Q-Gamma}(x) = m_j = #{v in Q - {1} : v - 1 in
+    g^j Gamma}, and r(0) = |Q ^ Gamma|.  So E(Q, Gamma) = |Q ^ Gamma|^2 +
+    t sum_j m_j^2, with the cosets labelled by x^t.
+    """
+    js = sorted(set(indices))
+    for j in js:
+        if not 0 <= j < ctx.cosets:
+            raise IndexOutOfRange(f"coset index {j} outside 0..{ctx.cosets - 1}")
+    p, t = ctx.p, ctx.t
+    reps = np.array([pow(ctx.g, j, p) for j in js], dtype=np.int64)
+    union = (reps[:, None] * np.array(ctx.gamma, dtype=np.int64) % p).ravel()
+    _, m = np.unique(_pow_mod(union[union != 1] - 1, t, p), return_counts=True)
+    inside = t if js and js[0] == 0 else 0  # coset 0 is Gamma
+    return inside**2 + t * int((m * m).sum()), union.size
 
 
 # -- coset gaps --------------------------------------------------------------

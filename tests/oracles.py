@@ -414,3 +414,19 @@ def prop7_count4(A):
     heavy = [s for s, c in pair_counts(aa, aa, "-").items() if c >= delta]
     r_dd = pair_counts(dset, dset, "-")
     return sum(r_dd.get(s / x, 0) for s in heavy for x in elems)
+
+
+def invariant_union(ctx, coset_indices):
+    """The GSet union of the cosets g^j * Gamma for the given j, one element at a time."""
+    from sumprodlab.errors import IndexOutOfRange
+    from sumprodlab.setops import GSet
+
+    indices = list(coset_indices)
+    for j in indices:
+        if not 0 <= j < ctx.cosets:
+            raise IndexOutOfRange(f"coset index {j} outside 0..{ctx.cosets - 1}")
+    values: set[int] = set()
+    for j in sorted(set(indices)):
+        shift = pow(ctx.g, j, ctx.p)
+        values.update(shift * x % ctx.p for x in ctx.gamma)
+    return GSet(tuple(sorted(values)), 1, ctx.p)

@@ -12,8 +12,8 @@ from sumprodlab.errors import BadSpec, RestrictNotSubset, TooLarge
 from sumprodlab.families import generate_from_string
 from sumprodlab.ground import ModP
 from sumprodlab.harness import SetStats, subgroup_stats
-from sumprodlab.setops import gset_modp, gset_rational, invariant_union
-from sumprodlab.subgroups import divisors, subgroup_context
+from sumprodlab.setops import gset_modp, gset_rational
+from sumprodlab.subgroups import _dlog_table, divisors, primitive_root, subgroup_context
 
 A123 = gset_rational([1, 2, 3])
 
@@ -161,6 +161,11 @@ def shift_row_inputs(draw):
     return A, vals, p, R
 
 
+def _dlog(p, order):
+    """The discrete-log table the shift rows label H-cosets with, when H != {1}."""
+    return None if p is None or order == 1 else _dlog_table(p, primitive_root(p))
+
+
 def _rows_at_every_key(A):
     """(keys, counts, columns): the kept orbit rows spread back over every key of
     D, checked against the orbits' sizes and r-masses on the way."""
@@ -168,7 +173,7 @@ def _rows_at_every_key(A):
     keys, counts = table.keys.tolist(), table.counts.tolist()
     assert keys == sorted(keys)
     # keys share a row exactly when they share an orbit label
-    labels = energy._orbit_labels(table.keys, A.p, rows.order)
+    labels = energy._orbit_labels(table.keys, A.p, rows.order, _dlog(A.p, rows.order))
     _, idx = np.unique(labels, return_inverse=True)
     assert (rows.row == idx).all()
     assert np.bincount(idx, minlength=len(rows.size)).tolist() == rows.size
@@ -222,6 +227,30 @@ def test_shift_rows_tier_guard(monkeypatch):
         assert tiers.pop() == tier and not tiers
 
 
+def test_shift_rows_cost_rule(monkeypatch):
+    # mod a prime with H != {1} the cyclotomic rows cost p + rows n^2 against the lookups'
+    # rows |D|: subgroup(p=1009,t=42) costs 9,649 against 8,835, and t=48 7,183 against 8,750
+    tiers = []
+    for name in ("_rows_int64", "_rows_cyclotomic", "_rows_bigint"):
+        real = getattr(energy, name)
+
+        def counted(*args, real=real, name=name):
+            tiers.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(energy, name, counted)
+    p = 1009
+    for t, tier in ((42, "_rows_int64"), (48, "_rows_cyclotomic")):
+        G = subgroup_context(p, t).gamma_set()
+        assert energy.sigma_sum(G) == oracles.sigma(G.values(), p)
+        assert energy.difference_triple_count(G) == oracles.difference_triples(G.values(), p=p)
+        rows, support = energy._shift_rows(G), energy.difference_table(G).support_size()
+        n = (p - 1) // rows.order
+        assert rows.order == t and (p + len(rows.size) * n * n < len(rows.size) * support) == (
+            tier == "_rows_cyclotomic")
+        assert tiers.pop() == tier and not tiers
+
+
 def test_shift_rows_span_blocks():
     A = generate_from_string("rand(n=24,seed=5)")
     n = energy.difference_table(A).support_size()
@@ -239,22 +268,27 @@ MODP_PRIMES = (3, 7, 13, 31, 101, 1009)
 def modp_triple_inputs(draw):
     """(modulus, A, R) for the mod-p triple count; R is None or a subset of D.
 
-    A is a subgroup, a union of its cosets or a random set, mod a prime or
-    mod 7^2 or 101^2.  R is D itself, a union of Gamma-orbits of D, a
-    symmetric subset of D, or any subset of D.
+    A is a subgroup, a union of its cosets, such a union with one residue
+    added or taken away, or a random set, mod a prime or mod 7^2 or 101^2.  R
+    is D itself, a union of Gamma-orbits of D, a symmetric subset of D, or any
+    subset of D.
     """
-    shape = draw(st.sampled_from(("subgroup", "cosets", "random", "square")))
+    shape = draw(st.sampled_from(("subgroup", "cosets", "perturbed", "random", "square")))
     ctx = None
     if shape == "square":
         m = draw(st.sampled_from((7 * 7, 101 * 101)))
     else:
         m = draw(st.sampled_from(MODP_PRIMES))
-    if shape in ("subgroup", "cosets"):
+    if shape in ("subgroup", "cosets", "perturbed"):
         ctx = subgroup_context(m, draw(st.sampled_from(
             [t for t in divisors(m - 1) if t <= 24])))
         k = 1 if shape == "subgroup" else draw(st.integers(1, min(ctx.cosets, 24 // ctx.t or 1)))
-        A = invariant_union(ctx, draw(st.lists(st.integers(0, ctx.cosets - 1),
-                                               min_size=k, max_size=k, unique=True)))
+        A = oracles.invariant_union(ctx, draw(st.lists(st.integers(0, ctx.cosets - 1),
+                                                       min_size=k, max_size=k, unique=True)))
+        if shape == "perturbed":
+            vals = set(A.values()) ^ {draw(st.integers(1, m - 1))}
+            A = gset_modp(vals or {1}, m)
+            ctx = None  # Gamma times a key of D may leave D now
     else:
         A = gset_modp(draw(st.lists(st.integers(1, m - 1), min_size=1,
                                     max_size=min(8, m - 1), unique=True)), m)
@@ -285,7 +319,12 @@ def test_triple_count_modp_matches_oracle(case):
         assert order == oracles.difference_stabilizer_order(A.values(), m)
     else:
         assert order == 1  # composite moduli are not searched
-    _rows_at_every_key(A)
+    keys, counts, got = _rows_at_every_key(A)
+    assert energy._rows_int64(keys, counts, keys, m) == got
+    if order > 1:  # the cyclotomic rows, whichever tier the cost rule took, at every key
+        table, row = energy.difference_table(A), energy._shift_rows(A).row
+        cyclo = energy._rows_cyclotomic(table.keys, table.counts, _dlog(m, order), (m - 1) // order)
+        assert tuple([col[i] for i in row] for col in cyclo) == got
 
 
 def test_triple_count_modp_group_choice():

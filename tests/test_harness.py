@@ -24,7 +24,7 @@ from sumprodlab.harness import (CORPORA, FAILED, PROVED_EXACT, RATIO_ONLY,
 from sumprodlab.harness import base as hbase
 from sumprodlab.harness import checks
 from sumprodlab.harness.corpus import exact_subgroups
-from sumprodlab.setops import gset_modp, gset_rational, invariant_union
+from sumprodlab.setops import gset_modp, gset_rational
 from sumprodlab.subgroups import divisors, subgroup_context
 
 
@@ -135,23 +135,35 @@ def test_run_suite_parallel_report_is_byte_identical():
 
 
 def test_each_input_builds_one_difference_table(monkeypatch):
+    # the subgroup's table comes from one pass over Gamma, as t^2 = 8,100 >= p
     inputs = [_stats("rand(n=48,seed=1)"), _stats("subgroup(p=7561,t=90)")]
-    builds = [0] * len(inputs)
-    combine = setops.combine
+    builds = [[] for _ in inputs]
+    combine, orbit_table = setops.combine, energy.orbit_table
 
-    def counting(A, B, op):
+    def count(A, op, route):
         # an equal copy of an input counts as that input; the smaller sets
         # of later rectangle rounds do not
         for i, stats in enumerate(inputs):
-            if op == "-" and A == stats.A and B == stats.A:
-                builds[i] += 1
+            if op == "-" and A == stats.A:
+                builds[i].append(route)
+
+    def counting(A, B, op):
+        if A == B:
+            count(A, op, "pairs")
         return combine(A, B, op)
 
-    # energy binds combine under its own name
+    def counting_orbits(A, op):
+        table = orbit_table(A, op)
+        if table is not None:
+            count(A, op, "orbits")
+        return table
+
+    # energy binds combine and orbit_table under its own names
     monkeypatch.setattr(setops, "combine", counting)
     monkeypatch.setattr(energy, "combine", counting)
+    monkeypatch.setattr(energy, "orbit_table", counting_orbits)
     run_suite(check_ids("all"), inputs)
-    assert builds == [1, 1]
+    assert builds == [["pairs"], ["orbits"]]
 
 
 def test_worker_reads_the_tables_its_input_carries(monkeypatch):
@@ -269,6 +281,23 @@ def test_sum_construction_stats_identities():
         sum_construction_stats(big)
 
 
+def test_quotient_table_built_once_per_input(monkeypatch):
+    # |A/A| for the guard and r_{A/A} for the slope classes come from one table
+    quotient_loops = []
+    real = setops._pair_keys
+
+    def counted(A, B, op, into):
+        quotient_loops.append(op == "/")
+        return real(A, B, op, into)
+
+    monkeypatch.setattr(setops, "_pair_keys", counted)
+    stats = _stats("rand(n=16,seed=1)")
+    results = run_suite(["sum_stats"], [stats])  # its guard reads |A/A| first
+    assert [r.verdict for r in results] == [PROVED_EXACT]
+    assert sum(quotient_loops) == 1
+    assert stats.support("/") == setops.support_size(stats.A, stats.A, "/")
+
+
 def test_sum_stats_pinned_ap32():
     res = run_check("sum_stats", _stats("ap(n=32)"))
     assert (res.lhs, res.rhs, res.verdict) == ("2556944", "1048576", PROVED_EXACT)
@@ -303,9 +332,9 @@ def kernel_inputs(draw):
         return subgroup_context(p, t).gamma_set()
     ctx = subgroup_context(p, draw(st.sampled_from([t for t in divisors(p - 1) if t <= 4])))
     picks = draw(st.lists(st.integers(0, ctx.cosets - 1), min_size=1, max_size=3, unique=True))
-    A = invariant_union(ctx, picks)
+    A = oracles.invariant_union(ctx, picks)
     if A.size < 4:
-        A = invariant_union(ctx, range(min(ctx.cosets, 4)))
+        A = oracles.invariant_union(ctx, range(min(ctx.cosets, 4)))
     return A
 
 
@@ -317,6 +346,9 @@ def kernel_inputs(draw):
 @example(subgroup_context(93241, 18).gamma_set(), PAPER_PROFILE)
 # without a cover the class lambda = 1 alone holds 75,400 points, past setops._BLOCK
 @example(generate_from_string("ap(n=50,start=1001)"), PAPER_PROFILE)
+# mod 2^31 - 1 no length-p mask is allowed, so the level is searched in sorted keys
+@example(gset_modp([1, 2, 3, 4, 5, 6, 7, 8, (1 << 31) - 2, (1 << 31) - 3], (1 << 31) - 1),
+         PAPER_PROFILE)
 # two rounds of case 2, the second on what the first left
 @example(generate_from_string("union(ap(n=12),geo(q=3,n=6,start=1000))"),
          RectProfile("desk", Fraction(100), 0))

@@ -279,9 +279,9 @@ def test_invariant_union_collects_cosets():
     from sumprodlab.subgroups import subgroup_context
 
     ctx = subgroup_context(7, 3)
-    Q = setops.invariant_union(ctx, [0])
+    Q = oracles.invariant_union(ctx, [0])
     assert set(Q.values()) == {1, 2, 4}
-    Q2 = setops.invariant_union(ctx, [0, 1])
+    Q2 = oracles.invariant_union(ctx, [0, 1])
     assert Q2.size == 6
     # invariance: multiplying by a subgroup element permutes Q
     members = set(Q2.values())

@@ -1,12 +1,13 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 import oracles
-from sumprodlab import energy, subgroups
-from sumprodlab.errors import (BadSpec, CrossCheckMismatch, NotPrime, OrderDoesNotDivide,
-                               TooLarge)
+from sumprodlab import energy, setops, subgroups
+from sumprodlab.errors import (BadSpec, CrossCheckMismatch, IndexOutOfRange, NotPrime,
+                               OrderDoesNotDivide, TooLarge)
 from sumprodlab.harness import subgroup_stats
 from sumprodlab.setops import gset_modp
 from sumprodlab.subgroups import (char_moment_report, gap_H, ks_criterion, lifted_context,
@@ -220,3 +221,46 @@ def test_gamma_energy_matches_generic_counter():
         assert stats.A is ctx.gamma_set() is ctx.gamma_set()
         want = sum(c * c for c in oracles.diff_counts(ctx.gamma, p).values())
         assert char_moment_report(ctx).energy == stats.energy() == want
+
+
+SMALL_PRIMES = [p for p in range(3, 200) if subgroups.is_prime(p)]
+
+
+def _same_table(a, b) -> bool:
+    return (a.keys.tolist(), a.counts.tolist(), a.total, a.p, a.scale) == (
+        b.keys.tolist(), b.counts.tolist(), b.total, b.p, b.scale)
+
+
+def test_orbit_tables_match_pair_kernel():
+    # every subgroup of F_p^* for p < 200: t = 1, t = p - 1, and odd t, where -1 is not in Gamma
+    for p in SMALL_PRIMES:
+        for t in subgroups.divisors(p - 1):
+            G = subgroup_context(p, t).gamma_set()
+            gamma = np.array(G.ints, dtype=np.int64)
+            for op in "+-*":
+                assert _same_table(subgroups._orbit_table(gamma, p, op), setops.combine(G, G, op))
+                # the kept route is taken exactly where the pair kernel goes dense
+                assert (subgroups.orbit_table(G, op) is None) == (t * t < p)
+            assert subgroups.orbit_table(G, "/") is None
+            if t * t >= p:
+                assert _same_table(energy.difference_table(G), setops.combine(G, G, "-"))
+    # a coset of Gamma other than Gamma, and a set with one element swapped, are no subgroups
+    ctx = subgroup_context(101, 20)
+    for vals in (oracles.invariant_union(ctx, [1]).ints, ctx.gamma[:-1] + (ctx.g,)):
+        assert subgroups.orbit_table(gset_modp(vals, 101), "-") is None
+
+
+def test_coset_union_energy_matches_pair_kernel():
+    rng = random.Random(18)
+    for p in (13, 31, 61, 101, 197):
+        for t in subgroups.divisors(p - 1):
+            ctx = subgroup_context(p, t)
+            n = ctx.cosets
+            picks = [range(k) for k in range(1, min(n, 6) + 1)]
+            picks += [rng.sample(range(n), rng.randint(1, n)) for _ in range(3)]
+            for J in picks:
+                Q = oracles.invariant_union(ctx, J)
+                want = (energy.energy_pair(Q, ctx.gamma_set()), Q.size)
+                assert subgroups.coset_union_energy(ctx, J) == want
+    with pytest.raises(IndexOutOfRange):
+        subgroups.coset_union_energy(subgroup_context(13, 3), [4])
