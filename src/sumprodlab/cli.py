@@ -114,7 +114,7 @@ def _cmd_subgroup(args) -> int:
               f"holds = {rep.ok}")
         did_something = True
     if args.lift:
-        _, table = subgroups.mod_p2_subgroup(ctx.p, ctx.t)
+        _, table = subgroups.mod_p2_subgroup(ctx)
         for k, (up, down) in sorted(table.items()):
             print(f"T_{k}: mod p^2 = {up}, mod p = {down}")
         did_something = True
@@ -324,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with subgroups.table_scope():  # one command is one run: its kernels share F_p^* tables
+            return args.fn(args)
     except (TooLarge, InfeasibleSize) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3

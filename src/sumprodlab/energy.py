@@ -28,11 +28,12 @@ import numpy as np
 
 from .errors import BadSpec, RestrictNotSubset, TooLarge
 from .setops import _BLOCK, CountTable, GSet, _int_array, combine
-from .subgroups import _dlog_table, divisors, is_prime, orbit_table, primitive_root
+from .subgroups import divisors, is_prime, orbit_table, prime_tables
 
 # Cap on |A-A| for Sigma, whose shift rows take |A-A|^2 lookups; the checks
 # that need Sigma skip inputs above it.
 SIGMA_SUPPORT_CAP = 5000
+_HEAD_KEYS = 64  # keys _fixing_group tries a candidate on before the full check
 
 
 def difference_table(A: GSet) -> CountTable:
@@ -147,6 +148,9 @@ def _shift_rows(A: GSet) -> _Rows:
     mod a prime the stabiliser _fixing_group finds.  x -> hx maps the pairs
     counted at e onto those at he, so each column is computed at one key per
     H-orbit.  Kept on A, so T_3, Sigma and every triple count share one build.
+    Mod a prime, g and the discrete-log table of F_p^* come from
+    subgroups.prime_tables, so the sets of one prime share them within a
+    table scope (one run_suite).
 
     Three tiers compute the columns:
     * _rows_int64, while every key lies in (-2^61, 2^61), so each d - e fits,
@@ -168,8 +172,8 @@ def _shift_rows(A: GSet) -> _Rows:
             dense = np.zeros(p, dtype=np.int64)
             dense[keys] = counts
         order = 2 if p is None else 1 if dense is None else _fixing_group(p, dense)
-        # one discrete-log table per build, for the labels and the cyclotomic numbers
-        dlog = _dlog_table(p, primitive_root(p)) if p is not None and order > 1 else None
+        # the discrete-log table of F_p^*, for the labels and the cyclotomic numbers
+        dlog = prime_tables(p).dlog if p is not None and order > 1 else None
         labels = _orbit_labels(keys, p, order, dlog)
         if dlog is None:
             _, first, row, size = np.unique(labels, return_index=True,
@@ -242,15 +246,18 @@ def _fixing_group(p: int, r: np.ndarray) -> int:
     H always holds -1, as r is symmetric.  D - {0} is a union of H-cosets, so
     |H| divides p - 1 and |D| - 1.  F_p^* is cyclic, so the order-k candidate
     is generated by g^((p-1)/k); orders are tried largest first and k = 1
-    always passes.
+    always passes.  A candidate is tried on the first _HEAD_KEYS keys before
+    all of them, so most wrong ones cost no full gather.
     """
     # products of two residues must stay inside int64
     if p * p >= 1 << 63 or not is_prime(p):
         return 1
     keys = np.flatnonzero(r)
-    g = primitive_root(p)
+    head = keys[:_HEAD_KEYS]
+    g = prime_tables(p).g
     for k in reversed(divisors(math.gcd(p - 1, keys.size - 1))):
-        if (r[keys * pow(g, (p - 1) // k, p) % p] == r[keys]).all():
+        h = pow(g, (p - 1) // k, p)
+        if (r[head * h % p] == r[head]).all() and (r[keys * h % p] == r[keys]).all():
             return k
 
 

@@ -226,7 +226,8 @@ def feasible_pairs(check_ids_: Sequence[str], inputs: Sequence[SetStats],
 def _run_input_batch(payload) -> list[CheckResult]:
     A, name, ctx, cids, options = payload
     stats = SetStats(A, name, ctx)
-    return [run_check(cid, stats, options=options) for cid in cids]
+    with subgroups.table_scope():
+        return [run_check(cid, stats, options=options) for cid in cids]
 
 
 def run_suite(check_ids_: Sequence[str], inputs: Iterable[SetStats], *,
@@ -238,11 +239,15 @@ def run_suite(check_ids_: Sequence[str], inputs: Iterable[SetStats], *,
     is deterministic either way, keyed by (input position, check position).
     A set and its subgroup context are pickled together, so in the worker the
     set is still the one its context keeps, with the tables built so far.
+    The run (or, with jobs > 1, each worker batch) is one subgroups.table_scope,
+    so consecutive inputs of one prime share its F_p^* tables and no run reuses
+    another's.
     """
     inputs = list(inputs)
     if jobs <= 1:
-        return [run_check(cid, s, options=options)
-                for stats in inputs for cid, s in feasible_pairs(check_ids_, [stats])]
+        with subgroups.table_scope():
+            return [run_check(cid, s, options=options)
+                    for stats in inputs for cid, s in feasible_pairs(check_ids_, [stats])]
     payloads = [(stats.A, stats.name, stats.ctx,
                  [cid for cid, _ in feasible_pairs(check_ids_, [stats])], options or {})
                 for stats in inputs]

@@ -399,8 +399,7 @@ def _chk_parseval_gamma(stats: SetStats, opts: dict):
 
 
 def _chk_modp2_t3(stats: SetStats, opts: dict):
-    ctx = stats.ctx
-    _, table = subgroups.mod_p2_subgroup(ctx.p, ctx.t)  # raises if T_k grows
+    _, table = subgroups.mod_p2_subgroup(stats.ctx)  # raises if T_k grows
     lifted, base = table[3]
     return lifted, base, float(Fraction(lifted, base)), lifted <= base
 

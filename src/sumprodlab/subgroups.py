@@ -12,10 +12,22 @@ and r_{Gamma Gamma}, and lemma 18's E(Q, Gamma) for a union Q of cosets
 (coset_union_energy).  A coset xGamma is labelled by x^t, which needs no
 discrete-log table.  The generic pair kernel setops.combine is their
 cross-check in the tests.
+
+The tables of F_p^* itself (the smallest primitive root g, the powers g^k,
+the discrete-log table and the unit roots e(k/p)) come from prime_tables(p),
+the one entry point every kernel reads them through: SubgroupCtx.dlog,
+gap_H, window_counts, char_sums, coset_union_energy, scan_gaps and energy's
+shift rows.  Inside a table_scope() it keeps the tables of the last prime
+asked for, so the inputs of one prime, run one after another, share one
+build; run_suite opens the scope around a run and each worker batch.
+Outside a scope every call builds afresh, so no work carries over from one
+run to the next.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -111,11 +123,59 @@ def powers(h: int, p: int, k: int) -> np.ndarray:
     return elems[:k]
 
 
-def _dlog_table(p: int, g: int) -> np.ndarray:
-    """ind[x] = k with g^k = x mod p, for x in [1, p-1]; entry 0 is unused."""
-    ind = np.zeros(p, dtype=np.int64)
-    ind[powers(g, p, p - 1)] = np.arange(p - 1)
-    return ind
+@dataclass(eq=False)  # the tables are arrays, which do not compare to one bool
+class PrimeTables:
+    """The tables of F_p^* for one prime p: the smallest primitive root g,
+    pow[k] = g^k for k < p - 1, dlog[x] = k with g^k = x for x in [1, p-1]
+    (entry 0 is unused) and, built on first use, the unit roots."""
+
+    p: int
+    g: int
+    pow: np.ndarray
+    dlog: np.ndarray
+    _roots: np.ndarray | None = field(default=None, repr=False)
+
+    def roots(self) -> np.ndarray:
+        """roots()[k] = e(k/p) = exp(2 pi i k / p) for k < p."""
+        if self._roots is None:
+            self._roots = np.exp((2j * np.pi / self.p) * np.arange(self.p, dtype=np.int64))
+        return self._roots
+
+
+def _build_tables(p: int) -> PrimeTables:
+    g = primitive_root(p)
+    pw = powers(g, p, p - 1)
+    dlog = np.zeros(p, dtype=np.int64)
+    dlog[pw] = np.arange(p - 1)
+    return PrimeTables(p, g, pw, dlog)
+
+
+# The tables prime_tables keeps: None outside a table_scope, else a list
+# holding the tables of the last prime built in the scope (empty at first).
+_HELD: ContextVar[list | None] = ContextVar("sumprodlab_prime_tables", default=None)
+
+
+@contextmanager
+def table_scope() -> Iterator[None]:
+    """Within this block prime_tables keeps one prime's tables between calls."""
+    token = _HELD.set([])
+    try:
+        yield
+    finally:
+        _HELD.reset(token)
+
+
+def prime_tables(p: int) -> PrimeTables:
+    """The tables of F_p^*, p prime: the ones kept by the enclosing table_scope
+    when they are for p, else a fresh build, which the scope then keeps in
+    place of the previous prime's."""
+    held = _HELD.get()
+    if held and held[0].p == p:
+        return held[0]
+    tables = _build_tables(p)
+    if held is not None:
+        held[:] = [tables]
+    return tables
 
 
 @dataclass
@@ -124,7 +184,6 @@ class SubgroupCtx:
     t: int
     g: int
     gamma: tuple[int, ...]
-    _dlog: np.ndarray | None = field(default=None, repr=False, compare=False)
     _chars: np.ndarray | None = field(default=None, repr=False, compare=False)
     _gset: GSet | None = field(default=None, repr=False, compare=False)
 
@@ -140,10 +199,9 @@ class SubgroupCtx:
         return self._gset
 
     def dlog(self) -> np.ndarray:
-        """dlog()[x] = k with g^k = x, for x in [1, p-1]; entry 0 is unused."""
-        if self._dlog is None:
-            self._dlog = _dlog_table(self.p, self.g)
-        return self._dlog
+        """dlog()[x] = k with g^k = x, for x in [1, p-1]; entry 0 is unused.
+        Read from prime_tables(p), so it is not kept on the context."""
+        return prime_tables(self.p).dlog
 
     def label(self) -> str:
         return f"subgroup(p={self.p},t={self.t})"
@@ -230,7 +288,7 @@ def coset_union_energy(ctx: SubgroupCtx, indices: Iterable[int]) -> tuple[int, i
         if not 0 <= j < ctx.cosets:
             raise IndexOutOfRange(f"coset index {j} outside 0..{ctx.cosets - 1}")
     p, t = ctx.p, ctx.t
-    reps = np.array([pow(ctx.g, j, p) for j in js], dtype=np.int64)
+    reps = prime_tables(p).pow[js]  # g^j
     union = (reps[:, None] * np.array(ctx.gamma, dtype=np.int64) % p).ravel()
     _, m = np.unique(_pow_mod(union[union != 1] - 1, t, p), return_counts=True)
     inside = t if js and js[0] == 0 else 0  # coset 0 is Gamma
@@ -248,10 +306,12 @@ class GapReport:
     start: int
 
 
-def _bucket_positions(ctx: SubgroupCtx) -> tuple[np.ndarray, np.ndarray]:
+def _bucket_positions(dlog: np.ndarray, cosets: int) -> tuple[np.ndarray, np.ndarray]:
     """(residues, coset of each): 1..p-1 grouped by coset, ascending within one."""
-    coset = ctx.dlog()[1:] % ctx.cosets
-    order = np.argsort(coset, kind="stable")  # a stable sort keeps residues ascending
+    coset = dlog[1:] % cosets
+    # a stable sort keeps residues ascending; on 16-bit labels numpy's is a radix sort
+    labels = coset.astype(np.uint16) if cosets <= 1 << 16 else coset
+    order = np.argsort(labels, kind="stable")
     return order + 1, coset[order]
 
 
@@ -266,8 +326,8 @@ def gap_H(ctx: SubgroupCtx) -> GapReport:
     ascending, wins; it is re-verified against the discrete-log table before
     returning.
     """
-    p = ctx.p
-    pos, coset = _bucket_positions(ctx)
+    p, dlog = ctx.p, ctx.dlog()
+    pos, coset = _bucket_positions(dlog, ctx.cosets)
     last = np.append(coset[1:] != coset[:-1], True)  # the last member of its coset
     head = pos[np.append(True, last[:-1])]  # the first member of each coset
     runs = np.where(last, head[coset] + (p - 1) - pos, np.append(pos[1:], 0) - pos - 1)
@@ -275,7 +335,7 @@ def gap_H(ctx: SubgroupCtx) -> GapReport:
     gap, coset, start = int(runs[i]), int(coset[i]), int(pos[i]) + 1
     run = (start + np.arange(gap)) % p
     run = run[run != 0]  # 0 lies in no coset
-    if (ctx.dlog()[run] % ctx.cosets == coset).any():
+    if (dlog[run] % ctx.cosets == coset).any():
         raise CrossCheckMismatch("gap witness contains a coset element")
     return GapReport(p, ctx.t, gap, coset, start)
 
@@ -287,7 +347,7 @@ def scan_gaps(primes: Iterable[int], *,
     the filter.  One discrete-log table per prime, vectorized bucketing per
     divisor, so a full sweep of small primes stays cheap."""
     for p in primes:
-        dlog = _dlog_table(p, primitive_root(p))[1:]
+        dlog = prime_tables(p).dlog[1:]
         res = np.arange(1, p, dtype=np.int64)
         for t in divisors(p - 1):
             if t_filter is not None and not t_filter(p, t):
@@ -366,6 +426,7 @@ def char_sums(ctx: SubgroupCtx) -> np.ndarray:
     """S_j = sum over x in Gamma of e(g^j x / p), one j per coset.
 
     |S| is constant on cosets, so these n values carry the full spectrum.
+    The phases e(k/p) are read from prime_tables(p).roots().
     The table is verified once against the second and fourth moment
     identities (t sum|S|^2 = t(p - t) and t sum|S|^4 = p E(Gamma) - t^4)
     before being cached on the context.  E(Gamma) is read off the difference
@@ -378,10 +439,10 @@ def char_sums(ctx: SubgroupCtx) -> np.ndarray:
     p, t = ctx.p, ctx.t
     if p > CHAR_P_CAP:
         raise TooLarge(f"exponential sum table wants p <= {CHAR_P_CAP}, got {p}")
-    reps = powers(ctx.g, p, ctx.cosets)
+    tables = prime_tables(p)
+    reps = tables.pow[:ctx.cosets]  # g^j for j < n, one per coset
     gamma = np.asarray(ctx.gamma, dtype=np.int64)
-    phase = np.exp((2j * np.pi / p) * (reps[:, None] * gamma[None, :] % p))
-    S = phase.sum(axis=1)
+    S = tables.roots()[reps[:, None] * gamma[None, :] % p].sum(axis=1)
     absS = np.abs(S)
     second = t * float((absS**2).sum())
     if abs(second - t * (p - t)) > MOMENT_TOL * max(1.0, t * (p - t)):
@@ -444,10 +505,10 @@ class LiftedCtx:
         return f"subgroup(p^2={self.p * self.p},t={self.t})"
 
 
-def lifted_context(p: int, t: int) -> LiftedCtx:
-    """Order-t subgroup of (Z/p^2)^*; reduction mod p maps it bijectively
-    onto the order-t subgroup of (Z/p)^*."""
-    base = subgroup_context(p, t)
+def lifted_context(base: SubgroupCtx) -> LiftedCtx:
+    """Order-t subgroup of (Z/p^2)^*, t = |Gamma| for Gamma the base context's
+    subgroup; reduction mod p maps it bijectively onto Gamma."""
+    p, t = base.p, base.t
     p2 = p * p
     g2 = base.g if pow(base.g, p - 1, p2) != 1 else base.g + p
     gen = pow(g2, p * (p - 1) // t, p2)
@@ -473,22 +534,25 @@ def tk_cyclic(members: Iterable[int], m: int, k: int) -> int:
     return int((counts * counts).sum())
 
 
-def mod_p2_subgroup(p: int, t: int) -> tuple[LiftedCtx, dict[int, tuple[int, int]]]:
-    """Lift plus the T_k comparison table {k: (T_k mod p^2, T_k mod p)}, k = 2, 3.
+def mod_p2_subgroup(ctx: SubgroupCtx) -> tuple[LiftedCtx, dict[int, tuple[int, int]]]:
+    """Lift of ctx's subgroup plus the T_k comparison table
+    {k: (T_k mod p^2, T_k mod p)}, k = 2, 3.
 
     Reduction mod p sends solutions to solutions injectively, so each lifted
     T_k can never exceed its base value; a violation means a counting bug.
-    The two levels are counted by different kernels on purpose.
+    The two levels are counted by different kernels on purpose.  T_k mod p
+    reads ctx.gamma_set(), so its tables are the ones the context keeps.
     """
     from . import energy as energy_mod
 
-    if t > LIFT_T_CAP:
-        raise TooLarge(f"T_k comparison wants t <= {LIFT_T_CAP}, got {t}")
-    lift = lifted_context(p, t)
+    if ctx.t > LIFT_T_CAP:
+        raise TooLarge(f"T_k comparison wants t <= {LIFT_T_CAP}, got {ctx.t}")
+    lift = lifted_context(ctx)
+    p = ctx.p
     table: dict[int, tuple[int, int]] = {}
     for k in (2, 3):
         upstairs = tk_cyclic(lift.gamma2, p * p, k)
-        downstairs = energy_mod.t_k(lift.base.gamma_set(), k)
+        downstairs = energy_mod.t_k(ctx.gamma_set(), k)
         if upstairs > downstairs:
             raise CrossCheckMismatch(
                 f"T_{k} grew under the lift: {upstairs} > {downstairs}")

@@ -10,6 +10,8 @@ import operator
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 
 def _as_vals(A):
     """Plain value list from a GSet, a list of ints, or a list of Fractions."""
@@ -430,3 +432,12 @@ def invariant_union(ctx, coset_indices):
         shift = pow(ctx.g, j, ctx.p)
         values.update(shift * x % ctx.p for x in ctx.gamma)
     return GSet(tuple(sorted(values)), 1, ctx.p)
+
+
+def char_sums(p, g, gamma):
+    """S_j = sum over x in Gamma of e(g^j x / p) for j < (p - 1)/|Gamma|, each
+    phase by np.exp of its own residue, the powers g^j by Python's pow."""
+    n = (p - 1) // len(gamma)
+    reps = np.array([pow(g, j, p) for j in range(n)], dtype=np.int64)
+    k = reps[:, None] * np.asarray(gamma, dtype=np.int64)[None, :] % p
+    return np.exp((2j * np.pi / p) * k).sum(axis=1)

@@ -216,7 +216,7 @@ def test_criterion_04_exact_inequality_suite():
 def test_criterion_05_mod_p2_monotonicity():
     t0 = time.monotonic()
     for p, t in ((3, 2), (5, 4), (7, 3), (11, 5)):
-        _, table = subgroups.mod_p2_subgroup(p, t)
+        _, table = subgroups.mod_p2_subgroup(subgroups.subgroup_context(p, t))
         up, down = table[3]
         assert up <= down, (p, t, up, down)
         if (p, t) == (3, 2):

@@ -51,3 +51,16 @@ def test_traced_passes_reach_every_named_function(tmp_path):
     for workload in ("grid", "series"):
         tracer, result = run.traced_pass(workload, 1, tmp_path / "scan.csv")
         assert result.output and tracer.spans
+
+
+def test_subgroup_input_reaches_every_named_function():
+    # a traced subgroup workload pass is too slow for this suite, so one small
+    # subgroup input, counted by the benchmark's tracer, stands in for it
+    from sumprodlab import harness
+
+    tracer = spans.Tracer()
+    with tracer:
+        tracer.phase = "wall"
+        result = run.verify_pass([harness.stats_from_spec("subgroup(p=1009,t=24)")])
+    assert result.output
+    assert spans.never_called(tracer, run.MUST_REACH["verify"] + run.MUST_REACH["subgroup"]) == []

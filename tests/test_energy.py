@@ -13,7 +13,7 @@ from sumprodlab.families import generate_from_string
 from sumprodlab.ground import ModP
 from sumprodlab.harness import SetStats, subgroup_stats
 from sumprodlab.setops import gset_modp, gset_rational
-from sumprodlab.subgroups import _dlog_table, divisors, primitive_root, subgroup_context
+from sumprodlab.subgroups import divisors, prime_tables, subgroup_context
 
 A123 = gset_rational([1, 2, 3])
 
@@ -163,7 +163,7 @@ def shift_row_inputs(draw):
 
 def _dlog(p, order):
     """The discrete-log table the shift rows label H-cosets with, when H != {1}."""
-    return None if p is None or order == 1 else _dlog_table(p, primitive_root(p))
+    return None if p is None or order == 1 else prime_tables(p).dlog
 
 
 def _rows_at_every_key(A):
@@ -325,6 +325,23 @@ def test_triple_count_modp_matches_oracle(case):
         table, row = energy.difference_table(A), energy._shift_rows(A).row
         cyclo = energy._rows_cyclotomic(table.keys, table.counts, _dlog(m, order), (m - 1) // order)
         assert tuple([col[i] for i in row] for col in cyclo) == got
+
+
+def test_fixing_group_rejects_a_candidate_past_the_head_keys():
+    # S = Gamma {1..8} is invariant under Gamma, the order-6 subgroup of F_1567^*;
+    # the extra element 267 breaks that only past the first _HEAD_KEYS keys of
+    # D, so the order-6 candidate passes the head check and fails the full one
+    p = 1567
+    vals = sorted({x * y % p for x in subgroup_context(p, 6).gamma for y in range(1, 9)} | {267})
+    r = np.zeros(p, dtype=np.int64)
+    for d, c in oracles.diff_counts(vals, p).items():
+        r[d] = c
+    keys = np.flatnonzero(r)
+    head = keys[:energy._HEAD_KEYS]
+    h = pow(prime_tables(p).g, (p - 1) // 6, p)
+    assert keys.size > energy._HEAD_KEYS and (keys.size - 1) % 6 == 0
+    assert (r[head * h % p] == r[head]).all() and not (r[keys * h % p] == r[keys]).all()
+    assert energy._fixing_group(p, r) == oracles.difference_stabilizer_order(vals, p) < 6
 
 
 def test_triple_count_modp_group_choice():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sumprodlab import energy, setops, spectral
+from sumprodlab import energy, setops, spectral, subgroups
 from sumprodlab.errors import (BadSpec, CrossCheckMismatch, DegenerateInput,
                                InfeasibleSize, IoFailure, TooLarge,
                                UnknownCheck)
@@ -464,28 +464,26 @@ def test_shift_rows_built_once_per_set(monkeypatch):
         assert builds == [tier]
         builds.clear()
 
-def test_dlog_table_built_once_per_set(monkeypatch):
-    # the restricted triple counts of cor1_lower, lemma_key and prop7 find their
-    # rows through the kept row index, so only a shift-row build reads the dlog
-    dlogs, built = [], []
-    real_dlog, real_rows = energy._dlog_table, energy._shift_rows
+def test_prime_tables_built_once_per_prime_per_run(monkeypatch):
+    # inputs of one prime share one build of F_p^*'s tables (the dlog table
+    # among them) within a run_suite, and a second run builds them again
+    built = []
+    real = subgroups._build_tables
 
-    def dlog(*args):
-        dlogs.append(args)
-        return real_dlog(*args)
+    def build(p):
+        built.append(p)
+        return real(p)
 
-    def rows(A):
-        if "_shift_rows" not in A.__dict__:
-            built.append(A)
-        return real_rows(A)
-
-    monkeypatch.setattr(energy, "_dlog_table", dlog)
-    monkeypatch.setattr(energy, "_shift_rows", rows)
-    stats = _stats("subgroup(p=1009,t=24)")
-    results = run_suite(check_ids("all"), [stats])
-    assert all(r.ok for r in results)
-    assert stats.tri_pop() > 0 and energy._shift_rows(stats.A).order == 24
-    assert 1 <= len(dlogs) <= len(built)
+    monkeypatch.setattr(subgroups, "_build_tables", build)
+    inputs = [_stats(f"subgroup(p={p},t={t})") for p, t in ((1009, 24), (1009, 36), (1013, 44))]
+    first = run_suite(check_ids("all"), inputs)
+    assert all(r.ok for r in first)
+    assert built == [1009, 1013]
+    assert energy._shift_rows(inputs[0].A).order == 24  # the shift rows read the dlog table
+    built.clear()
+    second = run_suite(check_ids("all"), inputs)
+    assert built == [1009, 1013]
+    assert [(r.check_id, r.lhs, r.rhs) for r in second] == [(r.check_id, r.lhs, r.rhs) for r in first]
 
 
 # -- reports -------------------------------------------------------------------

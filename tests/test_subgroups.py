@@ -81,8 +81,8 @@ def test_gap_witness_is_rechecked(monkeypatch):
     # buckets that forget two members of Gamma make a run through them win
     real = subgroups._bucket_positions
 
-    def lossy(ctx):
-        pos, coset = real(ctx)
+    def lossy(dlog, cosets):
+        pos, coset = real(dlog, cosets)
         keep = np.ones(pos.size, dtype=bool)
         keep[np.flatnonzero(coset == 0)[1:]] = False  # coset 0 keeps its first member only
         return pos[keep], coset[keep]
@@ -103,6 +103,15 @@ def test_scan_gaps_agrees_with_gap_H():
     assert rows  # every divisor of p - 1 shows up
     for p, t, gap in rows:
         assert gap == gap_H(subgroup_context(p, t)).gap, (p, t)
+
+
+def test_gap_H_agrees_with_scan_gaps_on_both_label_sorts():
+    # up to 2^16 cosets gap_H sorts uint16 labels; p = 131101, t = 2 has 65,550
+    for p, t, narrow in ((1009, 24, True), (131101, 2, False)):
+        ctx = subgroup_context(p, t)
+        assert (ctx.cosets <= 1 << 16) == narrow
+        (row,) = scan_gaps([p], t_filter=lambda _p, u: u == t)
+        assert row == (p, t, gap_H(ctx).gap)
 
 
 def test_window_counts_worked_example():
@@ -127,6 +136,16 @@ def test_window_radius_guard():
         window_counts(ctx, 4)
     with pytest.raises(BadSpec):
         window_counts(ctx, 0)
+
+
+def test_char_sums_match_direct_exp_bitwise():
+    # the phases come from the unit-root table, gathered from the same residue
+    # matrix and summed in the same order as one np.exp per phase
+    for p in (7, 11, 13, 101, 1009):
+        for t in subgroups.divisors(p - 1):
+            ctx = subgroup_context(p, t)
+            direct = oracles.char_sums(p, ctx.g, ctx.gamma)
+            assert subgroups.char_sums(ctx).tobytes() == direct.tobytes(), (p, t)
 
 
 def test_char_sums_moment_identities():
@@ -178,7 +197,7 @@ def test_ks_criterion_matches_every_shift(p, t):
 
 
 def test_lift_reduces_onto_base():
-    lift = lifted_context(7, 3)
+    lift = lifted_context(subgroup_context(7, 3))
     assert sorted(x % 7 for x in lift.gamma2) == [1, 2, 4]
     assert len(lift.gamma2) == 3
     for x in lift.gamma2:
@@ -190,27 +209,30 @@ def test_tk_cyclic_matches_dict_route():
         ctx = subgroup_context(p, t)
         for k in (2, 3):
             assert tk_cyclic(ctx.gamma, p, k) == energy.t_k(ctx.gamma_set(), k)
-    lift = lifted_context(7, 3)
+    lift = lifted_context(subgroup_context(7, 3))
     for k in (2, 3):
         assert tk_cyclic(lift.gamma2, 49, k) == energy.t_k(gset_modp(lift.gamma2, 49), k)
 
 
 def test_mod_p2_t3_never_grows():
     for p, t in ((3, 2), (5, 4), (7, 3), (11, 5)):
-        _, table = mod_p2_subgroup(p, t)
+        ctx = subgroup_context(p, t)
+        lift, table = mod_p2_subgroup(ctx)
         for k, (up, down) in table.items():
             assert up <= down, (p, t, k)
+        # T_3 mod p read the shift rows kept on the context's own Gamma
+        assert lift.base is ctx and "_shift_rows" in ctx.gamma_set().__dict__
 
 
 def test_mod_p2_worked_example():
-    _, table = mod_p2_subgroup(3, 2)
+    _, table = mod_p2_subgroup(subgroup_context(3, 2))
     up, down = table[3]
     assert up == 20 and down == 22
 
 
 def test_mod_p2_guard():
     with pytest.raises(TooLarge):
-        mod_p2_subgroup(1009, 1008)
+        mod_p2_subgroup(subgroup_context(1009, 1008))
 
 
 def test_gamma_energy_matches_generic_counter():
