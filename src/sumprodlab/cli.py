@@ -61,11 +61,11 @@ def _cmd_stats(args) -> int:
         print(f"  T3 = {stats.t3()}")
         print(f"  max difference multiplicity = {stats.max_r()}")
         pop = stats.pop()
-        print(f"  popular differences: {pop.members.size} above {pop.delta}, "
+        print(f"  popular differences: {pop.size} above {pop.delta}, "
               f"mass {pop.mass}")
         lvl = stats.dyadic()
         print(f"  busiest dyadic class: delta = {lvl.delta}, "
-              f"{lvl.members.size} differences, mass {lvl.mass}")
+              f"{lvl.size} differences, mass {lvl.mass}")
     return 0
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -95,31 +95,32 @@ def sigma_sum(A: GSet) -> int:
     return sum(map(operator.mul, rows.mass, rows.weight))
 
 
-def difference_triple_count(A: GSet, restrict: GSet | None = None) -> int:
+def difference_triple_count(A: GSet, restrict: GSet | PopularSet | None = None) -> int:
     """Ordered pairs (d, d') in D x R with d - d' in D, where D = A - A.
 
-    R defaults to D; otherwise restrict must be a subset of D.  The count is
-    the sum over d' in R of |D ^ (D + d')| = hits(d') of the shift rows,
-    each of whose orbits stands for |orbit| keys of D; R's keys find their rows
-    by one searchsorted into the table's keys.
+    R defaults to D; otherwise it is a subset of D, given as a GSet or as a
+    mask over the table's keys (a PopularSet).  The count is the sum over d'
+    in R of |D ^ (D + d')| = hits(d') of the shift rows, each of whose orbits
+    stands for |orbit| keys of D; a GSet's keys find their positions, which
+    select rows as a mask does, by one searchsorted into the table's keys.
     """
     table = difference_table(A)
-    if restrict is not None and restrict.p != table.p:
-        raise RestrictNotSubset("restriction set has the wrong kind")
+    select = restrict.mask if isinstance(restrict, _KeyMask) else None
+    if isinstance(restrict, GSet):
+        if restrict.p != table.p:
+            raise RestrictNotSubset("restriction set has the wrong kind")
+        if table.scale % restrict.scale:  # R's keys fit only when its scale divides the table's
+            raise RestrictNotSubset("restriction set is off the difference set's scale")
+        keys = [v * (table.scale // restrict.scale) for v in restrict.ints]
+        select = table.index(_int_array(keys))
+        if (select < 0).any():
+            k = keys[int(np.argmax(select < 0))]
+            where = Fraction(k, table.scale) if table.p is None else f"{k} mod {table.p}"
+            raise RestrictNotSubset(f"{where} not in the difference set")
     rows = _shift_rows(A)
     if restrict is None:
         return sum(map(operator.mul, rows.size, rows.hits))
-    # a key fits the table only when restrict's scale divides the table's
-    rints, rscale = restrict.int_view()
-    if table.scale % rscale:
-        raise RestrictNotSubset("restriction set is off the difference set's scale")
-    keys = rints if rscale == table.scale else [v * (table.scale // rscale) for v in rints]
-    at = table.index(_int_array(keys))
-    if (at < 0).any():
-        k = keys[int(np.argmax(at < 0))]
-        where = Fraction(k, table.scale) if table.p is None else f"{k} mod {table.p}"
-        raise RestrictNotSubset(f"{where} not in the difference set")
-    return int(np.take(rows.hits, rows.row[at]).sum())
+    return int(np.take(rows.hits, rows.row[select]).sum())
 
 
 @dataclass(frozen=True)
@@ -305,21 +306,31 @@ def _orbit_labels(keys: np.ndarray, p: int | None, order: int, dlog) -> np.ndarr
 
 
 @dataclass(frozen=True)
-class PopularSet:
-    """Differences with r(d) >= Delta = |A|^2 / (2|A-A|); carries exact Delta."""
+class _KeyMask:
+    """A threshold delta, a subset of the keys of r_{A-A} = table held as a
+    boolean mask over table.keys, and its mass; members decodes it on each read,
+    for printing and for the oracles."""
 
-    delta: Fraction
-    members: GSet
-    mass: int  # sum of r(d) over members
+    delta: Fraction | int
+    mask: np.ndarray = field(compare=False, repr=False)
+    mass: int
+    table: CountTable = field(compare=False, repr=False)
+
+    @property
+    def size(self) -> int:
+        return int(np.count_nonzero(self.mask))
+
+    @property
+    def members(self) -> GSet:
+        return self.table.decode(self.table.keys[self.mask])
 
 
-@dataclass(frozen=True)
-class DyadicLevel:
-    """One dyadic popularity class [Delta, 2*Delta) maximizing sum r(d)^2."""
+class PopularSet(_KeyMask):
+    """Differences with r(d) >= Delta = |A|^2 / (2|A-A|), exact Delta; mass sums r(d)."""
 
-    delta: int
-    members: GSet
-    mass: int  # sum of r(d)^2 over the class
+
+class DyadicLevel(_KeyMask):
+    """One dyadic popularity class [Delta, 2*Delta) maximizing its mass, sum r(d)^2."""
 
 
 def popular_differences(A: GSet) -> PopularSet:
@@ -333,7 +344,7 @@ def popular_differences(A: GSet) -> PopularSet:
     twice_support = 2 * table.support_size()
     popular = table.counts >= -(-n2 // twice_support)  # r(d) >= Delta
     mass = int(table.counts[popular].sum())
-    return PopularSet(Fraction(n2, twice_support), table.decode(table.keys[popular]), mass)
+    return PopularSet(Fraction(n2, twice_support), popular, mass, table)
 
 
 def dyadic_energy_level(A: GSet) -> DyadicLevel:
@@ -351,8 +362,8 @@ def dyadic_energy_level(A: GSet) -> DyadicLevel:
             classes[c.bit_length() - 1] = classes.get(c.bit_length() - 1, 0) + m * c * c
         best_i = min(classes, key=lambda i: (-classes[i], i))
         delta = 1 << best_i
-        members = table.keys[(delta <= table.counts) & (table.counts < 2 * delta)]
-        level = A.__dict__["_dyadic"] = DyadicLevel(delta, table.decode(members), classes[best_i])
+        mask = (delta <= table.counts) & (table.counts < 2 * delta)
+        level = A.__dict__["_dyadic"] = DyadicLevel(delta, mask, classes[best_i], table)
     return level
 
 

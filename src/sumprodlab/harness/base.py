@@ -104,7 +104,7 @@ class SetStats:
     def tri_pop(self) -> int:
         """The difference-triple count with d' restricted to the popular set."""
         return self.memo("tri_pop", lambda: energy.difference_triple_count(
-            self.A, restrict=self.pop().members))
+            self.A, restrict=self.pop()))
 
     def dyadic(self):
         return energy.dyadic_energy_level(self.A)

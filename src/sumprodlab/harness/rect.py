@@ -138,11 +138,10 @@ def rect_decompose(A: GSet, *, profile: RectProfile = PAPER_PROFILE) -> RectCove
         table = energy.difference_table(current)
         ledger.append(energy.energy_pair(current))
         lvl = energy.dyadic_energy_level(current)
-        in_level = (lvl.delta <= table.counts) & (table.counts < 2 * lvl.delta)
-        member = _membership(table.keys[in_level], current, table.support_size())
+        member = _membership(table.keys[lvl.mask], current, table.support_size())
         xs, ys = np.nonzero(member(setops._difference_matrix(current)))
         mass = xs.size
-        if mass != int(table.counts[in_level].sum()):
+        if mass != int(table.counts[lvl.mask].sum()):
             raise CrossCheckMismatch("point-set size disagrees with the level mass")
         n = current.size
         L = _log_ceil(n)
@@ -269,11 +268,6 @@ def sum_construction_stats(A: GSet, *, cover: RectCover | None = None,
         quot = setops.combine(A, A, "/")
     if quot.support_size() > RATIO_SET_CAP:
         raise InfeasibleSize(f"|A/A| = {quot.support_size()} exceeds {RATIO_SET_CAP}")
-    if cover is not None and cover.case == "case1":
-        aprime, adouble, level = cover.Aprime, cover.Adoubleprime, cover.level
-    else:
-        aprime = adouble = A
-        level = energy.dyadic_energy_level(A).members
     ints, scale = A.int_view()
     p, n = A.p, A.size
     dtype = np.int64 if 2 * (p or max(-ints[0], ints[-1])) < 1 << 63 else object
@@ -281,7 +275,12 @@ def sum_construction_stats(A: GSet, *, cover: RectCover | None = None,
     def on_scale(B: GSet) -> np.ndarray:  # B's integer view brought to A's scale
         return np.array(B.ints, dtype=dtype) * (scale // B.scale)
 
-    vals, app, levels = np.array(ints, dtype=dtype), on_scale(adouble), on_scale(level)
+    if cover is not None and cover.case == "case1":
+        aprime, adouble, levels = cover.Aprime, cover.Adoubleprime, on_scale(cover.level)
+    else:  # A's own level, as keys of r_{A-A}, which is on A's scale
+        lvl, aprime, adouble = energy.dyadic_energy_level(A), A, A
+        levels = lvl.table.keys[lvl.mask].astype(dtype)
+    vals, app = np.array(ints, dtype=dtype), on_scale(adouble)
     sums = setops.combine(A, A, "+").keys.astype(dtype)
     # route 1 sorts the n^2 pairs (a, c), flat index a * n + c, by slope; route 2 is r_{A/A}
     if p is not None:

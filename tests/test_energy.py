@@ -409,7 +409,7 @@ def test_energy_kernels_build_no_modp_objects(monkeypatch):
         energy.dyadic_energy_level(A)
         for op in "+-*/":
             setops.combined_set(A, A, op)
-    assert stats.tri_pop() > 0  # restricted to the decoded popular set
+    assert stats.tri_pop() > 0  # restricted to the popular set's mask
     assert made == []
 
 
@@ -447,11 +447,25 @@ def test_count_table_readers_match_brute_force(A):
     top = min(classes, key=lambda k: (-classes[k], k))
     lvl = energy.dyadic_energy_level(A)
     assert (lvl.delta, lvl.mass) == (1 << (top - 1), classes[top])
-    assert lvl.members.elements == tuple(sorted(d for d, c in r.items() if c.bit_length() == top))
+    level = sorted(d for d, c in r.items() if c.bit_length() == top)
+    assert lvl.members.elements == tuple(level)
     pop = energy.popular_differences(A)
     assert pop.delta == Fraction(A.size**2, 2 * len(r))
-    assert pop.members.elements == tuple(sorted(d for d, c in r.items() if c >= pop.delta))
+    popular = sorted(d for d, c in r.items() if c >= pop.delta)
+    assert pop.members.elements == tuple(popular)
     assert pop.mass == sum(c for c in counts if c >= pop.delta)
+    # the masks select exactly those members among the table's keys, with no decode
+    table = energy.difference_table(A)
+
+    def as_keys(elems):
+        return [d.value if A.p is not None else int(d * table.scale) for d in elems]
+
+    assert table.keys[pop.mask].tolist() == as_keys(popular)
+    assert table.keys[lvl.mask].tolist() == as_keys(level)
+    assert (pop.size, lvl.size) == (len(popular), len(level))
+    values = [d.value if A.p is not None else d for d in popular]
+    tri_pop = oracles.difference_triples(A.values(), values, A.p)
+    assert SetStats(A).tri_pop() == tri_pop == energy.difference_triple_count(A, pop.members)
     for delta in (0, 1, Fraction(3, 2), max(counts) // 2, max(counts)):
         high = [c for c in counts if c > delta]
         assert energy.tail_decompose(A, delta) == (
@@ -462,6 +476,31 @@ def test_count_table_readers_match_brute_force(A):
     members = set(A.elements)
     assert spectral.incidence_factor(A).tolist() == [[float(a + w in members) for w in r]
                                                      for a in A.elements]
+
+
+def _dilate(A, lam):
+    if A.p is None:
+        return gset_rational(v * lam for v in A.elements)
+    return gset_modp([v * lam % A.p for v in A.ints], A.p)
+
+
+def _popular_summary(A):
+    stats, lvl = SetStats(A), energy.dyadic_energy_level(A)
+    pop = stats.pop()
+    return pop.size, pop.delta, pop.mass, lvl.delta, lvl.mass, lvl.size, stats.tri_pop()
+
+
+@given(table_sets)
+@example(gset_rational([1, 7, 8, 13, 14, 20, 26]))
+@settings(max_examples=40, deadline=None)
+def test_popular_readers_invariant_under_dilation(A):
+    # r_{lam A - lam A}(lam d) = r(d), so the popular set, the dyadic level and
+    # the restricted triple count keep their sizes and masses.  lam = 2^61 + 1
+    # moves rational keys past 2^63, to the object-array tier (the example's
+    # differences reach 25).
+    want = _popular_summary(A)
+    for lam in (-1, Fraction(3, 7), 2**61 + 1) if A.p is None else (2, A.p - 1):
+        assert _popular_summary(_dilate(A, lam)) == want
 
 
 def test_popular_differences_majority_mass():

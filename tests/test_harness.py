@@ -188,6 +188,20 @@ def test_each_input_builds_one_dyadic_level(monkeypatch):
     assert len(built) == 2
 
 
+def test_popular_and_dyadic_readers_decode_nothing(monkeypatch):
+    # subgroup(p=7561,t=90) has t^2 >= p, so P and the level have O(p) keys; the
+    # readers work on masks over the difference table's keys.  A rectangle
+    # cover keeps its level as a GSet, decoded once when the cover is built,
+    # so ap(n=16)'s cover is built first and sum_stats reads it.
+    inputs = [_stats("subgroup(p=7561,t=90)"), _stats("ap(n=16)")]
+    checks._cover(inputs[1], {})
+    monkeypatch.setattr(setops.CountTable, "decode", lambda *args: pytest.fail("decoded"))
+    ids = ["lemma_key", "popular_pigeonhole", "dyadic_level", "cor1_lower", "sum_stats"]
+    results = run_suite(ids, inputs)
+    assert len(results) == 9 and all(r.ok for r in results)  # sum_stats skips the subgroup
+    sum_construction_stats(inputs[1].A)  # with no cover, A's level is read off the table
+
+
 def test_run_suite_unknown_check():
     with pytest.raises(UnknownCheck):
         run_suite(["nope"], [_stats("ap(n=4)")])
