@@ -6,11 +6,11 @@ the only float on offer is the fractional moment (q = 3/2 and friends).
 They all read one table r_{A-A} keyed on the set's integer view (see setops),
 which difference_table builds once per set and keeps on it: E, E_q and the
 energy splits sum over its count profile, the popular set and the dyadic level
-are masks over its sorted keys.  A subgroup of F_p^* builds the table from
-one pass over its elements (subgroups.orbit_table).  T_3, Sigma and the
-difference-triple count, for rationals and residues alike, read the shift
-rows of A-A, also kept on the set: one row per orbit of the largest group H
-of units that fixes r.  Three tiers compute the rows (see _shift_rows):
+are masks over its sorted keys.  The table comes from subgroups.pair_table,
+one pass over the elements when the set is a subgroup of F_p^*.  T_3, Sigma
+and the difference-triple count, for rationals and residues alike, read the
+shift rows of A-A, also kept on the set: one row per orbit of the largest
+group H of units that fixes r.  Three tiers compute the rows (see _shift_rows):
 int64 lookups over D; mod a prime, the cyclotomic numbers of H where that is
 less work; and a big-integer loop past the int64 guards.
 Counting conventions: every count is over ordered tuples, and r_{A-B}(d) is
@@ -27,8 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadSpec, RestrictNotSubset, TooLarge
-from .setops import _BLOCK, CountTable, GSet, _int_array, combine
-from .subgroups import divisors, is_prime, orbit_table, prime_tables
+from .setops import _BLOCK, CountTable, GSet, _dense_residues, _int_array, combine
+from .subgroups import divisors, is_prime, pair_table, prime_tables
 
 # Cap on |A-A| for Sigma, whose shift rows take |A-A|^2 lookups; the checks
 # that need Sigma skip inputs above it.
@@ -38,15 +38,11 @@ _HEAD_KEYS = 64  # keys _fixing_group tries a candidate on before the full check
 
 def difference_table(A: GSet) -> CountTable:
     """r_{A-A} on A's integer view, built on the first call and kept on A
-    (like GSet.int_view), so every functional of one set shares it.  A
-    subgroup of F_p^* with |A|^2 >= p takes one pass over A
-    (subgroups.orbit_table); every other set takes the pair kernel."""
+    (like GSet.int_view), so every functional of one set shares it.  Built
+    by subgroups.pair_table, the one route to a self-table."""
     table = A.__dict__.get("_differences")
     if table is None:
-        table = orbit_table(A, "-")  # one pass over A when A is a subgroup
-        if table is None:
-            table = combine(A, A, "-")
-        A.__dict__["_differences"] = table
+        table = A.__dict__["_differences"] = pair_table(A, "-")
     return table
 
 
@@ -157,7 +153,7 @@ def _shift_rows(A: GSet) -> _Rows:
     * _rows_int64, while every key lies in (-2^61, 2^61), so each d - e fits,
       and max r^2 |A|^2, which bounds each weight, is below 2^63: |D| lookups
       per row.  Mod p, r is spread into one dense length-p table, which H and
-      these rows read, only while p <= max(_BLOCK, |A| |D|); past that H = {1}.
+      these rows read, only while _dense_residues(p, |A| |D|); past that H = {1}.
     * _rows_cyclotomic, mod a prime with the dense table and H != {1}, from the
       n x n cyclotomic numbers of H, n = (p - 1) / |H|: taken when its work,
       p + rows n^2, is below the lookups' rows |D|.
@@ -169,7 +165,7 @@ def _shift_rows(A: GSet) -> _Rows:
         fits = keys.size > 0 and table.max_count() ** 2 * table.total < 1 << 63 and (
             p < lim if p is not None else -lim < keys[0] and keys[-1] < lim)
         dense = None
-        if fits and p is not None and p <= max(_BLOCK, A.size * keys.size):
+        if fits and _dense_residues(p, A.size * keys.size):
             dense = np.zeros(p, dtype=np.int64)
             dense[keys] = counts
         order = 2 if p is None else 1 if dense is None else _fixing_group(p, dense)

@@ -53,8 +53,10 @@ class SetStats:
 
     The difference table and the dyadic level are kept on the set itself
     (energy.difference_table, energy.dyadic_energy_level), so every check and
-    library call on one input shares a single build.  A subgroup input's set
-    is ctx.gamma_set().
+    library call on one input shares a single build.  Every self-table
+    r_{A op A} it reads comes from subgroups.pair_table, so a subgroup input
+    takes the orbit route for each of them.  A subgroup input's set is
+    ctx.gamma_set().
     """
 
     def __init__(self, A: GSet, name: str | None = None, ctx=None):
@@ -109,26 +111,26 @@ class SetStats:
     def dyadic(self):
         return energy.dyadic_energy_level(self.A)
 
-    def support(self, op: str) -> int:
-        """|A op A|: read off the difference and quotient tables for - and /,
-        and for + and * off subgroups.orbit_table when A is a subgroup with
-        |A|^2 >= p, else from the pair kernel."""
+    def _table(self, op: str) -> setops.CountTable:
+        """r_{A op A}: the kept difference table for -, the memoized quotient
+        table for /, and a fresh subgroups.pair_table for + and *."""
         if op == "-":
-            return self.table().support_size()
+            return self.table()
         if op == "/":
-            return self.quotients().support_size()
+            return self.memo("quotients", lambda: subgroups.pair_table(self.A, "/"))
+        return subgroups.pair_table(self.A, op)
 
-        def size() -> int:
-            orbit = subgroups.orbit_table(self.A, op)
-            return setops.support_size(self.A, self.A, op) if orbit is None else orbit.support_size()
-        return self.memo(("support", op), size)
+    def support(self, op: str) -> int:
+        """|A op A|, read off r_{A op A}."""
+        return self.memo(("support", op), lambda: self._table(op).support_size())
 
     def quotients(self) -> setops.CountTable:
-        """r_{A/A}, shared by |A/A| and the sum construction."""
-        return self.memo("quotients", lambda: setops.combine(self.A, self.A, "/"))
+        """r_{A/A}, shared by |A/A|, the set A/A and the sum construction."""
+        return self._table("/")
 
     def combined(self, op: str) -> GSet:
-        return self.memo(("combined", op), lambda: setops.combined_set(self.A, self.A, op))
+        """The set A op A, read off r_{A op A}."""
+        return self.memo(("combined", op), lambda: self._table(op).support_set())
 
     def mult_doubling(self) -> Fraction:
         return Fraction(self.support("*"), self.size)
@@ -227,7 +229,7 @@ def _run_input_batch(payload) -> list[CheckResult]:
     A, name, ctx, cids, options = payload
     stats = SetStats(A, name, ctx)
     with subgroups.table_scope():
-        return [run_check(cid, stats, options=options) for cid in cids]
+        return [run_check(cid, stats, options=options) for cid, _ in feasible_pairs(cids, [stats])]
 
 
 def run_suite(check_ids_: Sequence[str], inputs: Iterable[SetStats], *,
@@ -235,8 +237,9 @@ def run_suite(check_ids_: Sequence[str], inputs: Iterable[SetStats], *,
     """Run every applicable (check, input) pair.
 
     With jobs > 1 the inputs are distributed over a process pool (one batch
-    per input, so per-input caches still amortize); the merged result order
-    is deterministic either way, keyed by (input position, check position).
+    per input, so per-input caches still amortize); each worker evaluates its
+    input's guards, so none run serially in the parent.  The merged result
+    order is deterministic either way, keyed by (input position, check position).
     A set and its subgroup context are pickled together, so in the worker the
     set is still the one its context keeps, with the tables built so far.
     The run (or, with jobs > 1, each worker batch) is one subgroups.table_scope,
@@ -248,9 +251,7 @@ def run_suite(check_ids_: Sequence[str], inputs: Iterable[SetStats], *,
         with subgroups.table_scope():
             return [run_check(cid, s, options=options)
                     for stats in inputs for cid, s in feasible_pairs(check_ids_, [stats])]
-    payloads = [(stats.A, stats.name, stats.ctx,
-                 [cid for cid, _ in feasible_pairs(check_ids_, [stats])], options or {})
-                for stats in inputs]
+    payloads = [(stats.A, stats.name, stats.ctx, check_ids_, options or {}) for stats in inputs]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
     merged: list[CheckResult] = []

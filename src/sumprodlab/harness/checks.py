@@ -83,6 +83,8 @@ def _chk_e3_identity(stats: SetStats, opts: dict):
     _, counts = np.unique(M[:, :, None] * keys.size + M.T[:, None, :], return_counts=True)
     via_slices = int((counts * counts).sum())
     ok = direct == via_slices
+    # r_{A+A} from the generic pair kernel, not subgroups.pair_table: a second
+    # route to E(A), independent of the one that built the difference table
     if ok and setops.combine(A, A, "+").moment(2) != stats.energy():
         raise CrossCheckMismatch("E from r_{A+A} disagrees with E from r_{A-A}")
     if ok and A.size <= 14:
@@ -259,15 +261,13 @@ def _prop7_parts(stats: SetStats, opts: dict):
         heavy = setops._int_array([k * lift for k in heavy.tolist()])[:, None]
         count3 = stats.tri_pop()
         dset = stats.table().support_set()
-        r_dd = setops.combine(dset, dset, "-")
+        r_dd = subgroups.pair_table(dset, "-")
         if p is None:  # S / x on scale s is key (S / x) / lift_dd of r_dd, where x divides S
             lift_dd = scale // r_dd.scale
             divides = (heavy % setops._int_array([x * lift_dd for x in ints])) == 0
             quotients = (heavy // setops._int_array(list(ints)))[divides] // lift_dd
         else:
-            inverses = np.array([pow(x, -1, p) for x in ints],
-                                dtype=np.int64 if p * p < 1 << 63 else object)
-            quotients = heavy * inverses % p
+            quotients = heavy * setops._inverses(ints, p) % p
         at = r_dd.index(quotients.ravel())
         count4 = int(r_dd.counts[at[at >= 0]].sum())
         return delta, heavy.size, stats.combined("*").size, count3, count4
@@ -488,7 +488,7 @@ def _needs_sigma(stats: SetStats) -> bool:
 def _taa(stats: SetStats) -> setops.CountTable:
     """r_{AA-AA} on the integer scale."""
     aa = stats.combined("*")
-    return stats.memo("taa", lambda: setops.combine(aa, aa, "-"))
+    return stats.memo("taa", lambda: subgroups.pair_table(aa, "-"))
 
 
 def _needs_prop7(stats: SetStats) -> bool:

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .. import energy, setops
+from .. import energy, setops, subgroups
 from ..errors import CrossCheckMismatch, DegenerateInput, InfeasibleSize, TooLarge
 from ..setops import GSet, _find
 
@@ -174,10 +174,10 @@ def rect_decompose(A: GSet, *, profile: RectProfile = PAPER_PROFILE) -> RectCove
 
 def _membership(level: np.ndarray, A: GSet, support: int):
     """Membership in the level's sorted keys of differences on A's integer
-    view, reduced mod p for residues: one length-p mask while p <= max(_BLOCK,
-    |A| |D|), the dense rule of energy's shift rows, else one searchsorted."""
+    view, reduced mod p for residues: one length-p mask while
+    setops._dense_residues(p, |A| |D|), else one searchsorted."""
     p = A.p
-    if p is not None and p <= max(setops._BLOCK, A.size * support):
+    if setops._dense_residues(p, A.size * support):
         mask = np.zeros(p, dtype=bool)
         mask[level] = True
         return mask.__getitem__
@@ -265,7 +265,7 @@ def sum_construction_stats(A: GSet, *, cover: RectCover | None = None,
     when the caller has it.
     """
     if quot is None:
-        quot = setops.combine(A, A, "/")
+        quot = subgroups.pair_table(A, "/")
     if quot.support_size() > RATIO_SET_CAP:
         raise InfeasibleSize(f"|A/A| = {quot.support_size()} exceeds {RATIO_SET_CAP}")
     ints, scale = A.int_view()
@@ -281,10 +281,10 @@ def sum_construction_stats(A: GSet, *, cover: RectCover | None = None,
         lvl, aprime, adouble = energy.dyadic_energy_level(A), A, A
         levels = lvl.table.keys[lvl.mask].astype(dtype)
     vals, app = np.array(ints, dtype=dtype), on_scale(adouble)
-    sums = setops.combine(A, A, "+").keys.astype(dtype)
+    sums = subgroups.pair_table(A, "+").keys.astype(dtype)
     # route 1 sorts the n^2 pairs (a, c), flat index a * n + c, by slope; route 2 is r_{A/A}
     if p is not None:
-        inv = np.array([pow(v, -1, p) for v in ints], dtype=np.int64 if p * p < 1 << 63 else object)
+        inv = setops._inverses(ints, p)
         cols = [(inv[:, None] * vals.astype(inv.dtype) % p).ravel()]
     else:
         g = np.gcd(vals[:, None], vals)

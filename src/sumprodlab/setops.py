@@ -11,14 +11,15 @@ these ints.  Fraction and ModP objects are built only where input is parsed
 decoded on first read and kept).  Input sets exclude 0; derived sets
 (differences, supports, popular levels) may hold it.
 
-One pair kernel computes a op b on the ints for every op and kind: on int64
-arrays in blocks (int64_counts) for residues mod m with m * m < 2^63 and for
-rational sums, differences and products whose keys fit, and by an O(|A||B|)
-Python loop (_pair_keys) for rational quotients, larger keys and moduli.
-Either way a CountTable holds the result as two arrays sorted by key, keys
-and counts, with the keys' scale: every reader is a numpy reduction, mask or
-searchsorted over them, and decode turns a slice of the keys into a GSet
-without sorting.  Tests pin every op to Fraction/ModP.
+One pair kernel, combine, computes a op b on the ints for every op and kind:
+on int64 arrays in blocks (int64_counts) for residues mod m with m * m < 2^63
+and for rational sums, differences and products whose keys fit, and by an
+O(|A||B|) Python loop (_pair_keys) for rational quotients, larger keys and
+moduli.  Either way a CountTable holds the result as two arrays sorted by key,
+keys and counts, with the keys' scale: every reader is a numpy reduction, mask
+or searchsorted over them, and decode turns a slice of the keys into a GSet
+without sorting.  support_size and combined_set read |A op B| and A op B off
+combine's table.  Tests pin every op to Fraction/ModP.
 """
 
 from __future__ import annotations
@@ -43,6 +44,16 @@ MODP = "modp"
 _OPS = ("+", "-", "*", "/")
 
 _BLOCK = 1 << 16  # pairs or lookups per block of the int64 kernels, so memory stays flat
+
+
+def _dense_residues(p: int | None, lookups: int) -> bool:
+    """Whether a length-p table by residue pays for this many lookups mod p."""
+    return p is not None and p <= max(_BLOCK, lookups)
+
+
+def _inverses(ints, p: int) -> np.ndarray:
+    """b^-1 mod p for each b; int64 while products of residues fit, else Python ints."""
+    return np.array([pow(b, -1, p) for b in ints], dtype=np.int64 if p * p < 1 << 63 else object)
 
 
 @dataclass(frozen=True)
@@ -199,8 +210,10 @@ class CountTable:
 
     def decode(self, keys: np.ndarray) -> GSet:
         """The set the given keys stand for; a mask of self.keys needs no sort."""
-        if self.scale is None:
-            return _keyed_set(keys.tolist(), None, self.p)
+        if self.scale is None:  # reduced (num, den) pairs, brought to the lcm of the dens
+            pairs = keys.tolist()
+            scale = math.lcm(*(den for _, den in pairs))
+            return GSet(tuple(sorted(num * (scale // den) for num, den in pairs)), scale, self.p)
         return GSet(tuple(keys.tolist()), self.scale, self.p)
 
     def support_set(self) -> GSet:
@@ -231,20 +244,9 @@ def _difference_matrix(A: GSet) -> np.ndarray:
     return diffs if p is None else diffs % p
 
 
-def _keyed_set(keys, scale: int | None, p: int | None) -> GSet:
-    """The GSet of pair-kernel keys (in any order) built at ``scale``; reduced
-    (numerator, denominator) keys (scale None) are brought to the lcm of their
-    denominators."""
-    if scale is None:
-        keys = list(keys)
-        scale = math.lcm(*(den for _, den in keys))
-        keys = [num * (scale // den) for num, den in keys]
-    return GSet(tuple(sorted(keys)), scale, p)
-
-
-def _pair_keys(A: GSet, B: GSet, op: str, into) -> int | None:
-    """Feed the key of a op b, for every ordered pair in (a, b) order, into
-    ``into`` (a Counter or a set); return the scale of those keys.
+def _pair_keys(A: GSet, B: GSet, op: str, into: Counter) -> int | None:
+    """Count the key of a op b, for every ordered pair in (a, b) order, into
+    the Counter ``into``; return the scale of those keys.
 
     The keys are computed on the integer views, brought to one scale s: sums
     and differences are keyed at scale s and products at s^2, a rational
@@ -311,7 +313,7 @@ def int64_counts(A: GSet, B: GSet, op: str) -> tuple[np.ndarray, np.ndarray, int
     elif m * m >= 1 << 63:
         return None
     else:  # a / b = a * b^-1
-        av, bv, scale = A.ints, [pow(v, -1, m) for v in B.ints] if op == "/" else B.ints, 1
+        av, bv, scale = A.ints, _inverses(B.ints, m) if op == "/" else B.ints, 1
     a, b = np.array(av, dtype=np.int64), np.array(bv, dtype=np.int64)
     if op == "-":  # a - b = a + (-b)
         b = -b
@@ -361,17 +363,13 @@ def combine(A: GSet, B: GSet, op: str) -> CountTable:
 
 
 def support_size(A: GSet, B: GSet, op: str) -> int:
-    """|A op B| without keeping the multiplicity table."""
-    return combined_set(A, B, op).size
+    """|A op B|, read off combine's table."""
+    return combine(A, B, op).support_size()
 
 
 def combined_set(A: GSet, B: GSet, op: str) -> GSet:
-    """The set A op B itself (support of the combine table)."""
-    fast = int64_counts(A, B, op)
-    if fast is not None:
-        return GSet(tuple(fast[0].tolist()), fast[2], A.p)
-    keys: set = set()
-    return _keyed_set(keys, _pair_keys(A, B, op, keys), A.p)
+    """The set A op B itself, the support of combine's table."""
+    return combine(A, B, op).support_set()
 
 
 def write_gset(A: GSet, path: str | Path) -> None:

@@ -7,11 +7,12 @@ computed by two independent routes, exponential sums with their moment
 identities, and the Kolmogorov-style smallness criterion.
 
 Every pair table built from Gamma is constant on the cosets of Gamma, so
-one pass over Gamma gives it (orbit_table): r_{Gamma-Gamma}, r_{Gamma+Gamma}
-and r_{Gamma Gamma}, and lemma 18's E(Q, Gamma) for a union Q of cosets
-(coset_union_energy).  A coset xGamma is labelled by x^t, which needs no
-discrete-log table.  The generic pair kernel setops.combine is their
-cross-check in the tests.
+one pass over Gamma gives r_{Gamma +-*/ Gamma}, and lemma 18's E(Q, Gamma)
+for a union Q of cosets (coset_union_energy); a coset xGamma is labelled by
+x^t, which needs no discrete-log table.  pair_table(A, op), the one route to
+every self-table r_{A op A}, takes that pass for a subgroup with |A|^2 >= p
+and the generic pair kernel setops.combine otherwise; combine is also the
+pass's cross-check in the tests.
 
 The tables of F_p^* itself (the smallest primitive root g, the powers g^k,
 the discrete-log table and the unit roots e(k/p)) come from prime_tables(p),
@@ -41,7 +42,7 @@ from .errors import (
     OrderDoesNotDivide,
     TooLarge,
 )
-from .setops import CountTable, GSet
+from .setops import _OPS, CountTable, GSet, combine
 
 # Witness set makes Miller-Rabin deterministic below 3.4 * 10^14.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17)
@@ -239,31 +240,32 @@ def _pow_mod(x: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
-def orbit_table(A: GSet, op: str) -> CountTable | None:
-    """r_{A op A} for op in '+', '-', '*' when A is the order-t subgroup Gamma
-    of F_p^* and t^2 >= p, where the pair kernel would count t^2 pairs into a
-    length-p table; None for any other set or op.  See _orbit_table."""
+def pair_table(A: GSet, op: str) -> CountTable:
+    """r_{A op A}: from one pass over A (_orbit_table) when A is the order-t
+    subgroup Gamma of F_p^* and t^2 >= p, where the pair kernel would count
+    t^2 pairs into a length-p table; from setops.combine for any other set."""
     p, t = A.p, A.size
-    if (op not in ("+", "-", "*") or p is None or t * t < p or p * p >= 1 << 63
-            or (p - 1) % t or not is_prime(p)):
-        return None
-    gamma = np.array(A.ints, dtype=np.int64)
-    # t distinct roots of x^t = 1 in the field F_p are all of them, so A is Gamma
-    return _orbit_table(gamma, p, op) if (_pow_mod(gamma, t, p) == 1).all() else None
+    if (op in _OPS and p is not None and t * t >= p and p * p < 1 << 63
+            and (p - 1) % t == 0 and is_prime(p)):
+        gamma = np.array(A.ints, dtype=np.int64)
+        # t distinct roots of x^t = 1 in the field F_p are all of them, so A is Gamma
+        if (_pow_mod(gamma, t, p) == 1).all():
+            return _orbit_table(gamma, p, op)
+    return combine(A, A, op)
 
 
 def _orbit_table(gamma: np.ndarray, p: int, op: str) -> CountTable:
     """r_{Gamma op Gamma} from one pass over Gamma, given sorted as int64.
 
-    Gamma Gamma = Gamma, each element made by t = |Gamma| pairs.  For x != 0,
-    a - b = x with a = ub (u in Gamma) says b = x / (u - 1), which lies in
-    Gamma exactly when u - 1 lies in x Gamma.  So r_{Gamma-Gamma}(x) =
-    #{u in Gamma - {1} : u - 1 in x Gamma}, and likewise r_{Gamma+Gamma}(x) =
-    #{u in Gamma - {-1} : 1 + u in x Gamma}: one count per coset, spread over
-    the coset.  At 0 they count t, and t when -1 is in Gamma.
+    Gamma Gamma = Gamma / Gamma = Gamma, each element made by t pairs.  For
+    x != 0, a - b = x with a = ub (u in Gamma) says b = x / (u - 1), which
+    lies in Gamma exactly when u - 1 lies in x Gamma.  So r_{Gamma-Gamma}(x)
+    = #{u in Gamma - {1} : u - 1 in x Gamma}, and likewise r_{Gamma+Gamma}(x)
+    = #{u in Gamma - {-1} : 1 + u in x Gamma}: one count per coset, spread
+    over the coset.  At 0 they count t, and t when -1 is in Gamma.
     """
     t = gamma.size
-    if op == "*":
+    if op in "*/":
         return CountTable(gamma, np.full(t, t, dtype=np.int64), t * t, p)
     shifted = gamma[gamma != 1] - 1 if op == "-" else gamma[gamma != p - 1] + 1
     _, first, m = np.unique(_pow_mod(shifted, t, p), return_index=True, return_counts=True)

@@ -112,11 +112,16 @@ def test_run_check_failure_paths(monkeypatch):
 
 # -- suites --------------------------------------------------------------------
 
-def test_run_suite_parallel_matches_sequential():
+def test_run_suite_parallel_matches_sequential(monkeypatch):
     cids = ["cs_support", "popular_pigeonhole", "parseval_gamma", "trace_routes", "psd_witness"]
     inputs = [_stats("ap(n=8)"), _stats("geo(q=2,n=8)"), _stats("subgroup(p=13,t=4)")]
-    seq = run_suite(cids, inputs)
+    # the workers evaluate the guards; a forked worker appends to its own copy of the list
+    parent_guards, applies = [], hbase.CheckSpec.applies
+    monkeypatch.setattr(hbase.CheckSpec, "applies",
+                        lambda spec, stats: parent_guards.append(spec) or applies(spec, stats))
     par = run_suite(cids, inputs, jobs=2)
+    assert parent_guards == []
+    seq = run_suite(cids, inputs)
     strip = lambda rs: [(r.check_id, r.inputs, r.lhs, r.rhs, r.verdict) for r in rs]
     assert strip(seq) == strip(par)
     assert len(seq) == 13  # parseval only applies to the subgroup input
@@ -138,7 +143,7 @@ def test_each_input_builds_one_difference_table(monkeypatch):
     # the subgroup's table comes from one pass over Gamma, as t^2 = 8,100 >= p
     inputs = [_stats("rand(n=48,seed=1)"), _stats("subgroup(p=7561,t=90)")]
     builds = [[] for _ in inputs]
-    combine, orbit_table = setops.combine, energy.orbit_table
+    combine, orbit_table = setops.combine, subgroups._orbit_table
 
     def count(A, op, route):
         # an equal copy of an input counts as that input; the smaller sets
@@ -152,18 +157,30 @@ def test_each_input_builds_one_difference_table(monkeypatch):
             count(A, op, "pairs")
         return combine(A, B, op)
 
-    def counting_orbits(A, op):
-        table = orbit_table(A, op)
-        if table is not None:
-            count(A, op, "orbits")
-        return table
+    def counting_orbits(gamma, p, op):
+        count(gset_modp(gamma.tolist(), p), op, "orbits")
+        return orbit_table(gamma, p, op)
 
-    # energy binds combine and orbit_table under its own names
-    monkeypatch.setattr(setops, "combine", counting)
-    monkeypatch.setattr(energy, "combine", counting)
-    monkeypatch.setattr(energy, "orbit_table", counting_orbits)
+    # subgroups and energy bind combine under their own names
+    for module in (setops, subgroups, energy):
+        monkeypatch.setattr(module, "combine", counting)
+    monkeypatch.setattr(subgroups, "_orbit_table", counting_orbits)
     run_suite(check_ids("all"), inputs)
     assert builds == [["pairs"], ["orbits"]]
+
+
+def test_subgroup_product_and_quotient_sets_take_the_orbit_route(monkeypatch):
+    stats = _stats("subgroup(p=101,t=20)")  # t^2 = 400 >= p
+    orbit_table, passes = subgroups._orbit_table, []
+
+    def counting(gamma, p, op):
+        passes.append(op)
+        return orbit_table(gamma, p, op)
+
+    monkeypatch.setattr(subgroups, "_orbit_table", counting)
+    monkeypatch.setattr(subgroups, "combine", lambda *args: pytest.fail("pair kernel used"))
+    assert stats.combined("*") == stats.combined("/") == stats.A  # Gamma Gamma = Gamma / Gamma = Gamma
+    assert passes == ["*", "/"]
 
 
 def test_worker_reads_the_tables_its_input_carries(monkeypatch):
@@ -296,19 +313,23 @@ def test_sum_construction_stats_identities():
 
 
 def test_quotient_table_built_once_per_input(monkeypatch):
-    # |A/A| for the guard and r_{A/A} for the slope classes come from one table
+    # |A/A| for the guards, r_{A/A} for the slope classes and, on a grid input,
+    # the set A/A of lemma_t3_lines come from one table
     quotient_loops = []
     real = setops._pair_keys
 
     def counted(A, B, op, into):
-        quotient_loops.append(op == "/")
+        quotient_loops.append(op == "/" and A == B)
         return real(A, B, op, into)
 
     monkeypatch.setattr(setops, "_pair_keys", counted)
-    stats = _stats("rand(n=16,seed=1)")
-    results = run_suite(["sum_stats"], [stats])  # its guard reads |A/A| first
-    assert [r.verdict for r in results] == [PROVED_EXACT]
-    assert sum(quotient_loops) == 1
+    for spec, cids in (("rand(n=16,seed=1)", ["sum_stats"]),
+                       ("ap(n=6)", ["sum_stats", "lemma_t3_lines"])):
+        quotient_loops.clear()
+        stats = _stats(spec)
+        results = run_suite(cids, [stats])  # the guards read |A/A| first
+        assert [r.verdict for r in results] == [PROVED_EXACT] * len(cids)
+        assert sum(quotient_loops) == 1
     assert stats.support("/") == setops.support_size(stats.A, stats.A, "/")
 
 

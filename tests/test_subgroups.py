@@ -253,23 +253,34 @@ def _same_table(a, b) -> bool:
         b.keys.tolist(), b.counts.tolist(), b.total, b.p, b.scale)
 
 
-def test_orbit_tables_match_pair_kernel():
+def test_orbit_tables_match_pair_kernel(monkeypatch):
     # every subgroup of F_p^* for p < 200: t = 1, t = p - 1, and odd t, where -1 is not in Gamma
+    orbit_table, passes = subgroups._orbit_table, []
+
+    def counting(gamma, p, op):
+        passes.append(op)
+        return orbit_table(gamma, p, op)
+
+    monkeypatch.setattr(subgroups, "_orbit_table", counting)
     for p in SMALL_PRIMES:
         for t in subgroups.divisors(p - 1):
             G = subgroup_context(p, t).gamma_set()
-            gamma = np.array(G.ints, dtype=np.int64)
-            for op in "+-*":
-                assert _same_table(subgroups._orbit_table(gamma, p, op), setops.combine(G, G, op))
-                # the kept route is taken exactly where the pair kernel goes dense
-                assert (subgroups.orbit_table(G, op) is None) == (t * t < p)
-            assert subgroups.orbit_table(G, "/") is None
+            for op in "+-*/":
+                passes.clear()
+                assert _same_table(subgroups.pair_table(G, op), setops.combine(G, G, op))
+                # the orbit route is taken exactly where the pair kernel goes dense
+                assert passes == ([op] if t * t >= p else [])
             if t * t >= p:
                 assert _same_table(energy.difference_table(G), setops.combine(G, G, "-"))
-    # a coset of Gamma other than Gamma, and a set with one element swapped, are no subgroups
+    # a coset of Gamma other than Gamma, and a set with one element swapped, are
+    # no subgroups: they fall back to the pair kernel
     ctx = subgroup_context(101, 20)
+    passes.clear()
     for vals in (oracles.invariant_union(ctx, [1]).ints, ctx.gamma[:-1] + (ctx.g,)):
-        assert subgroups.orbit_table(gset_modp(vals, 101), "-") is None
+        A = gset_modp(vals, 101)
+        for op in "+-*/":
+            assert _same_table(subgroups.pair_table(A, op), setops.combine(A, A, op))
+    assert passes == []
 
 
 def test_coset_union_energy_matches_pair_kernel():
