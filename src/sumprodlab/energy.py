@@ -3,14 +3,13 @@ popular differences and dyadic energy levels.
 
 All integer-valued quantities are computed with exact integer arithmetic;
 the only float on offer is the fractional moment (q = 3/2 and friends).
-They all read one table r_{A-A} keyed on the set's integer view (see setops),
-which difference_table builds once per set and keeps on it: E, E_q and the
-energy splits sum over its count profile, the popular set and the dyadic level
-are masks over its sorted keys.  The table comes from subgroups.pair_table,
-one pass over the elements when the set is a subgroup of F_p^*.  T_3, Sigma
-and the difference-triple count, for rationals and residues alike, read the
-shift rows of A-A, also kept on the set: one row per orbit of the largest
-group H of units that fixes r.  Three tiers compute the rows (see _shift_rows):
+They all read one table r_{A-A} on the set's integer view, difference_table,
+which is subgroups.pair_table(A, "-"): E, E_q and the energy splits sum over
+its count profile, the popular set and the dyadic level are masks over its
+sorted keys.  T_3, Sigma and the difference-triple count, for rationals and
+residues alike, read the shift rows of A-A: one row per orbit of the largest
+group H of units that fixes r.  The table, the rows and the dyadic level are
+kept in setops.store(A).  Three tiers compute the rows (see _shift_rows):
 int64 lookups over D; mod a prime, the cyclotomic numbers of H where that is
 less work; and a big-integer loop past the int64 guards.
 Counting conventions: every count is over ordered tuples, and r_{A-B}(d) is
@@ -27,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadSpec, RestrictNotSubset, TooLarge
-from .setops import _BLOCK, CountTable, GSet, _dense_residues, _int_array, combine
+from .setops import _BLOCK, CountTable, GSet, _dense_residues, _int_array, combine, kept
 from .subgroups import divisors, is_prime, pair_table, prime_tables
 
 # Cap on |A-A| for Sigma, whose shift rows take |A-A|^2 lookups; the checks
@@ -37,13 +36,8 @@ _HEAD_KEYS = 64  # keys _fixing_group tries a candidate on before the full check
 
 
 def difference_table(A: GSet) -> CountTable:
-    """r_{A-A} on A's integer view, built on the first call and kept on A
-    (like GSet.int_view), so every functional of one set shares it.  Built
-    by subgroups.pair_table, the one route to a self-table."""
-    table = A.__dict__.get("_differences")
-    if table is None:
-        table = A.__dict__["_differences"] = pair_table(A, "-")
-    return table
+    """r_{A-A} on A's integer view, shared by every functional of one set."""
+    return pair_table(A, "-")
 
 
 def energy_pair(A: GSet, B: GSet | None = None) -> int:
@@ -134,6 +128,7 @@ class _Rows:
     weight: list
 
 
+@kept
 def _shift_rows(A: GSet) -> _Rows:
     """The columns, for r = r_{A-A} with support D and e in D,
 
@@ -144,8 +139,7 @@ def _shift_rows(A: GSet) -> _Rows:
     r(hx) = r(x): {1, -1} over the rationals, {1} for composite moduli, and
     mod a prime the stabiliser _fixing_group finds.  x -> hx maps the pairs
     counted at e onto those at he, so each column is computed at one key per
-    H-orbit.  Kept on A, so T_3, Sigma and every triple count share one build.
-    Mod a prime, g and the discrete-log table of F_p^* come from
+    H-orbit.  Mod a prime, g and the discrete-log table of F_p^* come from
     subgroups.prime_tables, so the sets of one prime share them within a
     table scope (one run_suite).
 
@@ -158,40 +152,37 @@ def _shift_rows(A: GSet) -> _Rows:
       n x n cyclotomic numbers of H, n = (p - 1) / |H|: taken when its work,
       p + rows n^2, is below the lookups' rows |D|.
     * _rows_bigint past the int64 guards: one Python loop over D per row."""
-    rows = A.__dict__.get("_shift_rows")
-    if rows is None:
-        table = difference_table(A)
-        p, keys, counts, lim = table.p, table.keys, table.counts, 1 << 61
-        fits = keys.size > 0 and table.max_count() ** 2 * table.total < 1 << 63 and (
-            p < lim if p is not None else -lim < keys[0] and keys[-1] < lim)
-        dense = None
-        if fits and _dense_residues(p, A.size * keys.size):
-            dense = np.zeros(p, dtype=np.int64)
-            dense[keys] = counts
-        order = 2 if p is None else 1 if dense is None else _fixing_group(p, dense)
-        # the discrete-log table of F_p^*, for the labels and the cyclotomic numbers
-        dlog = prime_tables(p).dlog if p is not None and order > 1 else None
-        labels = _orbit_labels(keys, p, order, dlog)
-        if dlog is None:
-            _, first, row, size = np.unique(labels, return_index=True,
-                                            return_inverse=True, return_counts=True)
-        else:  # labels lie in [0, n], so a bincount groups them without a sort
-            n = (p - 1) // order
-            size = np.bincount(labels)
-            row = (np.cumsum(size > 0) - 1)[labels]
-            size = size[size > 0]
-            first = np.zeros(size.size, dtype=np.intp)
-            first[row] = np.arange(keys.size)  # any key of an orbit stands for it
-        reps = keys[first]
-        if dlog is not None and p + first.size * n * n < first.size * keys.size:
-            columns = _rows_cyclotomic(keys, counts, dlog, n)
-        elif fits:
-            columns = _rows_int64(keys, counts, reps, p, dense)
-        else:
-            columns = _rows_bigint(keys.tolist(), counts.tolist(), reps.tolist(), p)
-        rows = A.__dict__["_shift_rows"] = _Rows(
-            order, row.astype(np.int32), size.tolist(), (size * counts[first]).tolist(), *columns)
-    return rows
+    table = difference_table(A)
+    p, keys, counts, lim = table.p, table.keys, table.counts, 1 << 61
+    fits = keys.size > 0 and table.max_count() ** 2 * table.total < 1 << 63 and (
+        p < lim if p is not None else -lim < keys[0] and keys[-1] < lim)
+    dense = None
+    if fits and _dense_residues(p, A.size * keys.size):
+        dense = np.zeros(p, dtype=np.int64)
+        dense[keys] = counts
+    order = 2 if p is None else 1 if dense is None else _fixing_group(p, dense)
+    # the discrete-log table of F_p^*, for the labels and the cyclotomic numbers
+    dlog = prime_tables(p).dlog if p is not None and order > 1 else None
+    labels = _orbit_labels(keys, p, order, dlog)
+    if dlog is None:
+        _, first, row, size = np.unique(labels, return_index=True,
+                                        return_inverse=True, return_counts=True)
+    else:  # labels lie in [0, n], so a bincount groups them without a sort
+        n = (p - 1) // order
+        size = np.bincount(labels)
+        row = (np.cumsum(size > 0) - 1)[labels]
+        size = size[size > 0]
+        first = np.zeros(size.size, dtype=np.intp)
+        first[row] = np.arange(keys.size)  # any key of an orbit stands for it
+    reps = keys[first]
+    if dlog is not None and p + first.size * n * n < first.size * keys.size:
+        columns = _rows_cyclotomic(keys, counts, dlog, n)
+    elif fits:
+        columns = _rows_int64(keys, counts, reps, p, dense)
+    else:
+        columns = _rows_bigint(keys.tolist(), counts.tolist(), reps.tolist(), p)
+    return _Rows(order, row.astype(np.int32), size.tolist(),
+                 (size * counts[first]).tolist(), *columns)
 
 
 def _rows_int64(keys, counts, reps, p: int | None, dense=None) -> tuple[list, list, list]:
@@ -343,24 +334,21 @@ def popular_differences(A: GSet) -> PopularSet:
     return PopularSet(Fraction(n2, twice_support), popular, mass, table)
 
 
+@kept
 def dyadic_energy_level(A: GSet) -> DyadicLevel:
     """Most energetic dyadic class; ties resolve toward the smaller level.
 
     With at most log2|A| + 1 nonempty classes, the winner carries at least
-    E(A) / (2 log2|A| + 2) of the energy.  Built on the first call and kept
-    on A, like the difference table it is read from.
+    E(A) / (2 log2|A| + 2) of the energy.
     """
-    level = A.__dict__.get("_dyadic")
-    if level is None:
-        table = difference_table(A)
-        classes: dict[int, int] = {}
-        for c, m in zip(*table.profile):
-            classes[c.bit_length() - 1] = classes.get(c.bit_length() - 1, 0) + m * c * c
-        best_i = min(classes, key=lambda i: (-classes[i], i))
-        delta = 1 << best_i
-        mask = (delta <= table.counts) & (table.counts < 2 * delta)
-        level = A.__dict__["_dyadic"] = DyadicLevel(delta, mask, classes[best_i], table)
-    return level
+    table = difference_table(A)
+    classes: dict[int, int] = {}
+    for c, m in zip(*table.profile):
+        classes[c.bit_length() - 1] = classes.get(c.bit_length() - 1, 0) + m * c * c
+    best_i = min(classes, key=lambda i: (-classes[i], i))
+    delta = 1 << best_i
+    mask = (delta <= table.counts) & (table.counts < 2 * delta)
+    return DyadicLevel(delta, mask, classes[best_i], table)
 
 
 def tail_decompose(A: GSet, delta) -> tuple[int, int, int]:

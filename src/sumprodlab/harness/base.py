@@ -1,4 +1,4 @@
-"""Check runner plumbing: result records, per-input caches, worker pool.
+"""Check runner plumbing: result records, per-input values, worker pool.
 
 A check takes one prepared input (a set, possibly with its subgroup context
 attached) and returns a (lhs, rhs, ratio, ok) tuple.  Exact checks compare in
@@ -49,26 +49,23 @@ def _stringify(x) -> str:
 
 
 class SetStats:
-    """One input set plus a lazy cache of everything the checks share.
-
-    The difference table and the dyadic level are kept on the set itself
-    (energy.difference_table, energy.dyadic_energy_level), so every check and
-    library call on one input shares a single build.  Every self-table
-    r_{A op A} it reads comes from subgroups.pair_table, so a subgroup input
-    takes the orbit route for each of them.  A subgroup input's set is
-    ctx.gamma_set().
+    """One input set; memo keeps the values the checks share in
+    setops.store(A), beside the library's tables.  A subgroup input's set is
+    ctx.gamma_set(), and its self-tables take subgroups.pair_table's orbit route.
     """
 
     def __init__(self, A: GSet, name: str | None = None, ctx=None):
         self.A = A
         self.name = name if name is not None else A.label()
         self.ctx = ctx  # SubgroupCtx when the input is a subgroup
-        self._cache: dict = {}
+
+    _cache = property(lambda self: setops.store(self.A))  # the dict memo fills
 
     def memo(self, key, fn: Callable):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
+        values = self._cache
+        if key not in values:
+            values[key] = fn()
+        return values[key]
 
     @property
     def size(self) -> int:
@@ -111,26 +108,18 @@ class SetStats:
     def dyadic(self):
         return energy.dyadic_energy_level(self.A)
 
-    def _table(self, op: str) -> setops.CountTable:
-        """r_{A op A}: the kept difference table for -, the memoized quotient
-        table for /, and a fresh subgroups.pair_table for + and *."""
-        if op == "-":
-            return self.table()
-        if op == "/":
-            return self.memo("quotients", lambda: subgroups.pair_table(self.A, "/"))
-        return subgroups.pair_table(self.A, op)
-
     def support(self, op: str) -> int:
         """|A op A|, read off r_{A op A}."""
-        return self.memo(("support", op), lambda: self._table(op).support_size())
-
-    def quotients(self) -> setops.CountTable:
-        """r_{A/A}, shared by |A/A|, the set A/A and the sum construction."""
-        return self._table("/")
+        return subgroups.pair_table(self.A, op).support_size()
 
     def combined(self, op: str) -> GSet:
-        """The set A op A, read off r_{A op A}."""
-        return self.memo(("combined", op), lambda: self._table(op).support_set())
+        """The set A op A, read off r_{A op A}; A itself when they are equal,
+        as AA and A/A are for a subgroup."""
+        def build():
+            found = subgroups.pair_table(self.A, op).support_set()
+            return self.A if found == self.A else found
+
+        return self.memo(("combined", op), build)
 
     def mult_doubling(self) -> Fraction:
         return Fraction(self.support("*"), self.size)
@@ -225,11 +214,19 @@ def feasible_pairs(check_ids_: Sequence[str], inputs: Sequence[SetStats],
     return pairs
 
 
+def _run_input(cids: Sequence[str], stats: SetStats, options: dict | None) -> list[CheckResult]:
+    """Every applicable check on one input, then release its store, even when
+    a guard error propagates, so only one input's tables are alive at a time."""
+    try:
+        return [run_check(cid, stats, options=options) for cid, _ in feasible_pairs(cids, [stats])]
+    finally:
+        setops.release(stats.A)
+
+
 def _run_input_batch(payload) -> list[CheckResult]:
     A, name, ctx, cids, options = payload
-    stats = SetStats(A, name, ctx)
     with subgroups.table_scope():
-        return [run_check(cid, stats, options=options) for cid, _ in feasible_pairs(cids, [stats])]
+        return _run_input(cids, SetStats(A, name, ctx), options)
 
 
 def run_suite(check_ids_: Sequence[str], inputs: Iterable[SetStats], *,
@@ -237,20 +234,20 @@ def run_suite(check_ids_: Sequence[str], inputs: Iterable[SetStats], *,
     """Run every applicable (check, input) pair.
 
     With jobs > 1 the inputs are distributed over a process pool (one batch
-    per input, so per-input caches still amortize); each worker evaluates its
+    per input, so each input's store still amortizes); each worker evaluates its
     input's guards, so none run serially in the parent.  The merged result
     order is deterministic either way, keyed by (input position, check position).
     A set and its subgroup context are pickled together, so in the worker the
-    set is still the one its context keeps, with the tables built so far.
-    The run (or, with jobs > 1, each worker batch) is one subgroups.table_scope,
-    so consecutive inputs of one prime share its F_p^* tables and no run reuses
+    set is still the one its context keeps, with the store built so far.
+    Each input's store is released once its checks are done.  The run (or,
+    with jobs > 1, each worker batch) is one subgroups.table_scope, so
+    consecutive inputs of one prime share its F_p^* tables and no run reuses
     another's.
     """
     inputs = list(inputs)
     if jobs <= 1:
         with subgroups.table_scope():
-            return [run_check(cid, s, options=options)
-                    for stats in inputs for cid, s in feasible_pairs(check_ids_, [stats])]
+            return [r for stats in inputs for r in _run_input(check_ids_, stats, options)]
     payloads = [(stats.A, stats.name, stats.ctx, check_ids_, options or {}) for stats in inputs]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 

@@ -52,8 +52,10 @@ def _modp(stats: SetStats) -> bool:
 
 
 def _a_over_aa(stats: SetStats) -> GSet:
-    return stats.memo(
-        "a_over_aa", lambda: setops.combined_set(stats.A, stats.combined("*"), "/"))
+    aa = stats.combined("*")
+    if aa is stats.A:  # AA = A, as for a subgroup, so A/AA = A/A
+        return stats.combined("/")
+    return stats.memo("a_over_aa", lambda: setops.combined_set(stats.A, aa, "/"))
 
 
 def _grid_sizes_ok(stats: SetStats) -> bool:
@@ -135,7 +137,7 @@ def _chk_lemma_t3_lines(stats: SetStats, opts: dict):
     A = stats.A
     aa = stats.combined("*")
     a_over_aa = _a_over_aa(stats)
-    aa_over_a = setops.combined_set(aa, A, "/")
+    aa_over_a = a_over_aa if aa is A else setops.combined_set(aa, A, "/")
     if a_over_aa.size != aa_over_a.size:
         raise CrossCheckMismatch("|A/AA| and |AA/A| must agree (x -> 1/x)")
     quot = stats.combined("/")
@@ -225,7 +227,7 @@ def _chk_rect_structure(stats: SetStats, opts: dict):
 def _sum_stats(stats: SetStats, opts: dict) -> rect_mod.SumStats:
     fits = rect_mod.RECT_MIN_SIZE <= stats.size <= rect_mod.RECT_SET_CAP
     return stats.memo("sum_stats", lambda: rect_mod.sum_construction_stats(
-        stats.A, cover=_cover(stats, opts) if fits else None, quot=stats.quotients()))
+        stats.A, cover=_cover(stats, opts) if fits else None))
 
 
 def _chk_sum_stats(stats: SetStats, opts: dict):
@@ -255,7 +257,7 @@ def _prop7_parts(stats: SetStats, opts: dict):
         delta = stats.pop().delta
         ints, scale = stats.A.int_view()
         p = stats.A.p
-        taa = _taa(stats)
+        taa = subgroups.pair_table(stats.combined("*"), "-")  # r_{AA-AA}
         lift = scale * scale // taa.scale
         heavy = taa.keys[taa.counts >= -(-delta.numerator // delta.denominator)]  # r >= delta
         heavy = setops._int_array([k * lift for k in heavy.tolist()])[:, None]
@@ -485,12 +487,6 @@ def _needs_sigma(stats: SetStats) -> bool:
     return stats.support("-") <= energy.SIGMA_SUPPORT_CAP
 
 
-def _taa(stats: SetStats) -> setops.CountTable:
-    """r_{AA-AA} on the integer scale."""
-    aa = stats.combined("*")
-    return stats.memo("taa", lambda: subgroups.pair_table(aa, "-"))
-
-
 def _needs_prop7(stats: SetStats) -> bool:
     # The popular threshold can fall below 1, making S all of AA - AA, so
     # the count4 loop is |AA - AA| * |A| integer divisions.
@@ -501,7 +497,7 @@ def _needs_prop7(stats: SetStats) -> bool:
     head = GSet(aa.ints[:2 * cap // aa.size + 1], aa.scale, aa.p)
     if head.size < aa.size and setops.support_size(head, aa, "-") > cap:
         return False
-    return _taa(stats).support_size() <= cap
+    return subgroups.pair_table(aa, "-").support_size() <= cap
 
 
 def _needs_sum_stats(stats: SetStats) -> bool:

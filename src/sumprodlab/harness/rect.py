@@ -241,8 +241,7 @@ def _runs(sorted_keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.append(True, sorted_keys[1:] != sorted_keys[:-1]))
 
 
-def sum_construction_stats(A: GSet, *, cover: RectCover | None = None,
-                           quot: setops.CountTable | None = None) -> SumStats:
+def sum_construction_stats(A: GSet, *, cover: RectCover | None = None) -> SumStats:
     """Slope-sliced point statistics on the grid (A+A) x (A+A).
 
     For each ratio lambda in A/A, the construction places, for every a' in
@@ -261,11 +260,9 @@ def sum_construction_stats(A: GSet, *, cover: RectCover | None = None,
     with y = a + lambda b, all within twice A's range.  Points come in blocks
     of whole slope classes (at most setops._BLOCK points unless one class is
     larger), keyed (lambda, index of x in A+A, index of o in P), and one sort
-    per block dedupes them and counts each line's points.  quot is r_{A/A}
-    when the caller has it.
+    per block dedupes them and counts each line's points.
     """
-    if quot is None:
-        quot = subgroups.pair_table(A, "/")
+    quot = subgroups.pair_table(A, "/")
     if quot.support_size() > RATIO_SET_CAP:
         raise InfeasibleSize(f"|A/A| = {quot.support_size()} exceeds {RATIO_SET_CAP}")
     ints, scale = A.int_view()

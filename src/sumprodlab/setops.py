@@ -19,7 +19,8 @@ moduli.  Either way a CountTable holds the result as two arrays sorted by key,
 keys and counts, with the keys' scale: every reader is a numpy reduction, mask
 or searchsorted over them, and decode turns a slice of the keys into a GSet
 without sorting.  support_size and combined_set read |A op B| and A op B off
-combine's table.  Tests pin every op to Fraction/ModP.
+combine's table.  Tests pin every op to Fraction/ModP.  Every value derived
+from one set lives in one dict on it, store(A), until release(A).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from operator import floordiv
 from pathlib import Path
 from typing import Iterable
@@ -154,6 +155,29 @@ class GSet:
         if self.kind == MODP:
             return f"modp(p={self.p},n={self.size})"
         return f"rational(n={self.size})"
+
+
+def store(A: GSet) -> dict:
+    """The values derived from A, kept on A: the results of the kept functions
+    (pair tables, shift rows, dyadic level), SetStats' memo and a subgroup's
+    character sums.  run_suite releases an input's store once its checks are
+    done; outside run_suite the store lives as long as A."""
+    return A.__dict__.setdefault("_store", {})
+
+
+def release(A: GSet) -> None:
+    A.__dict__.pop("_store", None)
+
+
+def kept(fn):
+    """fn(A, *args), built on the first call and kept in store(A) under (fn.__name__, *args)."""
+    @wraps(fn)
+    def keeper(A: GSet, *args):
+        values, key = store(A), (fn.__name__, *args)
+        if key not in values:
+            values[key] = fn(A, *args)
+        return values[key]
+    return keeper
 
 
 def gset_rational(values: Iterable, *, allow_zero: bool = False) -> GSet:

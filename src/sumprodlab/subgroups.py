@@ -10,9 +10,9 @@ Every pair table built from Gamma is constant on the cosets of Gamma, so
 one pass over Gamma gives r_{Gamma +-*/ Gamma}, and lemma 18's E(Q, Gamma)
 for a union Q of cosets (coset_union_energy); a coset xGamma is labelled by
 x^t, which needs no discrete-log table.  pair_table(A, op), the one route to
-every self-table r_{A op A}, takes that pass for a subgroup with |A|^2 >= p
-and the generic pair kernel setops.combine otherwise; combine is also the
-pass's cross-check in the tests.
+every self-table r_{A op A}, kept in setops.store(A), takes that pass for a
+subgroup with |A|^2 >= p and the generic pair kernel setops.combine
+otherwise; combine is also the pass's cross-check in the tests.
 
 The tables of F_p^* itself (the smallest primitive root g, the powers g^k,
 the discrete-log table and the unit roots e(k/p)) come from prime_tables(p),
@@ -42,7 +42,7 @@ from .errors import (
     OrderDoesNotDivide,
     TooLarge,
 )
-from .setops import _OPS, CountTable, GSet, combine
+from .setops import _OPS, CountTable, GSet, combine, kept, store
 
 # Witness set makes Miller-Rabin deterministic below 3.4 * 10^14.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17)
@@ -185,7 +185,6 @@ class SubgroupCtx:
     t: int
     g: int
     gamma: tuple[int, ...]
-    _chars: np.ndarray | None = field(default=None, repr=False, compare=False)
     _gset: GSet | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -193,15 +192,13 @@ class SubgroupCtx:
         return (self.p - 1) // self.t
 
     def gamma_set(self) -> GSet:
-        """Gamma as one GSet, built on the first call and kept, so every table
-        kept on it (r_{Gamma-Gamma} first) is built once per context."""
+        """Gamma as one GSet, built on the first call and kept with its store."""
         if self._gset is None:
             self._gset = GSet(self.gamma, 1, self.p)  # gamma is sorted, distinct and 0-free
         return self._gset
 
     def dlog(self) -> np.ndarray:
-        """dlog()[x] = k with g^k = x, for x in [1, p-1]; entry 0 is unused.
-        Read from prime_tables(p), so it is not kept on the context."""
+        """dlog()[x] = k with g^k = x for x in [1, p-1] (entry 0 unused), from prime_tables(p)."""
         return prime_tables(self.p).dlog
 
     def label(self) -> str:
@@ -240,6 +237,7 @@ def _pow_mod(x: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
+@kept
 def pair_table(A: GSet, op: str) -> CountTable:
     """r_{A op A}: from one pass over A (_orbit_table) when A is the order-t
     subgroup Gamma of F_p^* and t^2 >= p, where the pair kernel would count
@@ -431,13 +429,14 @@ def char_sums(ctx: SubgroupCtx) -> np.ndarray:
     The phases e(k/p) are read from prime_tables(p).roots().
     The table is verified once against the second and fourth moment
     identities (t sum|S|^2 = t(p - t) and t sum|S|^4 = p E(Gamma) - t^4)
-    before being cached on the context.  E(Gamma) is read off the difference
-    table kept on ctx.gamma_set().
+    and kept in setops.store(ctx.gamma_set()), beside the difference table
+    E(Gamma) is read off.
     """
     from .energy import energy_pair  # energy imports this module
 
-    if ctx._chars is not None:
-        return ctx._chars
+    values = store(ctx.gamma_set())
+    if "char_sums" in values:
+        return values["char_sums"]
     p, t = ctx.p, ctx.t
     if p > CHAR_P_CAP:
         raise TooLarge(f"exponential sum table wants p <= {CHAR_P_CAP}, got {p}")
@@ -455,7 +454,7 @@ def char_sums(ctx: SubgroupCtx) -> np.ndarray:
     if abs(fourth - target) > MOMENT_TOL * max(1.0, abs(target)):
         raise CrossCheckMismatch(
             f"fourth moment {fourth} != pE - t^4 = {target}")
-    ctx._chars = S
+    values["char_sums"] = S
     return S
 
 
@@ -542,8 +541,7 @@ def mod_p2_subgroup(ctx: SubgroupCtx) -> tuple[LiftedCtx, dict[int, tuple[int, i
 
     Reduction mod p sends solutions to solutions injectively, so each lifted
     T_k can never exceed its base value; a violation means a counting bug.
-    The two levels are counted by different kernels on purpose.  T_k mod p
-    reads ctx.gamma_set(), so its tables are the ones the context keeps.
+    The two levels are counted by different kernels on purpose.
     """
     from . import energy as energy_mod
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 from fractions import Fraction
@@ -129,11 +130,14 @@ def test_run_suite_parallel_matches_sequential(monkeypatch):
 
 def test_run_suite_parallel_report_is_byte_identical():
     # every check on a whole corpus and on the exact corpus's subgroups; the
-    # second run pickles inputs that already carry their difference tables
-    # into the workers, and a subgroup's set must stay its context's Gamma set
+    # first run releases each input's store, so the difference tables are built
+    # again and the second run pickles inputs that carry them into the workers,
+    # where a subgroup's set must stay its context's Gamma set
     inputs = named_corpus("identity") + exact_subgroups()
     ids = check_ids("all")
     seq = build_report(run_suite(ids, inputs), corpus="identity", deterministic=True)
+    for stats in inputs:
+        stats.table()
     par = build_report(run_suite(ids, inputs, jobs=2), corpus="identity", deterministic=True)
     assert len(seq.results) == 558 + 1169
     assert emit_report(seq, "json") == emit_report(par, "json")
@@ -179,8 +183,75 @@ def test_subgroup_product_and_quotient_sets_take_the_orbit_route(monkeypatch):
 
     monkeypatch.setattr(subgroups, "_orbit_table", counting)
     monkeypatch.setattr(subgroups, "combine", lambda *args: pytest.fail("pair kernel used"))
-    assert stats.combined("*") == stats.combined("/") == stats.A  # Gamma Gamma = Gamma / Gamma = Gamma
+    assert stats.combined("*") is stats.combined("/") is stats.A  # Gamma Gamma = Gamma / Gamma = Gamma
     assert passes == ["*", "/"]
+
+
+def test_each_self_table_built_once_per_input_and_op(monkeypatch):
+    # every check on inputs of both routes: t^2 >= p for both subgroups, so
+    # their tables come from one pass over Gamma, and Gamma Gamma = Gamma /
+    # Gamma = Gamma, so r_{AA - AA} and A/AA are read off Gamma's own tables
+    inputs = [_stats(s) for s in ("ap(n=6)", "rand(n=16,seed=1)",
+                                  "subgroup(p=101,t=20)", "subgroup(p=13,t=4)")]
+    builds: dict = {}
+    combine, orbit_table = setops.combine, subgroups._orbit_table
+
+    def count(A, op, route):
+        for i, stats in enumerate(inputs):
+            if A == stats.A:
+                builds.setdefault((i, op), []).append(route)
+
+    def counting(A, B, op):
+        if A == B:
+            count(A, op, "pairs")
+        return combine(A, B, op)
+
+    def counting_orbits(gamma, p, op):
+        count(gset_modp(gamma.tolist(), p), op, "orbits")
+        return orbit_table(gamma, p, op)
+
+    for module in (setops, subgroups, energy):
+        monkeypatch.setattr(module, "combine", counting)
+    monkeypatch.setattr(subgroups, "_orbit_table", counting_orbits)
+    assert all(r.ok for r in run_suite(check_ids("all"), inputs))
+    route = ["pairs", "pairs", "orbits", "orbits"]
+    want = {(i, op): [route[i]] for i in range(4) for op in "+-*/"}
+    for i in range(4):  # e3_identity's second route to E(A) builds r_{A+A} by the pair kernel
+        want[i, "+"].append("pairs")
+    assert {k: sorted(v) for k, v in builds.items()} == {k: sorted(v) for k, v in want.items()}
+
+
+def test_run_suite_releases_each_input_store_before_the_next(monkeypatch):
+    inputs = [_stats(s) for s in ("ap(n=6)", "rand(n=16,seed=1)", "subgroup(p=13,t=4)")]
+    seen = []  # per check run: (its input, its store's size, earlier inputs still holding values)
+    run_check = hbase.run_check
+
+    def watching(cid, stats, **kwargs):
+        i = next(k for k, s in enumerate(inputs) if s is stats)
+        seen.append((i, len(setops.store(stats.A)),
+                     [k for k in range(i) if setops.store(inputs[k].A)]))
+        return run_check(cid, stats, **kwargs)
+
+    monkeypatch.setattr(hbase, "run_check", watching)
+    run_suite(check_ids("all"), inputs)
+    assert {i for i, size, _ in seen if size} == {0, 1, 2}
+    assert all(held == [] for _, _, held in seen)
+    assert all(setops.store(stats.A) == {} for stats in inputs)
+
+
+def test_run_suite_releases_the_store_when_a_guard_trips(monkeypatch):
+    stats, held = _stats("ap(n=6)"), []
+
+    def tripping(stats, opts):
+        stats.energy()
+        held.append(len(setops.store(stats.A)))
+        raise TooLarge("refused")
+
+    spec = hbase._REGISTRY["cs_support"]
+    monkeypatch.setitem(hbase._REGISTRY, "cs_support", dataclasses.replace(spec, fn=tripping))
+    with pytest.raises(TooLarge):
+        run_suite(["cs_support"], [stats])
+    assert held[0] > 0 and setops.store(stats.A) == {}
 
 
 def test_worker_reads_the_tables_its_input_carries(monkeypatch):

@@ -220,8 +220,8 @@ def test_mod_p2_t3_never_grows():
         lift, table = mod_p2_subgroup(ctx)
         for k, (up, down) in table.items():
             assert up <= down, (p, t, k)
-        # T_3 mod p read the shift rows kept on the context's own Gamma
-        assert lift.base is ctx and "_shift_rows" in ctx.gamma_set().__dict__
+        # T_3 mod p read the shift rows kept in the store of the context's own Gamma
+        assert lift.base is ctx and ("_shift_rows",) in setops.store(ctx.gamma_set())
 
 
 def test_mod_p2_worked_example():
