@@ -296,7 +296,7 @@ def _orbit_labels(keys: np.ndarray, p: int | None, order: int, dlog) -> np.ndarr
 class _KeyMask:
     """A threshold delta, a subset of the keys of r_{A-A} = table held as a
     boolean mask over table.keys, and its mass; members decodes it on each read,
-    for printing and for the oracles."""
+    for the oracles."""
 
     delta: Fraction | int
     mask: np.ndarray = field(compare=False, repr=False)

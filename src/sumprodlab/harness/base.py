@@ -134,7 +134,7 @@ CheckFn = Callable[[SetStats, dict], tuple]
 @dataclass(frozen=True)
 class CheckSpec:
     check_id: str
-    kind: str  # "set" (any GSet) or "subgroup" (needs a context)
+    kind: str  # "set" (any GSet of two or more elements) or "subgroup" (needs a context)
     exact: bool
     fn: CheckFn
     needs: Callable[[SetStats], bool] | None = None
@@ -142,6 +142,8 @@ class CheckSpec:
 
     def applies(self, stats: SetStats) -> bool:
         if self.kind == "subgroup" and stats.ctx is None:
+            return False
+        if self.kind == "set" and stats.size < 2:  # log |A| and the dyadic classes need two
             return False
         if self.needs is not None and not self.needs(stats):
             return False

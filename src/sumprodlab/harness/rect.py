@@ -20,13 +20,15 @@ indices never exceed L; this keeps the rectangle count at L^2 and makes the
 half-mass pigeonhole an exact statement at every input size.
 
 PP is kept as index pairs (i, j) into A's integer view, and the degree
-classes come from bincount and frexp.
+classes come from bincount and frexp.  A cover stays on the integer view: its
+level is the final round's DyadicLevel, a mask over that round's r_{A-A}, and
+its rectangles' coordinates are that round set's ints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -79,9 +81,9 @@ class Rectangle:
 class RectCover:
     case: str  # "case1" | "case2-iterated"
     delta: int
-    level: GSet  # the dyadic level P of the final round
+    level: energy.DyadicLevel  # the dyadic level P of the final round
     mass: int  # |PP| of the final round
-    rectangles: list  # rich rectangles of the final round
+    rectangles: list  # rich rectangles of the final round, on its integer view
     rich_points: int
     Aprime: GSet
     Adoubleprime: GSet
@@ -95,10 +97,11 @@ def _log_ceil(n: int) -> int:
     return max(1, math.ceil(math.log2(n)))
 
 
-def _build_cover(xs: np.ndarray, ys: np.ndarray, n: int) -> tuple[list[Rectangle], list]:
-    """Double dyadic bucketing of the points (xs[k], ys[k]), indices into a set of
-    n elements; returns (rectangles on those indices, loads).  A degree's class
+def _build_cover(xs: np.ndarray, ys: np.ndarray, ints: tuple) -> tuple[list[Rectangle], list]:
+    """Double dyadic bucketing of the points (xs[k], ys[k]), indices into the
+    sorted ints; returns (rectangles on those ints, loads).  A degree's class
     is its bit length, frexp's exponent (exact below 2^53), capped at L."""
+    n = len(ints)
     L = _log_ceil(n)
     xcls = np.minimum(L, np.frexp(np.bincount(xs, minlength=n))[1])
     odeg = np.bincount(xcls[xs].astype(np.intp) * n + ys, minlength=(L + 1) * n).reshape(L + 1, n)
@@ -106,22 +109,15 @@ def _build_cover(xs: np.ndarray, ys: np.ndarray, n: int) -> tuple[list[Rectangle
     rects: list[Rectangle] = []
     loads = []
     for i in np.flatnonzero(np.bincount(xcls, minlength=L + 1)[1:]) + 1:
-        abscissae = tuple(np.flatnonzero(xcls == i).tolist())
+        abscissae = tuple(ints[k] for k in np.flatnonzero(xcls == i).tolist())
         loads.append((1 << int(i), len(abscissae)))
         for j in np.flatnonzero(np.bincount(ocls[i], minlength=L + 1)[1:]) + 1:
             ys_ij = np.flatnonzero(ocls[i] == j)
-            rects.append(Rectangle(abscissae, tuple(ys_ij.tolist()),
+            rects.append(Rectangle(abscissae, tuple(ints[k] for k in ys_ij.tolist()),
                                    int(odeg[i, ys_ij].sum()), int(i), int(j)))
     if sum(r.points for r in rects) != xs.size:
         raise CrossCheckMismatch("rectangle cover lost points")
     return rects, loads
-
-
-def _decoded(rects: list, B: GSet) -> list:
-    """Rectangles on indices into B with their coordinates as B's elements."""
-    elem = B.elements
-    return [replace(r, abscissae=tuple(elem[i] for i in r.abscissae),
-                    ordinates=tuple(elem[i] for i in r.ordinates)) for r in rects]
 
 
 def rect_decompose(A: GSet, *, profile: RectProfile = PAPER_PROFILE) -> RectCover:
@@ -139,7 +135,8 @@ def rect_decompose(A: GSet, *, profile: RectProfile = PAPER_PROFILE) -> RectCove
         ledger.append(energy.energy_pair(current))
         lvl = energy.dyadic_energy_level(current)
         member = _membership(table.keys[lvl.mask], current, table.support_size())
-        xs, ys = np.nonzero(member(setops._difference_matrix(current)))
+        diffs = setops._difference_matrix(current)
+        xs, ys = np.nonzero(member(diffs))
         mass = xs.size
         if mass != int(table.counts[lvl.mask].sum()):
             raise CrossCheckMismatch("point-set size disagrees with the level mass")
@@ -147,7 +144,7 @@ def rect_decompose(A: GSet, *, profile: RectProfile = PAPER_PROFILE) -> RectCove
         L = _log_ceil(n)
         rich_thr = Fraction(mass, 2 * L * L)
         wide_thr = profile.c1 * Fraction(n, L**profile.c2)
-        rects, loads = _build_cover(xs, ys, n)
+        rects, loads = _build_cover(xs, ys, current.ints)
         for q_i, size_i in loads:
             if q_i * size_i > 2 * mass:
                 raise CrossCheckMismatch("abscissa class load exceeds twice the mass")
@@ -158,18 +155,18 @@ def rect_decompose(A: GSet, *, profile: RectProfile = PAPER_PROFILE) -> RectCove
         wide = [r for r in rich if r.width >= wide_thr]
         if wide:
             rect = max(wide, key=lambda r: (r.points, r.width, r.abscissae))
-            return _case1(current, lvl, member, mass, xs, ys, rich, rich_points,
+            return _case1(current, lvl, member, diffs, mass, xs, ys, rich, rich_points,
                           rect, loads, rounds, ledger)
-        # Case 2: drop the rich rectangles' index sets and go again
-        drop = {i for r in rich for i in r.abscissae + r.ordinates}
-        remaining = tuple(v for i, v in enumerate(current.ints) if i not in drop)
+        # Case 2: drop the rich rectangles' coordinates and go again
+        drop = {v for r in rich for v in r.abscissae + r.ordinates}
+        remaining = tuple(v for v in current.ints if v not in drop)
         last_state = (lvl, mass, rich, rich_points, current, loads)
         if len(remaining) < RECT_MIN_SIZE:
             break
         current = GSet(remaining, current.scale, current.p)
     lvl, mass, rich, rich_points, final, loads = last_state
-    return RectCover("case2-iterated", lvl.delta, lvl.members, mass, _decoded(rich, final),
-                     rich_points, final, final, 0, rounds, ledger, loads)
+    return RectCover("case2-iterated", lvl.delta, lvl, mass, rich, rich_points,
+                     final, final, 0, rounds, ledger, loads)
 
 
 def _membership(level: np.ndarray, A: GSet, support: int):
@@ -184,12 +181,14 @@ def _membership(level: np.ndarray, A: GSet, support: int):
     return lambda diffs: _find(level, diffs)[1]
 
 
-def _case1(current: GSet, lvl, member, mass: int, xs: np.ndarray, ys: np.ndarray,
-           rich: list, rich_points: int, rect: Rectangle, loads: list, rounds: int,
-           ledger: list) -> RectCover:
+def _case1(current: GSet, lvl, member, diffs: np.ndarray, mass: int, xs: np.ndarray,
+           ys: np.ndarray, rich: list, rich_points: int, rect: Rectangle, loads: list,
+           rounds: int, ledger: list) -> RectCover:
+    ints, p = current.ints, current.p
     q = max(1, math.ceil(Fraction(mass, 16 * _log_ceil(current.size) ** 2 * rect.width)))
+    index = {v: i for i, v in enumerate(ints)}
     in_a, in_o = np.zeros((2, current.size), dtype=bool)
-    in_a[list(rect.abscissae)] = in_o[list(rect.ordinates)] = True
+    in_a[[index[v] for v in rect.abscissae]] = in_o[[index[v] for v in rect.ordinates]] = True
     # route 1: per-abscissa counts read off the cover's own point list
     counts = np.bincount(xs[in_a[xs] & in_o[ys]], minlength=current.size)
     aprime = np.flatnonzero(in_a & (counts >= q))
@@ -199,21 +198,17 @@ def _case1(current: GSet, lvl, member, mass: int, xs: np.ndarray, ys: np.ndarray
         raise CrossCheckMismatch("q exceeds the ordinate projection")
     if q * aprime.size > mass:
         raise CrossCheckMismatch("q |A'| exceeds the point count")
-    # route 2: pointwise membership re-verification, independent of the cover,
-    # of a - b on the integer view moved to start at 0, or mod p
-    ints, p = current.ints, current.p
-    vals = setops._int_array([v - ints[0] for v in ints] if p is None else list(ints))
-    diffs = vals[aprime, None] - vals[list(rect.ordinates)]
-    supported = member(diffs if p is None else diffs % p).sum(axis=1)
+    # route 2: membership of each a - b re-read from the difference matrix,
+    # independent of the cover's bucketing
+    supported = member(diffs[aprime][:, in_o]).sum(axis=1)
     bad = np.flatnonzero((supported < q) | (supported != counts[aprime]))
     if bad.size:
         a = aprime[bad[0]]
         raise CrossCheckMismatch(f"abscissa {ints[a]} (integer view) supports "
                                  f"{supported[bad[0]]} points, cover says {counts[a]}, q = {q}")
     Ap = GSet(tuple(ints[a] for a in aprime.tolist()), current.scale, p)
-    App = GSet(tuple(ints[b] for b in rect.ordinates), current.scale, p)
-    return RectCover("case1", lvl.delta, lvl.members, mass, _decoded(rich, current),
-                     rich_points, Ap, App, q, rounds, ledger, loads)
+    return RectCover("case1", lvl.delta, lvl, mass, rich, rich_points, Ap,
+                     GSet(rect.ordinates, current.scale, p), q, rounds, ledger, loads)
 
 
 @dataclass
@@ -273,10 +268,11 @@ def sum_construction_stats(A: GSet, *, cover: RectCover | None = None) -> SumSta
         return np.array(B.ints, dtype=dtype) * (scale // B.scale)
 
     if cover is not None and cover.case == "case1":
-        aprime, adouble, levels = cover.Aprime, cover.Adoubleprime, on_scale(cover.level)
-    else:  # A's own level, as keys of r_{A-A}, which is on A's scale
+        lvl, aprime, adouble = cover.level, cover.Aprime, cover.Adoubleprime
+    else:
         lvl, aprime, adouble = energy.dyadic_energy_level(A), A, A
-        levels = lvl.table.keys[lvl.mask].astype(dtype)
+    # the level's keys of r_{A-A}, on the scale of the round set, a subset of A
+    levels = lvl.table.keys[lvl.mask].astype(dtype) * (scale // lvl.table.scale)
     vals, app = np.array(ints, dtype=dtype), on_scale(adouble)
     sums = subgroups.pair_table(A, "+").keys.astype(dtype)
     # route 1 sorts the n^2 pairs (a, c), flat index a * n + c, by slope; route 2 is r_{A/A}

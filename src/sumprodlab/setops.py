@@ -159,8 +159,8 @@ class GSet:
 
 def store(A: GSet) -> dict:
     """The values derived from A, kept on A: the results of the kept functions
-    (pair tables, shift rows, dyadic level), SetStats' memo and a subgroup's
-    character sums.  run_suite releases an input's store once its checks are
+    (pair tables, shift rows, dyadic level, a subgroup's character sums) and
+    SetStats' memo.  run_suite releases an input's store once its checks are
     done; outside run_suite the store lives as long as A."""
     return A.__dict__.setdefault("_store", {})
 
@@ -405,14 +405,14 @@ def write_gset(A: GSet, path: str | Path) -> None:
 def read_gset(path: str | Path) -> GSet:
     """Read a set file written by write_gset.  '#' starts a comment.
 
-    A malformed header or element raises BadSpec, and a modulus that is not
-    prime raises NotPrime.  Rational elements take any form Fraction reads:
-    3, -7/2, 1.5.
+    A malformed header or element, or no element at all, raises BadSpec, and
+    a modulus that is not prime raises NotPrime.  Rational elements take any
+    form Fraction reads: 3, -7/2, 1.5.
     """
     lines = [s for s in (line.split("#", 1)[0].strip()
                          for line in Path(path).read_text().splitlines()) if s]
-    if not lines:
-        raise BadSpec(f"{path}: empty set file")
+    if len(lines) < 2:
+        raise BadSpec(f"{path}: a set file needs a kind header and at least one element")
     header = lines[0]
     if not header.startswith("kind:"):
         raise BadSpec(f"{path}: first line must declare 'kind: rational' or 'kind: modp p=<prime>'")

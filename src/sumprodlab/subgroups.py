@@ -42,7 +42,7 @@ from .errors import (
     OrderDoesNotDivide,
     TooLarge,
 )
-from .setops import _OPS, CountTable, GSet, combine, kept, store
+from .setops import _OPS, CountTable, GSet, combine, kept
 
 # Witness set makes Miller-Rabin deterministic below 3.4 * 10^14.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17)
@@ -423,26 +423,25 @@ class CharReport:
 
 
 def char_sums(ctx: SubgroupCtx) -> np.ndarray:
-    """S_j = sum over x in Gamma of e(g^j x / p), one j per coset.
+    """S_j = sum over x in Gamma of e(g^j x / p), one j per coset (see _char_table)."""
+    return _char_table(ctx.gamma_set())
 
-    |S| is constant on cosets, so these n values carry the full spectrum.
-    The phases e(k/p) are read from prime_tables(p).roots().
-    The table is verified once against the second and fourth moment
-    identities (t sum|S|^2 = t(p - t) and t sum|S|^4 = p E(Gamma) - t^4)
-    and kept in setops.store(ctx.gamma_set()), beside the difference table
-    E(Gamma) is read off.
-    """
+
+@kept
+def _char_table(G: GSet) -> np.ndarray:
+    """char_sums of the subgroup G, p = G.p and t = |G|, kept in store(G) beside
+    the difference table E(G) is read off.  |S| is constant on cosets, so these
+    n values carry the full spectrum.  The phases e(k/p) are read from
+    prime_tables(p).roots().  The table is verified once against the second and
+    fourth moment identities (t sum|S|^2 = t(p - t), t sum|S|^4 = p E(G) - t^4)."""
     from .energy import energy_pair  # energy imports this module
 
-    values = store(ctx.gamma_set())
-    if "char_sums" in values:
-        return values["char_sums"]
-    p, t = ctx.p, ctx.t
+    p, t = G.p, G.size
     if p > CHAR_P_CAP:
         raise TooLarge(f"exponential sum table wants p <= {CHAR_P_CAP}, got {p}")
     tables = prime_tables(p)
-    reps = tables.pow[:ctx.cosets]  # g^j for j < n, one per coset
-    gamma = np.asarray(ctx.gamma, dtype=np.int64)
+    reps = tables.pow[:(p - 1) // t]  # g^j for j < n, one per coset
+    gamma = np.asarray(G.ints, dtype=np.int64)
     S = tables.roots()[reps[:, None] * gamma[None, :] % p].sum(axis=1)
     absS = np.abs(S)
     second = t * float((absS**2).sum())
@@ -450,11 +449,10 @@ def char_sums(ctx: SubgroupCtx) -> np.ndarray:
         raise CrossCheckMismatch(
             f"second moment {second} != t(p-t) = {t * (p - t)}")
     fourth = t * float((absS**4).sum())
-    target = p * energy_pair(ctx.gamma_set()) - t**4
+    target = p * energy_pair(G) - t**4
     if abs(fourth - target) > MOMENT_TOL * max(1.0, abs(target)):
         raise CrossCheckMismatch(
             f"fourth moment {fourth} != pE - t^4 = {target}")
-    values["char_sums"] = S
     return S
 
 

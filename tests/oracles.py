@@ -367,6 +367,20 @@ def rect_cover(A, profile):
                      final, final, 0, rounds, ledger, loads)
 
 
+def decoded_cover(cover):
+    """A kernel's cover in rect_cover's form: its level as the GSet of its
+    members, and each rectangle's coordinates, ints of the final round set's
+    integer view, as that set's elements."""
+    from dataclasses import replace
+
+    from sumprodlab.setops import GSet
+
+    scale, p = cover.level.table.scale, cover.level.table.p
+    return replace(cover, level=cover.level.members, rectangles=[
+        replace(r, abscissae=GSet(r.abscissae, scale, p).elements,
+                ordinates=GSet(r.ordinates, scale, p).elements) for r in cover.rectangles])
+
+
 def sum_construction(A, cover=None):
     """The slope-sliced sum construction on the elements' own Fraction/ModP
     arithmetic, one point (a' + b, a + lambda b) at a time, as SumStats; each
@@ -377,7 +391,7 @@ def sum_construction(A, cover=None):
     quot = sorted(set(pair_counts(elems, elems, "/")))
     if cover is not None and cover.case == "case1":
         aprime, adouble = cover.Aprime.elements, cover.Adoubleprime.elements
-        level = set(cover.level.elements)
+        level = set(cover.level.members.elements)
     else:
         aprime = adouble = elems
         level = set(_dyadic_level(elems, A.kind, A.p)[2].elements)

@@ -364,7 +364,7 @@ def test_criterion_10_rectangle_cover_structure():
             case1 += 1
             # element objects keep subtraction in the right group (mod p
             # for residue sets), so membership in the level set is exact
-            members = set(cover.level.elements)
+            members = set(cover.level.members.elements)
             ordinates = cover.Adoubleprime.elements
             for a in cover.Aprime.elements:
                 hits = sum(1 for b in ordinates if a - b in members)

@@ -106,6 +106,14 @@ def test_malformed_set_file_is_usage_error(tmp_path, capsys, text):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["stats", "verify", "spectral", "rect"])
+def test_set_file_with_no_element_is_usage_error(tmp_path, capsys, command):
+    f = tmp_path / "header_only.txt"
+    f.write_text("kind: rational\n# no elements\n")
+    assert cli.run([command, "--set", str(f)]) == 2
+    assert f"error: {f}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec", ["ap(n=abc)", "geo(q=2,n=4))", "rand(n=3,seed=1/0)",
                                   "subgroup(p=7,t=3/2)", "ap(n=3,n=5)",
                                   "union(ap(n=3),ap(n=3,n=4))"])
@@ -140,6 +148,16 @@ def test_verify_deterministic_is_reproducible(tmp_path, capsys):
     run_ok(capsys, argv + [str(tmp_path / "a.json")])
     run_ok(capsys, argv + [str(tmp_path / "b.json")])
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@pytest.mark.parametrize("checks", ["all", "all-exact"])
+def test_verify_one_element_input_leaves_other_rows_alone(tmp_path, capsys, checks):
+    # log |A| and the dyadic classes need two elements, so ap(n=1) runs no set check
+    argv = ["verify", "--family", "ap(n=8)", "--checks", checks, "--deterministic", "--out"]
+    run_ok(capsys, argv + [str(tmp_path / "alone.json")])
+    run_ok(capsys, argv[:3] + ["--family", "ap(n=1)"] + argv[3:] + [str(tmp_path / "both.json")])
+    alone, both = (read_report(str(tmp_path / f"{name}.json")) for name in ("alone", "both"))
+    assert alone.results and both.results == alone.results
 
 
 def test_verify_corpus_smoke(capsys):

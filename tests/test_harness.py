@@ -278,15 +278,14 @@ def test_each_input_builds_one_dyadic_level(monkeypatch):
 
 def test_popular_and_dyadic_readers_decode_nothing(monkeypatch):
     # subgroup(p=7561,t=90) has t^2 >= p, so P and the level have O(p) keys; the
-    # readers work on masks over the difference table's keys.  A rectangle
-    # cover keeps its level as a GSet, decoded once when the cover is built,
-    # so ap(n=16)'s cover is built first and sum_stats reads it.
+    # readers work on masks over the difference table's keys, and a rectangle
+    # cover keeps its level as that mask, which sum_stats reads
     inputs = [_stats("subgroup(p=7561,t=90)"), _stats("ap(n=16)")]
-    checks._cover(inputs[1], {})
     monkeypatch.setattr(setops.CountTable, "decode", lambda *args: pytest.fail("decoded"))
-    ids = ["lemma_key", "popular_pigeonhole", "dyadic_level", "cor1_lower", "sum_stats"]
+    ids = ["lemma_key", "popular_pigeonhole", "dyadic_level", "cor1_lower", "rect_structure",
+           "sum_stats"]
     results = run_suite(ids, inputs)
-    assert len(results) == 9 and all(r.ok for r in results)  # sum_stats skips the subgroup
+    assert len(results) == 11 and all(r.ok for r in results)  # sum_stats skips the subgroup
     sum_construction_stats(inputs[1].A)  # with no cover, A's level is read off the table
 
 
@@ -335,6 +334,7 @@ def test_rect_rich_mass_matches_oracle():
     A = generate_from_string("ap(n=16)")
     cover = rect_decompose(A, profile=PAPER_PROFILE)
     assert cover.rounds == 1  # the oracle rebuilds round-1 points from A itself
+    cover = oracles.decoded_cover(cover)
     members = set(cover.level.elements)
     points = [(a, b) for a in A.elements for b in A.elements if a - b in members]
     assert len(points) == cover.mass
@@ -352,7 +352,7 @@ def test_rect_case2_iteration():
         assert cover.q == 0 and cover.Aprime is cover.Adoubleprime
         assert cover.rounds == len(cover.energy_ledger) == rounds
         assert all(a >= b for a, b in zip(cover.energy_ledger, cover.energy_ledger[1:]))
-        assert cover == oracles.rect_cover(A, profile)
+        assert oracles.decoded_cover(cover) == oracles.rect_cover(A, profile)
     assert cover.energy_ledger == [1510, 66]  # the rebuild on what round 1 left
 
 
@@ -371,7 +371,7 @@ def test_sum_construction_stats_identities():
     cover = rect_decompose(A, profile=PAPER_PROFILE)
     st = sum_construction_stats(A, cover=cover)
     assert st.s_size == setops.support_size(A, A, "+") == 15
-    assert st.p_size == len(set(cover.level.elements))
+    assert st.p_size == cover.level.members.size
     assert st.ratio_count == setops.support_size(A, A, "/")
     assert st.pair_mass == A.size * st.aprime_size
     assert st.line_bound == st.s_size**4 * st.p_size**2
@@ -461,7 +461,7 @@ def kernel_inputs(draw):
 @settings(max_examples=60, deadline=None)
 def test_rect_and_sum_kernels_match_oracles(A, profile):
     cover = rect_decompose(A, profile=profile)
-    assert cover == oracles.rect_cover(A, profile)
+    assert oracles.decoded_cover(cover) == oracles.rect_cover(A, profile)
     assert sum_construction_stats(A, cover=cover) == oracles.sum_construction(A, cover)
     assert sum_construction_stats(A) == oracles.sum_construction(A)
 
