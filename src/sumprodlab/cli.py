@@ -15,8 +15,8 @@ import time
 from pathlib import Path
 
 from . import setops, spectral, subgroups
-from .errors import (BadSpec, InfeasibleSize, IoFailure, LabError, NotPrime,
-                     OrderDoesNotDivide, TooLarge, UnknownCheck)
+from .errors import (BadSpec, DegenerateInput, InfeasibleSize, IoFailure, LabError,
+                     NotPrime, OrderDoesNotDivide, TooLarge, UnknownCheck)
 from .harness import (SetStats, build_report, check_ids, named_corpus,
                       profile_by_name, read_report, rect_decompose, run_suite,
                       stats_from_spec, subgroup_stats, sum_construction_stats,
@@ -329,7 +329,7 @@ def run(argv=None) -> int:
     except (TooLarge, InfeasibleSize) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except (IoFailure, BadSpec, UnknownCheck, NotPrime, OrderDoesNotDivide) as exc:
+    except (IoFailure, BadSpec, UnknownCheck, NotPrime, OrderDoesNotDivide, DegenerateInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LabError as exc:

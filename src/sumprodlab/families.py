@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BadSpec
 from .setops import GSet, gset_rational
 
@@ -32,6 +34,17 @@ class Lcg:
     def next_u64(self) -> int:
         self.state = (self.state * _LCG_MULT + _LCG_INC) & _LCG_MASK
         return self.state
+
+    def block(self, k: int) -> np.ndarray:
+        """The next k states as a uint64 array, as k next_u64 calls give them."""
+        out = np.empty(k + 1, dtype=np.uint64)
+        out[0], mult, inc, m = self.state, _LCG_MULT, _LCG_INC, 1
+        while m <= k:  # jump ahead: the m-step map x -> mult * x + inc takes out[:m] to the next m
+            step = min(m, k + 1 - m)
+            out[m:m + step] = out[:step] * np.uint64(mult) + np.uint64(inc)
+            mult, inc, m = mult * mult & _LCG_MASK, inc * (mult + 1) & _LCG_MASK, m + step
+        self.state = int(out[-1])
+        return out[1:]
 
     def next_range(self, lo: int, hi: int) -> int:
         """Uniform draw from [lo, hi] by rejection (no modulo bias)."""
@@ -54,10 +67,7 @@ class FamilySpec:
     parts: tuple = ()  # for unions: member FamilySpecs
 
     def get(self, name, default=None):
-        for k, v in self.params:
-            if k == name:
-                return v
-        return default
+        return dict(self.params).get(name, default)
 
     def label(self) -> str:
         if self.kind == "union":

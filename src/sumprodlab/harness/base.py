@@ -231,6 +231,21 @@ def _run_input_batch(payload) -> list[CheckResult]:
         return _run_input(cids, SetStats(A, name, ctx), options)
 
 
+def _one_blas_thread() -> None:
+    """Pool initializer: one thread for numpy's bundled OpenBLAS, so workers do not oversubscribe."""
+    import contextlib
+    import ctypes
+    import glob
+
+    import numpy as np
+
+    for lib in glob.glob(f"{np.__path__[0]}.libs/libscipy_openblas64_*.so"):
+        with contextlib.suppress(OSError, AttributeError):  # no such library or setter: no change
+            setter = ctypes.CDLL(lib).scipy_openblas_set_num_threads64_
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
 def run_suite(check_ids_: Sequence[str], inputs: Iterable[SetStats], *,
               options: dict | None = None, jobs: int = 1) -> list[CheckResult]:
     """Run every applicable (check, input) pair.
@@ -244,7 +259,7 @@ def run_suite(check_ids_: Sequence[str], inputs: Iterable[SetStats], *,
     Each input's store is released once its checks are done.  The run (or,
     with jobs > 1, each worker batch) is one subgroups.table_scope, so
     consecutive inputs of one prime share its F_p^* tables and no run reuses
-    another's.
+    another's.  Each worker runs BLAS on one thread.
     """
     inputs = list(inputs)
     if jobs <= 1:
@@ -254,7 +269,7 @@ def run_suite(check_ids_: Sequence[str], inputs: Iterable[SetStats], *,
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
     merged: list[CheckResult] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) as pool:
         for batch in pool.map(_run_input_batch, payloads):
             merged.extend(batch)
     return merged

@@ -107,18 +107,13 @@ def psd_witness(mats: EnergyMatrices, v: np.ndarray,
 
 def psd_sweep(A: GSet, *, vectors: int = 1000, seed: int = 1) -> PsdWitness:
     """Random-vector sweep over psd_witness; components drawn in [-1, 1]."""
-    mats = build_matrices(A)
-    N = incidence_factor(A)
-    rng = Lcg(seed)
-    n = A.size
-    worst = float("inf")
-    gap = 0.0
-    for _ in range(vectors):
-        x = np.array([2.0 * (rng.next_u64() / 2.0**64) - 1.0 for _ in range(n)])
+    mats, N = build_matrices(A), incidence_factor(A)
+    draws = Lcg(seed).block(vectors * A.size).astype(np.float64).reshape(vectors, A.size)
+    worst, gap = float("inf"), 0.0
+    for x in 2.0 * (draws / 2.0**64) - 1.0:  # the cast rounds as int / float does; the rest is exact
         direct, sos = psd_witness(mats, x, factor=N)
         worst = min(worst, direct, sos)
-        denom = max(1.0, abs(direct), abs(sos))
-        gap = max(gap, abs(direct - sos) / denom)
+        gap = max(gap, abs(direct - sos) / max(1.0, abs(direct), abs(sos)))
     return PsdWitness(vectors, worst, gap)
 
 

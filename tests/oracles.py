@@ -203,6 +203,25 @@ def trace_m2r(A) -> float:
     return math.fsum(c * math.sqrt(r[d1] * r[d2]) * r[d2 - d1] for (d1, d2), c in w.items())
 
 
+def psd_sweep_scalar(A, *, vectors: int = 1000, seed: int = 1):
+    """spectral.psd_sweep with each vector component drawn by its own
+    Lcg.next_u64 call, the route the block draws must match bit for bit.  The
+    quadratic forms are the package's psd_witness: only the draws are under test."""
+    from sumprodlab import spectral
+    from sumprodlab.families import Lcg
+
+    mats = spectral.build_matrices(A)
+    N = spectral.incidence_factor(A)
+    rng = Lcg(seed)
+    worst, gap = float("inf"), 0.0
+    for _ in range(vectors):
+        x = np.array([2.0 * (rng.next_u64() / 2.0**64) - 1.0 for _ in range(A.size)])
+        direct, sos = spectral.psd_witness(mats, x, factor=N)
+        worst = min(worst, direct, sos)
+        gap = max(gap, abs(direct - sos) / max(1.0, abs(direct), abs(sos)))
+    return spectral.PsdWitness(vectors, worst, gap)
+
+
 def line_pair_sum(xvals, yvals=None) -> int:
     """sum over lines of k(k-1) equals the number of ordered point pairs."""
     yvals = xvals if yvals is None else yvals

@@ -248,6 +248,13 @@ def test_rect_guard_exits_three(capsys):
     assert "refused:" in capsys.readouterr().err
 
 
+def test_rect_below_min_size_is_usage_error(capsys):
+    assert cli.run(["rect", "--family", "ap(n=2)"]) == 2
+    assert "error: rectangle decomposition needs at least 4 elements" in capsys.readouterr().err
+    # verify's guards keep such a set from the decomposition, so it still passes
+    run_ok(capsys, ["verify", "--family", "ap(n=3)", "--checks", "all"])
+
+
 # -- report --------------------------------------------------------------------
 
 def test_report_roundtrip(tmp_path, capsys):

@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sumprodlab import families
 from sumprodlab.errors import BadSpec
@@ -11,6 +14,24 @@ def test_lcg_is_the_documented_recurrence():
     rng = Lcg(1)
     want = (1 * 6364136223846793005 + 1442695040888963407) % 2**64
     assert rng.next_u64() == want
+
+
+@given(st.integers(0, 2**64 - 1), st.sampled_from([1, 2, 3, 1023, 1024, 1025, 48000]))
+@example(0, 48000)
+@example(1, 1025)
+@example(2**64 - 1, 1024)
+@settings(max_examples=30, deadline=None)
+def test_lcg_block_is_successive_draws(seed, k):
+    rng, steps = Lcg(seed), Lcg(seed)
+    block = rng.block(k)
+    assert block.dtype == np.uint64
+    assert block.tolist() == [steps.next_u64() for _ in range(k)]
+    assert rng.state == steps.state and rng.next_u64() == steps.next_u64()
+
+
+def test_lcg_empty_block_draws_nothing():
+    rng = Lcg(7)
+    assert rng.block(0).shape == (0,) and rng.state == 7
 
 
 def test_lcg_range_is_reproducible():

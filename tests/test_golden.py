@@ -1,12 +1,12 @@
-"""Golden rows of `verify --checks all --deterministic` on the identity,
-spectral and exact corpora, and the rule that verify builds no element object.
+"""Golden rows of `verify --checks all --deterministic` on the five named
+corpora, and the rule that verify builds no element object.
 
 tests/golden/<corpus>.tsv holds one line per report row: check_id, input,
 lhs, rhs and verdict, tab-separated, under a header naming the python, numpy
 and sumprodlab versions the rows were written with.  Trend rows print floats,
 whose digits depend on the numpy/libm build, so a version change fails by
 name instead of as a wall of changed rows.  A change that moves rows on
-purpose rewrites the files in the same commit:
+purpose rewrites the files in the same commit (at jobs = 1):
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -30,7 +30,9 @@ from sumprodlab.harness import (RectProfile, build_report, check_ids, named_corp
 from sumprodlab.setops import GSet
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CORPORA = ("identity", "spectral", "exact")
+# jobs per corpus for the comparison; the two costliest run in a pool of two,
+# which halves their time and keeps the pool's merged rows under test as well
+CORPORA = {"identity": 1, "spectral": 1, "exact": 1, "series": 2, "subgroup-scan": 2}
 HEADER = "check_id\tinput\tlhs\trhs\tverdict"
 
 
@@ -38,10 +40,10 @@ def versions() -> str:
     return " ".join(f"{k}={v}" for k, v in build_report([]).versions.items())
 
 
-def rows(inputs) -> list[str]:
-    """The deterministic report's rows over every check, at jobs = 1."""
+def rows(inputs, jobs: int = 1) -> list[str]:
+    """The deterministic report's rows over every check."""
     return ["\t".join((r.check_id, r.inputs, r.lhs, r.rhs, r.verdict))
-            for r in run_suite(check_ids("all"), inputs, jobs=1)]
+            for r in run_suite(check_ids("all"), inputs, jobs=jobs)]
 
 
 def write(corpus: str) -> None:
@@ -55,12 +57,13 @@ def _no_elements(A: GSet):
 
 @pytest.fixture(scope="module")
 def fresh() -> dict[str, list[str]]:
-    """Each corpus's rows, built while GSet.elements raises; the inputs are
-    parsed first, as input may build elements."""
+    """Each corpus's rows, built while GSet.elements raises (a forked pool
+    worker inherits the patch); the inputs are parsed first, as input may
+    build elements."""
     inputs = {corpus: named_corpus(corpus) for corpus in CORPORA}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(GSet, "elements", property(_no_elements))
-        return {corpus: rows(inputs[corpus]) for corpus in CORPORA}
+        return {corpus: rows(inputs[corpus], jobs) for corpus, jobs in CORPORA.items()}
 
 
 @pytest.mark.parametrize("corpus", CORPORA)

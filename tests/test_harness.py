@@ -143,6 +143,44 @@ def test_run_suite_parallel_report_is_byte_identical():
     assert emit_report(seq, "json") == emit_report(par, "json")
 
 
+def _blas_threads() -> int | None:
+    """The thread count of numpy's bundled OpenBLAS in this process, if it has one."""
+    import ctypes
+    import glob
+
+    for lib in glob.glob(f"{np.__path__[0]}.libs/libscipy_openblas64_*.so"):
+        return ctypes.CDLL(lib).scipy_openblas_get_num_threads64_()
+    return None
+
+
+def _blas_threads_batch(payload) -> list:
+    return [_blas_threads()]
+
+
+def test_run_suite_workers_run_blas_on_one_thread(monkeypatch):
+    if _blas_threads() is None:
+        pytest.skip("this numpy bundles no OpenBLAS")
+    # a forked worker looks the batch function up in its copy of the patched module
+    monkeypatch.setattr(hbase, "_run_input_batch", _blas_threads_batch)
+    assert run_suite(["cs_support"], [_stats("ap(n=4)"), _stats("ap(n=5)")], jobs=2) == [1, 1]
+
+
+def test_blas_initializer_does_nothing_without_the_library(monkeypatch):
+    import ctypes
+    import glob
+
+    def unloadable(path):
+        raise OSError(f"{path}: cannot open shared object file")
+
+    monkeypatch.setattr(glob, "glob", lambda pattern: ["libscipy_openblas64_-missing.so"])
+    monkeypatch.setattr(ctypes, "CDLL", unloadable)
+    assert hbase._one_blas_thread() is None
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: object())  # a library without the setter
+    assert hbase._one_blas_thread() is None
+    monkeypatch.setattr(glob, "glob", lambda pattern: [])
+    assert hbase._one_blas_thread() is None
+
+
 def test_each_input_builds_one_difference_table(monkeypatch):
     # the subgroup's table comes from one pass over Gamma, as t^2 = 8,100 >= p
     inputs = [_stats("rand(n=48,seed=1)"), _stats("subgroup(p=7561,t=90)")]

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from sumprodlab import energy, spectral
 from sumprodlab.errors import DimensionMismatch, TooLarge
+from sumprodlab.families import generate_from_string
 from sumprodlab.setops import gset_modp, gset_rational
 
 A123 = gset_rational([1, 2, 3])
@@ -75,6 +77,16 @@ def test_psd_sweep_verdict():
     assert rep.ok
     assert rep.min_quadratic >= -1e-9
     assert rep.max_route_gap <= 1e-9
+
+
+@pytest.mark.parametrize("spec", ["ap(n=16)", "geo(q=2,n=16)", "rand(n=48,seed=1)",
+                                  "subgroup(p=101,t=20)"])
+def test_psd_sweep_block_draws_match_scalar_draws(spec):
+    A = generate_from_string(spec)
+    block, scalar = spectral.psd_sweep(A), oracles.psd_sweep_scalar(A)
+    assert block.vectors == scalar.vectors == 1000
+    assert block.min_quadratic == scalar.min_quadratic  # floats, compared exactly
+    assert block.max_route_gap == scalar.max_route_gap
 
 
 def test_trace_routes_agree():
