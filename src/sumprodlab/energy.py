@@ -26,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadSpec, RestrictNotSubset, TooLarge
+# combine is not called here; perfbench's tracer test expects the binding
 from .setops import _BLOCK, CountTable, GSet, _dense_residues, _int_array, combine, kept
 from .subgroups import divisors, is_prime, pair_table, prime_tables
 
@@ -40,9 +41,9 @@ def difference_table(A: GSet) -> CountTable:
     return pair_table(A, "-")
 
 
-def energy_pair(A: GSet, B: GSet | None = None) -> int:
-    """E(A, B) = sum_d |A ^ (B + d)|^2; E(A) when B is omitted."""
-    return (difference_table(A) if B is None else combine(A, B, "-")).moment(2)
+def energy_pair(A: GSet) -> int:
+    """E(A) = sum_d r_{A-A}(d)^2 = sum_d |A ^ (A + d)|^2."""
+    return difference_table(A).moment(2)
 
 
 def moment_energy(A: GSet, q):

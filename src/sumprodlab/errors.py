@@ -39,10 +39,6 @@ class DimensionMismatch(LabError):
     """Vector/matrix dimensions do not agree."""
 
 
-class NoConvergence(LabError):
-    """Power iteration hit its iteration cap before converging."""
-
-
 class NotPrime(LabError):
     """A modulus that must be prime is not."""
 

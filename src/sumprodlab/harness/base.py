@@ -232,7 +232,8 @@ def _run_input_batch(payload) -> list[CheckResult]:
 
 
 def _one_blas_thread() -> None:
-    """Pool initializer: one thread for numpy's bundled OpenBLAS, so workers do not oversubscribe."""
+    """One thread for numpy's bundled OpenBLAS in this process; run_suite calls it,
+    and its pool in each worker, so --jobs 1 and --jobs N compute alike."""
     import contextlib
     import ctypes
     import glob
@@ -259,8 +260,9 @@ def run_suite(check_ids_: Sequence[str], inputs: Iterable[SetStats], *,
     Each input's store is released once its checks are done.  The run (or,
     with jobs > 1, each worker batch) is one subgroups.table_scope, so
     consecutive inputs of one prime share its F_p^* tables and no run reuses
-    another's.  Each worker runs BLAS on one thread.
+    another's.  This process and each worker run BLAS on one thread.
     """
+    _one_blas_thread()
     inputs = list(inputs)
     if jobs <= 1:
         with subgroups.table_scope():

@@ -386,18 +386,17 @@ def _chk_window_dual(stats: SetStats, opts: dict):
 
 
 def _chk_orthogonality_fourth(stats: SetStats, opts: dict):
-    rep = subgroups.char_moment_report(stats.ctx)
+    rep = subgroups.char_moment_report(stats.ctx)  # raises unless lhs = rhs to MOMENT_TOL
     lhs = rep.t * rep.fourth_moment
     rhs = rep.p * rep.energy - rep.t**4
-    ok = rep.fourth_ok and rep.strict_bound_ok
-    return lhs, rhs, rep.fourth_moment / ((rep.p / rep.t) * rep.energy), ok
+    return lhs, rhs, rep.fourth_moment / ((rep.p / rep.t) * rep.energy), rep.strict_bound_ok
 
 
 def _chk_parseval_gamma(stats: SetStats, opts: dict):
     rep = subgroups.char_moment_report(stats.ctx)
     lhs = rep.t * rep.second_moment
     rhs = rep.t * (rep.p - rep.t)
-    return lhs, rhs, lhs / rhs, rep.parseval_ok
+    return lhs, rhs, lhs / rhs, True  # char_moment_report raised unless lhs = rhs to MOMENT_TOL
 
 
 def _chk_modp2_t3(stats: SetStats, opts: dict):

@@ -21,15 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import energy, setops
-from .errors import BadSpec, DimensionMismatch, NoConvergence, TooLarge
+from .errors import BadSpec, DimensionMismatch, TooLarge
 from .families import Lcg
 from .setops import GSet
 
 MATRIX_CAP = 512  # |A| for build_matrices
 FACTOR_CAP = 10_000_000  # cells of the incidence factor
 TRACE_CAP = 128  # |A| for trace_m2r, whose combinatorial route is cubic
-EIGEN_TOL = 1e-12  # relative change at which power iteration stops
-EIGEN_STEPS = 100_000  # power-iteration steps before NoConvergence
 CHAIN_SLACK = 1e-6  # relative slack on the floating steps of spectral_chain
 
 
@@ -137,35 +135,14 @@ def trace_m2r(A: GSet) -> tuple[float, float]:
 
 
 def principal_eigen(S: np.ndarray) -> tuple[float, np.ndarray]:
-    """Top eigenpair of a symmetric matrix by shifted power iteration.
+    """Top eigenvalue of a symmetric matrix (LAPACK's eigh), with the entrywise
+    absolute value of its unit eigenvector.
 
-    The shift s = max absolute row sum makes S + sI positive semidefinite
-    with the wanted eigenvalue on top; the Rayleigh quotient of S itself is
-    tracked and iteration stops when it settles to EIGEN_TOL.
-    """
-    n = S.shape[0]
-    if n == 1:
-        return float(S[0, 0]), np.ones(1)
-    shift = float(np.abs(S).sum(axis=1).max())
-    B = S + shift * np.eye(n)
-    v = np.ones(n) / np.sqrt(n)
-    last = float(v @ S @ v)
-    for _ in range(EIGEN_STEPS):
-        w = B @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0, v  # S = -shift * I edge: any unit vector works
-        v = w / norm
-        ray = float(v @ S @ v)
-        if abs(ray - last) <= EIGEN_TOL * max(1.0, abs(ray)):
-            for coord in v:
-                if coord != 0.0:
-                    if coord < 0.0:
-                        v = -v
-                    break
-            return ray, v
-        last = ray
-    raise NoConvergence(f"power iteration did not settle in {EIGEN_STEPS} steps")
+    When S has nonnegative entries, as Mt does, |v|^T S |v| >= v^T S v, so |v|
+    is again a top eigenvector, and it is >= 0 even where the top eigenvalue
+    repeats."""
+    values, vectors = np.linalg.eigh(S)
+    return float(values[-1]), np.abs(vectors[:, -1])
 
 
 @dataclass

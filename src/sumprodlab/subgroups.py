@@ -405,18 +405,6 @@ class CharReport:
     energy: int               # E(Gamma)
 
     @property
-    def parseval_ok(self) -> bool:
-        lhs = self.t * self.second_moment
-        rhs = self.t * (self.p - self.t)
-        return abs(lhs - rhs) <= MOMENT_TOL * max(1.0, rhs)
-
-    @property
-    def fourth_ok(self) -> bool:
-        lhs = self.t * self.fourth_moment
-        rhs = self.p * self.energy - self.t**4
-        return abs(lhs - rhs) <= MOMENT_TOL * max(1.0, abs(rhs))
-
-    @property
     def strict_bound_ok(self) -> bool:
         # t^4 > 0 makes the moment identity a strict inequality
         return self.fourth_moment < (self.p / self.t) * self.energy
@@ -457,6 +445,8 @@ def _char_table(G: GSet) -> np.ndarray:
 
 
 def char_moment_report(ctx: SubgroupCtx) -> CharReport:
+    """The moments of char_sums(ctx), which raises CrossCheckMismatch unless
+    both moment identities hold to MOMENT_TOL, and E(Gamma)."""
     from .energy import energy_pair
 
     S = np.abs(char_sums(ctx))

@@ -40,10 +40,14 @@ def versions() -> str:
     return " ".join(f"{k}={v}" for k, v in build_report([]).versions.items())
 
 
+def line(r) -> str:
+    """One report row (a CheckResult) as its golden line."""
+    return "\t".join((r.check_id, r.inputs, r.lhs, r.rhs, r.verdict))
+
+
 def rows(inputs, jobs: int = 1) -> list[str]:
     """The deterministic report's rows over every check."""
-    return ["\t".join((r.check_id, r.inputs, r.lhs, r.rhs, r.verdict))
-            for r in run_suite(check_ids("all"), inputs, jobs=jobs)]
+    return [line(r) for r in run_suite(check_ids("all"), inputs, jobs=jobs)]
 
 
 def write(corpus: str) -> None:

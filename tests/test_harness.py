@@ -181,6 +181,21 @@ def test_blas_initializer_does_nothing_without_the_library(monkeypatch):
     assert hbase._one_blas_thread() is None
 
 
+def test_run_suite_pins_blas_in_its_own_process(monkeypatch):
+    calls = []
+    monkeypatch.setattr(hbase, "_one_blas_thread", lambda: calls.append(1))
+    rows = run_suite(["cs_support"], [_stats("ap(n=4)"), _stats("ap(n=5)")], jobs=1)
+    assert len(rows) == 2 and calls == [1]
+
+
+def test_broken_moment_identity_fails_the_character_rows(monkeypatch):
+    # E(Gamma) off by one breaks t sum|S|^4 = pE - t^4, which char_sums verifies
+    stats = _stats("subgroup(p=13,t=4)")
+    monkeypatch.setattr(energy, "energy_pair", lambda A: 1 + energy.difference_table(A).moment(2))
+    for cid in ("orthogonality_fourth", "parseval_gamma"):
+        assert run_check(cid, stats).verdict == FAILED
+
+
 def test_each_input_builds_one_difference_table(monkeypatch):
     # the subgroup's table comes from one pass over Gamma, as t^2 = 8,100 >= p
     inputs = [_stats("rand(n=48,seed=1)"), _stats("subgroup(p=7561,t=90)")]
@@ -203,8 +218,8 @@ def test_each_input_builds_one_difference_table(monkeypatch):
         count(gset_modp(gamma.tolist(), p), op, "orbits")
         return orbit_table(gamma, p, op)
 
-    # subgroups and energy bind combine under their own names
-    for module in (setops, subgroups, energy):
+    # subgroups binds combine under its own name
+    for module in (setops, subgroups):
         monkeypatch.setattr(module, "combine", counting)
     monkeypatch.setattr(subgroups, "_orbit_table", counting_orbits)
     run_suite(check_ids("all"), inputs)
@@ -248,7 +263,7 @@ def test_each_self_table_built_once_per_input_and_op(monkeypatch):
         count(gset_modp(gamma.tolist(), p), op, "orbits")
         return orbit_table(gamma, p, op)
 
-    for module in (setops, subgroups, energy):
+    for module in (setops, subgroups):
         monkeypatch.setattr(module, "combine", counting)
     monkeypatch.setattr(subgroups, "_orbit_table", counting_orbits)
     assert all(r.ok for r in run_suite(check_ids("all"), inputs))
@@ -299,7 +314,8 @@ def test_worker_reads_the_tables_its_input_carries(monkeypatch):
     stats.table()
     cids = ["thm19_energy", "orthogonality_fourth"]
     payload = pickle.loads(pickle.dumps((stats.A, stats.name, stats.ctx, cids, {})))
-    monkeypatch.setattr(energy, "combine", lambda *args: pytest.fail("table rebuilt"))
+    for name in ("combine", "_orbit_table"):  # pair_table's two routes
+        monkeypatch.setattr(subgroups, name, lambda *args: pytest.fail("table rebuilt"))
     assert all(r.ok for r in hbase._run_input_batch(payload))
 
 

@@ -44,6 +44,19 @@ def test_eigen_identity_and_all_ones():
     assert mu == pytest.approx(4.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("order", [[0, 1, 2, 3], [2, 0, 1, 3]])
+def test_eigenvector_is_nonnegative_where_the_top_eigenvalue_repeats(order):
+    # two all-ones 2 x 2 blocks: eigenvalue 2 twice, so any unit vector of the
+    # span of the blocks' indicators is a top eigenvector, and LAPACK's may
+    # have negative entries (numpy's bundled OpenBLAS gives one for the second order)
+    S = np.kron(np.eye(2), np.ones((2, 2)))[np.ix_(order, order)]
+    mu, v = spectral.principal_eigen(S)
+    assert mu == pytest.approx(2.0, abs=1e-12)
+    assert np.all(v >= 0.0)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(S @ v, mu * v, atol=1e-12)
+
+
 def test_incidence_factorization_exact():
     for A in (A123, gset_rational([1, 2, 4, 8]), gset_modp([1, 2, 4], 7)):
         mats = spectral.build_matrices(A)
@@ -129,3 +142,13 @@ def test_spectral_chain_takes_shared_values():
 def test_spectral_chain_modp():
     chain = spectral.spectral_chain(gset_modp([1, 2, 4], 7))
     assert chain.ok
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_spectral_chain_on_a_zero_truncated_matrix(p):
+    # Gamma = F_p^*: r = p - 2 off 0 and p - 1 at 0, so at delta = ceil(max r / 2)
+    # every entry is cut and Mt = 0, whose top eigenvalue 0 fills the space
+    G = generate_from_string(f"subgroup(p={p},t={p - 1})")
+    chain = spectral.spectral_chain(G, delta=math.ceil((p - 1) / 2))
+    assert chain.eprime == 0 and chain.mu1 == 0.0
+    assert chain.ok_eigen_bound and chain.ok_lift and chain.ok_chain and chain.ok_exact

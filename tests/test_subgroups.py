@@ -151,11 +151,10 @@ def test_char_sums_match_direct_exp_bitwise():
 def test_char_sums_moment_identities():
     for p, t in ((7, 3), (13, 4), (101, 20)):
         ctx = subgroup_context(p, t)
-        rep = char_moment_report(ctx)
-        assert rep.parseval_ok
-        assert rep.fourth_ok
+        rep = char_moment_report(ctx)  # char_sums verifies both identities
         assert rep.strict_bound_ok
         assert t * rep.second_moment == pytest.approx(t * (p - t), rel=1e-9)
+        assert t * rep.fourth_moment == pytest.approx(p * rep.energy - t**4, rel=1e-9)
 
 
 def test_char_sums_fourth_moment_worked_example():
@@ -293,7 +292,7 @@ def test_coset_union_energy_matches_pair_kernel():
             picks += [rng.sample(range(n), rng.randint(1, n)) for _ in range(3)]
             for J in picks:
                 Q = oracles.invariant_union(ctx, J)
-                want = (energy.energy_pair(Q, ctx.gamma_set()), Q.size)
+                want = (setops.combine(Q, ctx.gamma_set(), "-").moment(2), Q.size)
                 assert subgroups.coset_union_energy(ctx, J) == want
     with pytest.raises(IndexOutOfRange):
         subgroups.coset_union_energy(subgroup_context(13, 3), [4])
