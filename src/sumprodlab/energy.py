@@ -9,9 +9,8 @@ its count profile, the popular set and the dyadic level are masks over its
 sorted keys.  T_3, Sigma and the difference-triple count, for rationals and
 residues alike, read the shift rows of A-A: one row per orbit of the largest
 group H of units that fixes r.  The table, the rows and the dyadic level are
-kept in setops.store(A).  Three tiers compute the rows (see _shift_rows):
-int64 lookups over D; mod a prime, the cyclotomic numbers of H where that is
-less work; and a big-integer loop past the int64 guards.
+kept in setops.store(A).  The rows are int64 sums, of lookups of r at every
+magnitude or mod a prime of the cyclotomic numbers of H (see _shift_rows).
 Counting conventions: every count is over ordered tuples, and r_{A-B}(d) is
 the number of ordered pairs (a, b) with a - b = d.
 """
@@ -27,13 +26,16 @@ import numpy as np
 
 from .errors import BadSpec, RestrictNotSubset, TooLarge
 # combine is not called here; perfbench's tracer test expects the binding
-from .setops import _BLOCK, CountTable, GSet, _dense_residues, _int_array, combine, kept
+from .setops import _BLOCK, CountTable, GSet, _dense_residues, _find, _int_array, combine, kept
 from .subgroups import divisors, is_prime, pair_table, prime_tables
 
 # Cap on |A-A| for Sigma, whose shift rows take |A-A|^2 lookups; the checks
 # that need Sigma skip inputs above it.
 SIGMA_SUPPORT_CAP = 5000
 _HEAD_KEYS = 64  # keys _fixing_group tries a candidate on before the full check
+_FINGERPRINT = (1 << 61) - 2_000_001  # a prime; mod 2^61 - 1 geo(q=2,n=64)'s differences collide
+_HASH = 0x9E3779B97F4A7C15  # odd, so y -> y * _HASH mod 2^64 is one to one
+_SLOTS_PER_KEY = 64  # least slots per looked-up key in _rows_lookup's table
 
 
 def difference_table(A: GSet) -> CountTable:
@@ -116,9 +118,9 @@ def difference_triple_count(A: GSet, restrict: GSet | PopularSet | None = None) 
 
 @dataclass(frozen=True)
 class _Rows:
-    """The shift rows of D = A - A, one per H-orbit of D, sorted by label
-    (see _orbit_labels): the orbit's size and r-mass, and hits, lin and
-    weight, which are constant on it; row[i] is the row of the table's i-th key."""
+    """The shift rows of D = A - A, one per H-orbit of D (see _shift_rows):
+    the orbit's size and r-mass, and hits, lin and weight, which are constant
+    on it; row[i] is the row of the table's i-th key."""
 
     order: int  # |H|
     row: np.ndarray
@@ -140,92 +142,103 @@ def _shift_rows(A: GSet) -> _Rows:
     r(hx) = r(x): {1, -1} over the rationals, {1} for composite moduli, and
     mod a prime the stabiliser _fixing_group finds.  x -> hx maps the pairs
     counted at e onto those at he, so each column is computed at one key per
-    H-orbit.  Mod a prime, g and the discrete-log table of F_p^* come from
-    subgroups.prime_tables, so the sets of one prime share them within a
-    table scope (one run_suite).
+    H-orbit, and the rows follow the orbits: by |e| over the rationals, and
+    mod a prime by coset dlog(e) mod (p - 1)/|H| after {0}, with g and the
+    discrete-log table of F_p^* from subgroups.prime_tables, which the sets of
+    one prime share within a table scope (one run_suite).
 
-    Three tiers compute the columns:
-    * _rows_int64, while every key lies in (-2^61, 2^61), so each d - e fits,
-      and max r^2 |A|^2, which bounds each weight, is below 2^63: |D| lookups
-      per row.  Mod p, r is spread into one dense length-p table, which H and
-      these rows read, only while _dense_residues(p, |A| |D|); past that H = {1}.
-    * _rows_cyclotomic, mod a prime with the dense table and H != {1}, from the
-      n x n cyclotomic numbers of H, n = (p - 1) / |H|: taken when its work,
-      p + rows n^2, is below the lookups' rows |D|.
-    * _rows_bigint past the int64 guards: one Python loop over D per row."""
+    Every column is an int64 sum of at most max r^2 |A|^2, so past 2^63 the
+    rows are refused (TooLarge).  Mod a prime with H != {1}, _rows_cyclotomic
+    computes them when its work, p + rows n^2 for n = (p - 1) / |H|, is below
+    the lookups' rows |D|.  Else _rows_lookup looks each r(d - e) up: in a dense
+    length-p table of r, which H reads too, mod p while _dense_residues(p,
+    |A| |D|) (past that H = {1}), and otherwise by fingerprint at every magnitude."""
     table = difference_table(A)
-    p, keys, counts, lim = table.p, table.keys, table.counts, 1 << 61
-    fits = keys.size > 0 and table.max_count() ** 2 * table.total < 1 << 63 and (
-        p < lim if p is not None else -lim < keys[0] and keys[-1] < lim)
-    dense = None
-    if fits and _dense_residues(p, A.size * keys.size):
+    if table.max_count() ** 2 * table.total >= 1 << 63:
+        raise TooLarge("max r^2 |A|^2 passes 2^63, the bound on each shift row's weight")
+    p, keys, counts, dense = table.p, table.keys, table.counts, None
+    if _dense_residues(p, A.size * keys.size):
         dense = np.zeros(p, dtype=np.int64)
         dense[keys] = counts
     order = 2 if p is None else 1 if dense is None else _fixing_group(p, dense)
     # the discrete-log table of F_p^*, for the labels and the cyclotomic numbers
     dlog = prime_tables(p).dlog if p is not None and order > 1 else None
-    labels = _orbit_labels(keys, p, order, dlog)
     if dlog is None:
-        _, first, row, size = np.unique(labels, return_index=True,
+        _, first, row, size = np.unique(np.abs(keys) if p is None else keys, return_index=True,
                                         return_inverse=True, return_counts=True)
-    else:  # labels lie in [0, n], so a bincount groups them without a sort
+    else:  # label 0 for e = 0, else 1 + the coset: a bincount groups them without a sort
         n = (p - 1) // order
+        labels = np.where(keys == 0, 0, 1 + dlog[keys] % n)
         size = np.bincount(labels)
         row = (np.cumsum(size > 0) - 1)[labels]
         size = size[size > 0]
         first = np.zeros(size.size, dtype=np.intp)
         first[row] = np.arange(keys.size)  # any key of an orbit stands for it
-    reps = keys[first]
     if dlog is not None and p + first.size * n * n < first.size * keys.size:
         columns = _rows_cyclotomic(keys, counts, dlog, n)
-    elif fits:
-        columns = _rows_int64(keys, counts, reps, p, dense)
     else:
-        columns = _rows_bigint(keys.tolist(), counts.tolist(), reps.tolist(), p)
+        columns = _rows_lookup(keys, counts, first, p, dense)
     return _Rows(order, row.astype(np.int32), size.tolist(),
                  (size * counts[first]).tolist(), *columns)
 
 
-def _rows_int64(keys, counts, reps, p: int | None, dense=None) -> tuple[list, list, list]:
-    """(hits, lin, weight) at each key of reps, in blocks of at most _BLOCK
-    lookups, one int64 dot product per column; r(d - e) is read from dense (r
-    over (-p, p) by negative-index wrap) or by searchsorted into the keys,
-    which come ascending."""
-    kv, cv = np.asarray(keys, dtype=np.int64), np.asarray(counts, dtype=np.int64)
-    if dense is not None:
-        lookup = dense.__getitem__
-    else:
-        # slot len(keys) is a sentinel no shifted key equals, so a miss needs no clipping
-        kx, cx = np.append(kv, np.iinfo(np.int64).max), np.append(cv, 0)
+def _rows_lookup(keys, counts, first, p: int | None, dense=None) -> tuple[list, list, list]:
+    """(hits, lin, weight) at each key keys[first], keys ascending, from blocks
+    of about _BLOCK values r(d - e), one int64 dot product per column.
 
-        def lookup(shifted):
-            if p is not None:
-                shifted %= p
-            idx = np.searchsorted(kv, shifted)
-            return np.where(kx[idx] == shifted, cx[idx], 0)
-    rv = np.asarray(reps, dtype=np.int64)
+    r(d - e) is read off dense, r over (-p, p) by negative-index wrap, if given.
+    Else d - e is looked up unreduced among L = D, or D - p and D for residues,
+    by fingerprint (f, q from _fingerprint(L)): x = f(d) - f(e) is f(d - e) or
+    that minus q.  x is first tested in a table of 2^b >= _SLOTS_PER_KEY |L|
+    slots marked at h(y) = (y K mod 2^64) >> (64 - b), K = _HASH, for y in f(L)
+    and f(L) - q; x K = f(d) K - f(e) K, so a test is one wrapping subtraction,
+    one shift and one gather.  Candidates go to searchsorted, and each match
+    mod q is confirmed on Python ints: d - e must equal the key of L it matched.
+    """
+    n, step = keys.size, _BLOCK // max(keys.size, 1) or 1
+    if dense is None:
+        exact, r = keys, counts
+        if p is not None:
+            exact = np.concatenate(((keys if p < 1 << 63 else keys.astype(object)) - p, keys))
+            r = np.tile(counts, 2)
+        look, q = _fingerprint(exact)
+        if q:
+            look, r = np.concatenate((look - q, look)), np.tile(r, 2)
+            exact = np.tile(exact.astype(object), 2)  # Python ints, for the confirmation
+        f, kx, at = look[-n:], exact[-n:], np.argsort(look)
+        look, r, exact = look[at], r[at], exact[at]
+        bits = (_SLOTS_PER_KEY * look.size).bit_length()
+        shift, mult, slots = np.uint64(64 - bits), np.uint64(_HASH), np.zeros(1 << bits, dtype=bool)
+        slots[(look.view(np.uint64) * mult) >> shift] = True
+        hk = f.view(np.uint64) * mult
     hits, lin, weight = [], [], []
-    step = max(1, _BLOCK // kv.size)
-    for lo in range(0, rv.size, step):
-        r = lookup(kv - rv[lo:lo + step, None])
-        hits += np.count_nonzero(r, axis=1).tolist()
-        lin += (r @ cv).tolist()
-        weight += ((r * r) @ cv).tolist()
+    for lo in range(0, first.size, step):
+        rows = first[lo:lo + step]
+        if dense is not None:
+            block = dense[keys - keys[rows, None]]
+        else:
+            slot = ((hk - hk[rows, None]) >> shift).view(np.int64)  # below 2^63 past the shift
+            i, j = np.divmod(np.flatnonzero(slots[slot]), n)
+            k, hit = _find(look, f[j] - f[rows[i]])
+            if q:  # the fingerprints match; confirm d - e itself
+                hit[hit] = kx[j[hit]] - kx[rows[i[hit]]] == exact[k[hit]]
+            block = np.zeros((rows.size, n), dtype=np.int64)
+            block[i[hit], j[hit]] = r[k[hit]]
+        hits += np.count_nonzero(block, axis=1).tolist()
+        lin += np.einsum("ij,j->i", block, counts).tolist()
+        weight += np.einsum("ij,ij,j->i", block, block, counts).tolist()
     return hits, lin, weight
 
 
-def _rows_bigint(keys, counts, reps, p: int | None) -> tuple[list, list, list]:
-    """(hits, lin, weight) at each key of reps on Python ints, one loop over D per row."""
-    rmap = dict(zip(keys, counts))
-    if p is not None:  # d - e lies in (-p, p), so each residue key is also kept minus p
-        rmap.update([(k - p, c) for k, c in rmap.items()])
-    hits, lin, weight = [], [], []
-    for e in reps:
-        row = [(rd, rmap[d - e]) for d, rd in zip(keys, counts) if d - e in rmap]
-        hits.append(len(row))
-        lin.append(sum(rd * c for rd, c in row))
-        weight.append(sum(rd * c * c for rd, c in row))
-    return hits, lin, weight
+def _fingerprint(keys: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """(f(keys), q): the keys themselves and None while they lie in (-2^61, 2^61),
+    else the keys mod the first prime q from _FINGERPRINT down that keeps them apart."""
+    if not keys.size or -(1 << 61) < keys[0] and keys[-1] < 1 << 61:
+        return keys, None
+    q = _FINGERPRINT
+    while np.unique(f := (keys % q).astype(np.int64)).size < keys.size:
+        q = next(k for k in range(q - 2, 1, -2) if is_prime(k))
+    return f, q
 
 
 def _fixing_group(p: int, r: np.ndarray) -> int:
@@ -280,17 +293,6 @@ def _rows_cyclotomic(keys, counts, dlog: np.ndarray, n: int) -> tuple[list, list
             [int(counts @ counts)] + (left.sum(axis=1) + 2 * r0 * re).tolist(),
             [int(counts * counts @ counts)]
             + ((left * shifted).sum(axis=1) + r0 * re * re + re * r0 * r0).tolist())
-
-
-def _orbit_labels(keys: np.ndarray, p: int | None, order: int, dlog) -> np.ndarray:
-    """The label of each key's H-orbit, |H| = order: |e| over the rationals,
-    e itself when H = {1}, and mod a prime 0 for e = 0 and otherwise 1 plus
-    the discrete-log coset dlog[e] mod (p - 1)/|H|."""
-    if p is None:
-        return np.abs(keys)
-    if order == 1:
-        return keys
-    return np.where(keys == 0, 0, 1 + dlog[keys] % ((p - 1) // order))
 
 
 @dataclass(frozen=True)

@@ -44,9 +44,10 @@ from .errors import (
 )
 from .setops import _OPS, CountTable, GSet, combine, kept
 
-# Witness set makes Miller-Rabin deterministic below 3.4 * 10^14.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17)
-_MR_LIMIT = 340_000_000_000_000
+# Miller-Rabin on these witnesses is deterministic below _MR_LIMIT (about
+# 3.2 * 10^23), the least strong pseudoprime to all of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318_665_857_834_031_151_167_461
 
 MOMENT_TOL = 1e-6  # relative tolerance of the character-sum moment identities
 LIFT_T_CAP = 64  # largest t that mod_p2_subgroup accepts
@@ -56,16 +57,13 @@ CHAR_P_CAP = 10_000_000  # largest p that char_sums accepts
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     if n >= _MR_LIMIT:
         raise BadSpec(f"primality test is only deterministic below {_MR_LIMIT}")
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
+    d = (n - 1) >> s
     for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):

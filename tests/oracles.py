@@ -127,6 +127,23 @@ def difference_triples(vals, restrict=None, p=None) -> int:
     return sum(1 for d in dset for dp in rvals if (d - dp) % p in dset)
 
 
+def shift_rows(keys, counts, reps, p=None) -> tuple[list, list, list]:
+    """(hits, lin, weight) of r = r_{A-A}, given as its keys and counts on the
+    integer view, at each key e of reps, one loop over D per row on Python
+    ints: hits(e) = #{d : d - e in D}, lin(e) = sum_d r(d) r(d - e),
+    weight(e) = sum_d r(d) r(d - e)^2, with d - e mod p for residues."""
+    rmap = dict(zip(keys, counts))
+    if p is not None:  # d - e lies in (-p, p), so each residue key is also kept minus p
+        rmap.update([(k - p, c) for k, c in rmap.items()])
+    hits, lin, weight = [], [], []
+    for e in reps:
+        row = [(rd, rmap[d - e]) for d, rd in zip(keys, counts) if d - e in rmap]
+        hits.append(len(row))
+        lin.append(sum(rd * c for rd, c in row))
+        weight.append(sum(rd * c * c for rd, c in row))
+    return hits, lin, weight
+
+
 def stabilizer_order(p, *sets) -> int:
     """Number of h in F_p^* with h * S = S for each set S of nonzero residues."""
     sets = [frozenset(s) for s in sets]

@@ -13,7 +13,7 @@ from sumprodlab.families import generate_from_string
 from sumprodlab.ground import ModP
 from sumprodlab.harness import SetStats, subgroup_stats
 from sumprodlab.setops import gset_modp, gset_rational
-from sumprodlab.subgroups import divisors, prime_tables, subgroup_context
+from sumprodlab.subgroups import divisors, is_prime, prime_tables, subgroup_context
 
 A123 = gset_rational([1, 2, 3])
 
@@ -166,22 +166,33 @@ def _dlog(p, order):
     return None if p is None or order == 1 else prime_tables(p).dlog
 
 
+def _orbit_labels(keys, p, order):
+    """The least element of each key's H-orbit, |H| = order: |e| over the
+    rationals, and the least e h mod p, h in H, for residues."""
+    if p is None:
+        return np.abs(keys)
+    h = pow(prime_tables(p).g, (p - 1) // order, p) if order > 1 else 1
+    H = np.array([pow(h, k, p) for k in range(order)], dtype=object)
+    return np.array([min(e * H % p) for e in keys.tolist()], dtype=object)
+
+
 def _rows_at_every_key(A):
     """(keys, counts, columns): the kept orbit rows spread back over every key of
-    D, checked against the orbits' sizes and r-masses on the way."""
+    D, checked against the orbits, their sizes and their r-masses on the way."""
     rows, table = energy._shift_rows(A), energy.difference_table(A)
     keys, counts = table.keys.tolist(), table.counts.tolist()
     assert keys == sorted(keys)
-    # keys share a row exactly when they share an orbit label
-    labels = energy._orbit_labels(table.keys, A.p, rows.order, _dlog(A.p, rows.order))
-    _, idx = np.unique(labels, return_inverse=True)
-    assert (rows.row == idx).all()
-    assert np.bincount(idx, minlength=len(rows.size)).tolist() == rows.size
+    # keys share a row exactly when they share an H-orbit
+    _, orbit = np.unique(_orbit_labels(table.keys, A.p, rows.order), return_inverse=True)
+    pairs = set(zip(rows.row.tolist(), orbit.tolist()))
+    assert len(pairs) == len(set(orbit.tolist())) == len(rows.size) == len(set(rows.row.tolist()))
+    assert np.bincount(rows.row, minlength=len(rows.size)).tolist() == rows.size
     mass = [0] * len(rows.size)
-    for i, c in zip(idx.tolist(), counts):
+    for i, c in zip(rows.row.tolist(), counts):
         mass[i] += c
     assert mass == rows.mass
-    return keys, counts, tuple([col[i] for i in idx] for col in (rows.hits, rows.lin, rows.weight))
+    return keys, counts, tuple([col[i] for i in rows.row.tolist()]
+                               for col in (rows.hits, rows.lin, rows.weight))
 
 
 def _scaled(vals) -> list:
@@ -191,8 +202,23 @@ def _scaled(vals) -> list:
     return [int(Fraction(v) * scale) for v in vals]
 
 
+P17 = 65537  # a prime above 2^16: a small set mod it gets no dense table
+
+
+def _case(vals, p=None):
+    return gset_rational(vals) if p is None else gset_modp(vals, p), vals, p, None
+
+
 @given(shift_row_inputs())
-@settings(max_examples=80, deadline=None)
+@example(_case([1, 2, 5, GUARD]))  # the largest key of D is 2^61 - 1, its own fingerprint
+@example(_case([1, 2, 5, GUARD + 1]))  # 2^61: fingerprints mod q
+@example(_case([-3, 1, 2, (1 << 62) + 1]))  # 2^62: int64 keys
+@example(_case([1, 3, 4, (1 << 100) + 1, (1 << 100) + 4]))  # 2^100: Python-int keys
+@example(_case([-(1 << 62), -(1 << 61) - 7, -5, Fraction(-1, 3)]))  # negative keys, scale 3
+@example(_case([1, 2, 3, 5, 8, 13, 100, P17 - 1], P17))
+@example((gset_modp([1, 2, 4, 10, 50], P17), [1, 2, 4, 10, 50], P17,
+          gset_modp([0, 1, P17 - 2, 48], P17, allow_zero=True)))
+@settings(max_examples=80, deadline=None, derandomize=True)
 def test_shift_rows_match_oracles(case):
     A, vals, p, R = case
     assert energy.sigma_sum(A) == oracles.sigma(vals, p)
@@ -200,38 +226,86 @@ def test_shift_rows_match_oracles(case):
         vals, None if R is None else R.values(), p)
     if len(vals) <= 8:
         assert energy.t_k(A, 3) == oracles.t_k(_scaled(vals), 3, p)
-    # the kept rows are both tiers' columns at every key, wherever the int64 tier may run
+    # the kept rows are the reference route's at every key, and so are the
+    # lookups', whichever tier the kept rows took
     keys, counts, got = _rows_at_every_key(A)
-    assert got == energy._rows_bigint(keys, counts, keys, p)
-    if -GUARD < keys[0] and keys[-1] < GUARD:
-        assert energy._rows_int64(keys, counts, keys, p) == got
+    assert got == oracles.shift_rows(keys, counts, keys, p)
+    assert _lookups_at_every_key(A) == got
+
+
+def _lookups_at_every_key(A):
+    table = energy.difference_table(A)
+    return energy._rows_lookup(table.keys, table.counts, np.arange(table.keys.size), A.p)
+
+
+def _spy_fingerprint(monkeypatch) -> list:
+    """The moduli _fingerprint returns from now on, None for keys that are their own."""
+    moduli, real = [], energy._fingerprint
+
+    def spy(look):
+        got = real(look)
+        moduli.append(got[1])
+        return got
+
+    monkeypatch.setattr(energy, "_fingerprint", spy)
+    return moduli
 
 
 def test_shift_rows_tier_guard(monkeypatch):
-    tiers = []
-    for name in ("_rows_int64", "_rows_bigint"):
-        real = getattr(energy, name)
+    moduli = _spy_fingerprint(monkeypatch)
+    q = energy._FINGERPRINT
+    # keys of D up to top - 1 are their own fingerprints below 2^61 and go mod q from
+    # 2^61 on; so do residues mod p, whose lookups reach -p
+    cases = [([1, 2, top], None, want) for top, want in (
+        (GUARD, None), (GUARD + 1, q), (1 << 62, q), (1 << 63, q), (1 << 100, q))]
+    cases += [([1, 2, 4, p - 1, p - 3], p, want) for p, want in (
+        (GUARD - 1, None), (GUARD + 15, q), ((1 << 62) - 57, q), ((1 << 89) - 1, q))]
+    for vals, p, want in cases:
+        A = gset_rational(vals) if p is None else gset_modp(vals, p)
+        assert energy.sigma_sum(A) == oracles.sigma(vals, p)
+        assert energy.difference_triple_count(A) == oracles.difference_triples(vals, p=p)
+        assert energy.t_k(A, 3) == oracles.t_k(vals, 3, p)
+        assert moduli == [want]
+        moduli.clear()
 
-        def counted(*args, real=real, name=name):
-            tiers.append(name)
-            return real(*args)
 
-        monkeypatch.setattr(energy, name, counted)
-    # the largest key of D is top - 1: 2^61 - 1 fits, 2^61 does not
-    for top, tier in ((GUARD, "_rows_int64"), (GUARD + 1, "_rows_bigint")):
-        vals = [1, 2, top]
-        A = gset_rational(vals)
-        assert energy.sigma_sum(A) == oracles.sigma(vals)
-        assert energy.difference_triple_count(A) == oracles.difference_triples(vals)
-        assert energy.t_k(A, 3) == oracles.t_k(vals, 3)
-        assert tiers.pop() == tier and not tiers
+def test_shift_rows_refuse_past_the_weight_bound(monkeypatch):
+    # every weight is at most max r^2 |A|^2, so past 2^63 the rows are refused; a
+    # stand-in table with r = 2^20 on 8 keys, |A|^2 = 2^23, reaches exactly 2^63
+    table = setops.CountTable(np.arange(8), np.full(8, 1 << 20), 1 << 23)
+    monkeypatch.setattr(energy, "difference_table", lambda _: table)
+    with pytest.raises(TooLarge):
+        energy.t_k(gset_rational([1, 2, 4]), 3)
+
+
+def test_shift_rows_survive_forced_collisions(monkeypatch):
+    # One slot: every x is a candidate for searchsorted.  A small fingerprint
+    # modulus: 101 is a difference, so L is not injective mod 101 and the next
+    # prime below is taken, and most matches mod it are false, so the exact
+    # confirmation must reject them, for int64 keys and keys past 2^63 alike.
+    monkeypatch.setattr(energy, "_SLOTS_PER_KEY", 0)
+    monkeypatch.setattr(energy, "_FINGERPRINT", 101)
+    moduli = _spy_fingerprint(monkeypatch)
+    for vals, p in (([1, 102, 7, 1 << 100], None), ([1, 102, 7, 1 << 62], None),
+                    ([1, 102, 5000, 77777], (1 << 89) - 1), ([1, 102, 7, 5000], (1 << 62) - 57)):
+        A = gset_rational(vals) if p is None else gset_modp(vals, p)
+        keys, counts, got = _rows_at_every_key(A)
+        assert got == oracles.shift_rows(keys, counts, keys, p)
+        assert _lookups_at_every_key(A) == got
+        q = moduli[0]  # both builds took one modulus
+        assert set(moduli) == {q} and q < 101 and is_prime(q)
+        moduli.clear()
+        look = set(keys) if p is None else set(keys) | {k - p for k in keys}
+        false = [(d, e) for d in keys for e in keys
+                 if (d - e) % q in {k % q for k in look} and d - e not in look]
+        assert false  # there was something to reject
 
 
 def test_shift_rows_cost_rule(monkeypatch):
     # mod a prime with H != {1} the cyclotomic rows cost p + rows n^2 against the lookups'
     # rows |D|: subgroup(p=1009,t=42) costs 9,649 against 8,835, and t=48 7,183 against 8,750
     tiers = []
-    for name in ("_rows_int64", "_rows_cyclotomic", "_rows_bigint"):
+    for name in ("_rows_cyclotomic", "_rows_lookup"):
         real = getattr(energy, name)
 
         def counted(*args, real=real, name=name):
@@ -240,7 +314,7 @@ def test_shift_rows_cost_rule(monkeypatch):
 
         monkeypatch.setattr(energy, name, counted)
     p = 1009
-    for t, tier in ((42, "_rows_int64"), (48, "_rows_cyclotomic")):
+    for t, tier in ((42, "_rows_lookup"), (48, "_rows_cyclotomic")):
         G = subgroup_context(p, t).gamma_set()
         assert energy.sigma_sum(G) == oracles.sigma(G.values(), p)
         assert energy.difference_triple_count(G) == oracles.difference_triples(G.values(), p=p)
@@ -320,7 +394,7 @@ def test_triple_count_modp_matches_oracle(case):
     else:
         assert order == 1  # composite moduli are not searched
     keys, counts, got = _rows_at_every_key(A)
-    assert energy._rows_int64(keys, counts, keys, m) == got
+    assert _lookups_at_every_key(A) == got
     if order > 1:  # the cyclotomic rows, whichever tier the cost rule took, at every key
         table, row = energy.difference_table(A), energy._shift_rows(A).row
         cyclo = energy._rows_cyclotomic(table.keys, table.counts, _dlog(m, order), (m - 1) // order)
@@ -501,6 +575,29 @@ def test_popular_readers_invariant_under_dilation(A):
     want = _popular_summary(A)
     for lam in (-1, Fraction(3, 7), 2**61 + 1) if A.p is None else (2, A.p - 1):
         assert _popular_summary(_dilate(A, lam)) == want
+
+
+def _row_readers(A):
+    return (energy.t_k(A, 3), energy.sigma_sum(A), energy.difference_triple_count(A),
+            SetStats(A).tri_pop())
+
+
+@given(table_sets)
+@example(gset_rational([1, 7, 8, 13, 14, 20, 26]))
+@example(gset_modp([1, 2, 4, 8, 16], 101))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_row_readers_invariant_under_dilation(A):
+    # lam maps D onto lam D with r_{lam A - lam A}(lam d) = r(d), so T_3, Sigma and
+    # both triple counts keep their values.  lam = 2^61 + 1 and 2^100 + 1 move the
+    # rational keys past 2^61, to the lookups mod q, and past 2^63; mod m each lam
+    # is taken mod m where it is a unit there.
+    want = _row_readers(A)
+    for lam in map(Fraction, (-1, Fraction(3, 7), 2**61 + 1, 2**100 + 1)):
+        if A.p is not None:
+            if math.gcd(lam.numerator * lam.denominator, A.p) != 1:
+                continue
+            lam = lam.numerator * pow(lam.denominator, -1, A.p) % A.p
+        assert _row_readers(_dilate(A, lam)) == want
 
 
 def test_popular_differences_majority_mass():

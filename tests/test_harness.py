@@ -607,22 +607,29 @@ def test_sigma_computed_once_per_input(monkeypatch):
 
 
 def test_shift_rows_built_once_per_set(monkeypatch):
-    builds = []
-    for name in ("_rows_int64", "_rows_bigint"):
-        real = getattr(energy, name)
+    builds, moduli = [], []
+    real_rows, real_fingerprint = energy._rows_lookup, energy._fingerprint
 
-        def counted(*args, real=real, name=name):
-            builds.append(name)
-            return real(*args)
+    def counted(keys, *args):
+        builds.append(keys.size)
+        return real_rows(keys, *args)
 
-        monkeypatch.setattr(energy, name, counted)
-    # the second set reaches 2^62, past the int64 tier's guard
-    for A, tier in ((generate_from_string("rand(n=16,seed=3)"), "_rows_int64"),
-                    (gset_rational([1, 3, 4, 9, 1 << 62]), "_rows_bigint")):
+    def spy(look):
+        got = real_fingerprint(look)
+        moduli.append(got[1])
+        return got
+
+    monkeypatch.setattr(energy, "_rows_lookup", counted)
+    monkeypatch.setattr(energy, "_fingerprint", spy)
+    # keys inside 2^61 are their own fingerprints; the second set reaches 2^62,
+    # so its keys are looked up mod the fingerprint prime
+    for A, q in ((generate_from_string("rand(n=16,seed=3)"), None),
+                 (gset_rational([1, 3, 4, 9, 1 << 62]), energy._FINGERPRINT)):
         stats = SetStats(A)
         stats.sigma(), stats.tri(), stats.tri_pop(), stats.t3()
-        assert builds == [tier]
-        builds.clear()
+        assert builds == [energy.difference_table(A).support_size()] and moduli == [q]
+        builds.clear(), moduli.clear()
+
 
 def test_prime_tables_built_once_per_prime_per_run(monkeypatch):
     # inputs of one prime share one build of F_p^*'s tables (the dlog table

@@ -23,6 +23,18 @@ def test_is_prime_small_table():
     assert not subgroups.is_prime(1_000_001)  # 101 * 9901
 
 
+def test_is_prime_past_2_to_the_61():
+    # the shift rows' fingerprint modulus and the primes the tests take near it
+    for n in ((1 << 61) - 2_000_001, (1 << 61) - 1, (1 << 61) + 15, (1 << 62) - 57):
+        assert subgroups.is_prime(n)
+    assert not subgroups.is_prime((1 << 61) - 3)  # 29 * 79511827903920481
+    # strong pseudoprimes to the bases up to 17 and up to 23; the later witnesses catch them
+    assert not subgroups.is_prime(341_550_071_728_321)
+    assert not subgroups.is_prime(3_825_123_056_546_413_051)
+    with pytest.raises(BadSpec):  # the least strong pseudoprime to every base up to 37
+        subgroups.is_prime(318_665_857_834_031_151_167_461)
+
+
 def test_divisors_and_factorize():
     assert subgroups.divisors(12) == [1, 2, 3, 4, 6, 12]
     assert subgroups.factorize(360) == {2: 3, 3: 2, 5: 1}
