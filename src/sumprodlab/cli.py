@@ -15,8 +15,8 @@ import time
 from pathlib import Path
 
 from . import setops, spectral, subgroups
-from .errors import (BadSpec, DegenerateInput, InfeasibleSize, IoFailure, LabError,
-                     NotPrime, OrderDoesNotDivide, TooLarge, UnknownCheck)
+from .errors import (BadSpec, DegenerateInput, IoFailure, LabError, NotPrime,
+                     OrderDoesNotDivide, TooLarge, UnknownCheck)
 from .harness import (SetStats, build_report, check_ids, named_corpus,
                       profile_by_name, read_report, rect_decompose, run_suite,
                       stats_from_spec, subgroup_stats, sum_construction_stats,
@@ -72,8 +72,7 @@ def _cmd_stats(args) -> int:
 def _cmd_verify(args) -> int:
     inputs, label = _inputs_from_args(args)
     ids = check_ids(args.checks)
-    results = run_suite(ids, inputs, options={"rect_profile": profile_by_name(args.profile)},
-                        jobs=args.jobs)
+    results = run_suite(ids, inputs, jobs=args.jobs)
     rep = build_report(results, corpus=label, deterministic=args.deterministic)
     for r in rep.results:
         print(f"{r.check_id:22s} {r.inputs:32s} {r.verdict:12s} "
@@ -267,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p, corpus=True)
     p.add_argument("--checks", default="all-exact",
                    help="comma-separated check ids, or all-exact / all")
-    p.add_argument("--profile", choices=("paper", "desk"), default="paper",
-                   help="threshold constants for the rectangle decomposition")
     p.add_argument("--out", help="write the report here")
     p.add_argument("--format", choices=("json", "csv"),
                    help="report format (default: by file extension)")
@@ -308,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rect", help="rectangle decomposition of the difference grid")
     _add_input_flags(p)
-    p.add_argument("--profile", choices=("paper", "desk"), default="paper")
+    p.add_argument("--profile", choices=("paper", "desk"), default="paper",
+                   help="threshold constants for the rectangle decomposition")
     p.add_argument("--sums", action="store_true",
                    help="also print the sum-construction statistics")
     p.set_defaults(fn=_cmd_rect)
@@ -326,7 +324,7 @@ def run(argv=None) -> int:
     try:
         with subgroups.table_scope():  # one command is one run: its kernels share F_p^* tables
             return args.fn(args)
-    except (TooLarge, InfeasibleSize) as exc:
+    except TooLarge as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
     except (IoFailure, BadSpec, UnknownCheck, NotPrime, OrderDoesNotDivide, DegenerateInput) as exc:

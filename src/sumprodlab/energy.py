@@ -332,9 +332,9 @@ def popular_differences(A: GSet) -> PopularSet:
     table = difference_table(A)
     n2 = table.total  # |A|^2
     twice_support = 2 * table.support_size()
-    popular = table.counts >= -(-n2 // twice_support)  # r(d) >= Delta
-    mass = int(table.counts[popular].sum())
-    return PopularSet(Fraction(n2, twice_support), popular, mass, table)
+    least = -(-n2 // twice_support)  # r(d) >= Delta
+    mass = sum(v * m for v, m in zip(*table.profile) if v >= least)
+    return PopularSet(Fraction(n2, twice_support), table.counts >= least, mass, table)
 
 
 @kept

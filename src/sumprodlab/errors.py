@@ -2,8 +2,9 @@
 
 Every error raised deliberately by this package derives from LabError, so
 callers (and the CLI) can distinguish "the input broke a contract" from a
-genuine bug.  Guard errors (TooLarge, InfeasibleSize) signal that a requested
-computation would exceed the configured size budget, not that it is wrong.
+genuine bug.  The one guard error, TooLarge, signals that a requested
+computation would exceed a size budget, library or harness, not that it is
+wrong.
 """
 
 
@@ -28,7 +29,7 @@ class IndexOutOfRange(LabError):
 
 
 class TooLarge(LabError):
-    """A size guard was exceeded (module-level)."""
+    """A size guard was exceeded."""
 
 
 class RestrictNotSubset(LabError):
@@ -57,10 +58,6 @@ class BadSpec(LabError):
 
 class UnknownCheck(LabError):
     """An unregistered check id was requested."""
-
-
-class InfeasibleSize(LabError):
-    """A harness-level construction would exceed its size budget."""
 
 
 class DegenerateInput(LabError):

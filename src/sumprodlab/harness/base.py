@@ -1,10 +1,10 @@
 """Check runner plumbing: result records, per-input values, worker pool.
 
-A check takes one prepared input (a set, possibly with its subgroup context
-attached) and returns a (lhs, rhs, ratio, ok) tuple.  Exact checks compare in
-exact arithmetic and report ok=False on violation; the runner turns that into
-a "failed" verdict rather than an exception so a long suite still produces a
-full report.  Cross-route disagreements inside the library (CrossCheckMismatch)
+A check is a function of its one input, a SetStats (a set, possibly with its
+subgroup context attached), and returns a (lhs, rhs, ratio, ok) tuple.  Exact
+checks compare in exact arithmetic and report ok=False on violation; the
+runner turns that into a "failed" verdict rather than an exception so a long
+suite still produces a full report.  Cross-route disagreements inside the library (CrossCheckMismatch)
 are treated the same way, but guard errors always propagate: a tripped guard
 means the caller asked for an infeasible (check, input) pair.
 """
@@ -49,9 +49,11 @@ def _stringify(x) -> str:
 
 
 class SetStats:
-    """One input set; memo keeps the values the checks share in
-    setops.store(A), beside the library's tables.  A subgroup input's set is
-    ctx.gamma_set(), and its self-tables take subgroups.pair_table's orbit route.
+    """One input set.  Its statistics are reductions over the tables kept in
+    setops.store(A); memo keeps there, through setops.keep, the values only the
+    checks build (derived sets, the rectangle cover, the sum construction,
+    Proposition 7's counts).  A subgroup input's set is ctx.gamma_set(), and
+    its self-tables take subgroups.pair_table's orbit route.
     """
 
     def __init__(self, A: GSet, name: str | None = None, ctx=None):
@@ -62,10 +64,7 @@ class SetStats:
     _cache = property(lambda self: setops.store(self.A))  # the dict memo fills
 
     def memo(self, key, fn: Callable):
-        values = self._cache
-        if key not in values:
-            values[key] = fn()
-        return values[key]
+        return setops.keep(self.A, key, fn)
 
     @property
     def size(self) -> int:
@@ -80,30 +79,29 @@ class SetStats:
         return energy.difference_table(self.A)
 
     def energy(self) -> int:
-        return self.memo("energy", lambda: energy.energy_pair(self.A))
+        return energy.energy_pair(self.A)
 
     def energy3(self) -> int:
-        return self.memo("energy3", lambda: energy.moment_energy(self.A, 3))
+        return energy.moment_energy(self.A, 3)
 
     def energy32(self) -> float:
-        return self.memo("energy32", lambda: energy.moment_energy(self.A, Fraction(3, 2)))
+        return energy.moment_energy(self.A, Fraction(3, 2))
 
     def t3(self) -> int:
-        return self.memo("t3", lambda: energy.t_k(self.A, 3))
+        return energy.t_k(self.A, 3)
 
     def sigma(self) -> int:
-        return self.memo("sigma", lambda: energy.sigma_sum(self.A))
+        return energy.sigma_sum(self.A)
 
     def tri(self) -> int:
-        return self.memo("tri", lambda: energy.difference_triple_count(self.A))
+        return energy.difference_triple_count(self.A)
 
     def pop(self):
-        return self.memo("pop", lambda: energy.popular_differences(self.A))
+        return energy.popular_differences(self.A)
 
     def tri_pop(self) -> int:
         """The difference-triple count with d' restricted to the popular set."""
-        return self.memo("tri_pop", lambda: energy.difference_triple_count(
-            self.A, restrict=self.pop()))
+        return energy.difference_triple_count(self.A, restrict=self.pop())
 
     def dyadic(self):
         return energy.dyadic_energy_level(self.A)
@@ -128,7 +126,7 @@ class SetStats:
         return self.table().max_count()
 
 
-CheckFn = Callable[[SetStats, dict], tuple]
+CheckFn = Callable[[SetStats], tuple]
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,6 @@ class CheckSpec:
     exact: bool
     fn: CheckFn
     needs: Callable[[SetStats], bool] | None = None
-    note: str = ""
 
     def applies(self, stats: SetStats) -> bool:
         if self.kind == "subgroup" and stats.ctx is None:
@@ -177,14 +174,13 @@ def check_ids(which: str = "all") -> list[str]:
     return ids
 
 
-def run_check(check_id: str, stats: SetStats, *, options: dict | None = None) -> CheckResult:
+def run_check(check_id: str, stats: SetStats) -> CheckResult:
     spec = _REGISTRY.get(check_id)
     if spec is None:
         raise UnknownCheck(f"unknown check id {check_id!r}")
-    opts = options or {}
     start = time.perf_counter()
     try:
-        lhs, rhs, ratio, ok = spec.fn(stats, opts)
+        lhs, rhs, ratio, ok = spec.fn(stats)
     except CrossCheckMismatch as exc:
         log.warning("check %s on %s failed a cross-route comparison: %s",
                     check_id, stats.name, exc)
@@ -216,19 +212,19 @@ def feasible_pairs(check_ids_: Sequence[str], inputs: Sequence[SetStats],
     return pairs
 
 
-def _run_input(cids: Sequence[str], stats: SetStats, options: dict | None) -> list[CheckResult]:
+def _run_input(cids: Sequence[str], stats: SetStats) -> list[CheckResult]:
     """Every applicable check on one input, then release its store, even when
     a guard error propagates, so only one input's tables are alive at a time."""
     try:
-        return [run_check(cid, stats, options=options) for cid, _ in feasible_pairs(cids, [stats])]
+        return [run_check(cid, stats) for cid, _ in feasible_pairs(cids, [stats])]
     finally:
         setops.release(stats.A)
 
 
 def _run_input_batch(payload) -> list[CheckResult]:
-    A, name, ctx, cids, options = payload
+    A, name, ctx, cids = payload
     with subgroups.table_scope():
-        return _run_input(cids, SetStats(A, name, ctx), options)
+        return _run_input(cids, SetStats(A, name, ctx))
 
 
 def _one_blas_thread() -> None:
@@ -248,7 +244,7 @@ def _one_blas_thread() -> None:
 
 
 def run_suite(check_ids_: Sequence[str], inputs: Iterable[SetStats], *,
-              options: dict | None = None, jobs: int = 1) -> list[CheckResult]:
+              jobs: int = 1) -> list[CheckResult]:
     """Run every applicable (check, input) pair.
 
     With jobs > 1 the inputs are distributed over a process pool (one batch
@@ -266,8 +262,8 @@ def run_suite(check_ids_: Sequence[str], inputs: Iterable[SetStats], *,
     inputs = list(inputs)
     if jobs <= 1:
         with subgroups.table_scope():
-            return [r for stats in inputs for r in _run_input(check_ids_, stats, options)]
-    payloads = [(stats.A, stats.name, stats.ctx, check_ids_, options or {}) for stats in inputs]
+            return [r for stats in inputs for r in _run_input(check_ids_, stats)]
+    payloads = [(stats.A, stats.name, stats.ctx, check_ids_) for stats in inputs]
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
     merged: list[CheckResult] = []

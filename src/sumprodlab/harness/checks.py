@@ -68,7 +68,7 @@ def _grid_sizes_ok(stats: SetStats) -> bool:
 # -- exact identities and inequalities on one set ------------------------------
 
 
-def _chk_e3_identity(stats: SetStats, opts: dict):
+def _chk_e3_identity(stats: SetStats):
     # sum_d E(A, A ^ (A+d)) from M[i, j], the index of a_i - a_j: a_j is in A ^ (A+d) iff
     # d = a_j - a_l for one l, so the keys (M[j, l], M[i, j]) count r_{A - (A ^ (A+d))}.
     A = stats.A
@@ -97,7 +97,7 @@ def _chk_e3_identity(stats: SetStats, opts: dict):
     return direct, via_slices, 1.0, ok
 
 
-def _chk_cs_support(stats: SetStats, opts: dict):
+def _chk_cs_support(stats: SetStats):
     n4 = stats.size**4
     e = stats.energy()
     diff_side = stats.support("-") * e
@@ -106,25 +106,25 @@ def _chk_cs_support(stats: SetStats, opts: dict):
     return n4, diff_side, float(Fraction(n4, diff_side)), ok
 
 
-def _chk_cor1_lower(stats: SetStats, opts: dict):
+def _chk_cor1_lower(stats: SetStats):
     lhs = stats.size**6
     rhs = stats.energy3() * stats.tri()
     return lhs, rhs, float(Fraction(lhs, rhs)), lhs <= rhs
 
 
-def _chk_lemma_key(stats: SetStats, opts: dict):
+def _chk_lemma_key(stats: SetStats):
     lhs = stats.size**6
     rhs = 4 * stats.energy3() * stats.tri_pop()
     return lhs, rhs, float(Fraction(lhs, rhs)), lhs <= rhs
 
 
-def _chk_popular_pigeonhole(stats: SetStats, opts: dict):
+def _chk_popular_pigeonhole(stats: SetStats):
     lhs = stats.size**2
     rhs = 2 * stats.pop().mass
     return lhs, rhs, float(Fraction(lhs, rhs)), lhs <= rhs
 
 
-def _chk_dyadic_level(stats: SetStats, opts: dict):
+def _chk_dyadic_level(stats: SetStats):
     lvl = stats.dyadic()
     nclasses = len({c.bit_length() for c in stats.table().profile[0]})
     lhs = stats.energy()
@@ -133,7 +133,7 @@ def _chk_dyadic_level(stats: SetStats, opts: dict):
     return lhs, rhs, float(Fraction(lhs, rhs)), ok
 
 
-def _chk_lemma_t3_lines(stats: SetStats, opts: dict):
+def _chk_lemma_t3_lines(stats: SetStats):
     A = stats.A
     aa = stats.combined("*")
     a_over_aa = _a_over_aa(stats)
@@ -156,7 +156,7 @@ def _chk_lemma_t3_lines(stats: SetStats, opts: dict):
     return lhs, rhs, float(Fraction(lhs, rhs)), lhs <= branch1 and lhs <= branch2
 
 
-def _chk_lemma_spectral_final(stats: SetStats, opts: dict):
+def _chk_lemma_spectral_final(stats: SetStats):
     e3 = stats.energy3()
     sig = stats.sigma()
     n6 = stats.size**6
@@ -173,7 +173,7 @@ def _chk_lemma_spectral_final(stats: SetStats, opts: dict):
     return worst[0], worst[1], float(Fraction(worst[0], worst[1])), ok
 
 
-def _chk_spectral_chain(stats: SetStats, opts: dict):
+def _chk_spectral_chain(stats: SetStats):
     ok = True
     worst = None
     for delta in sorted({_half_delta(stats), stats.max_r()}):
@@ -186,12 +186,12 @@ def _chk_spectral_chain(stats: SetStats, opts: dict):
             float(Fraction(chain.lhs_exact, chain.rhs_exact)), ok)
 
 
-def _chk_psd_witness(stats: SetStats, opts: dict):
-    sweep = spectral.psd_sweep(stats.A)
+def _chk_psd_witness(stats: SetStats):
+    sweep = spectral.psd_sweep(stats.A)  # lhs: the worst quadratic, rhs: the worst route gap
     return (sweep.min_quadratic, sweep.max_route_gap, 1.0, sweep.ok)
 
 
-def _chk_trace_routes(stats: SetStats, opts: dict):
+def _chk_trace_routes(stats: SetStats):
     direct, comb = spectral.trace_m2r(stats.A)
     if abs(direct - comb) > NUMERIC_TOL * max(1.0, abs(direct), abs(comb)):
         raise CrossCheckMismatch(f"trace routes disagree: {direct} vs {comb}")
@@ -200,20 +200,19 @@ def _chk_trace_routes(stats: SetStats, opts: dict):
     return comb, bound, comb / bound, ok
 
 
-def _chk_holder_rem4(stats: SetStats, opts: dict):
+def _chk_holder_rem4(stats: SetStats):
     lhs = stats.energy() ** 3
     rhs = stats.energy3() * stats.energy32() ** 2
     ok = lhs <= rhs * (1.0 + NUMERIC_TOL)
     return lhs, rhs, lhs / rhs, ok
 
 
-def _cover(stats: SetStats, opts: dict) -> rect_mod.RectCover:
-    profile = opts.get("rect_profile", rect_mod.PAPER_PROFILE)
-    return stats.memo(("cover", profile), lambda: rect_mod.rect_decompose(stats.A, profile=profile))
+def _cover(stats: SetStats) -> rect_mod.RectCover:
+    return stats.memo("cover", lambda: rect_mod.rect_decompose(stats.A))
 
 
-def _chk_rect_structure(stats: SetStats, opts: dict):
-    cover = _cover(stats, opts)
+def _chk_rect_structure(stats: SetStats):
+    cover = _cover(stats)
     ok = 2 * cover.rich_points >= cover.mass
     for q_i, size_i in cover.class_loads:
         ok = ok and q_i * size_i <= 2 * cover.mass
@@ -224,23 +223,23 @@ def _chk_rect_structure(stats: SetStats, opts: dict):
             float(Fraction(cover.rich_points, cover.mass)), ok)
 
 
-def _sum_stats(stats: SetStats, opts: dict) -> rect_mod.SumStats:
+def _sum_stats(stats: SetStats) -> rect_mod.SumStats:
     fits = rect_mod.RECT_MIN_SIZE <= stats.size <= rect_mod.RECT_SET_CAP
     return stats.memo("sum_stats", lambda: rect_mod.sum_construction_stats(
-        stats.A, cover=_cover(stats, opts) if fits else None))
+        stats.A, cover=_cover(stats) if fits else None))
 
 
-def _chk_sum_stats(stats: SetStats, opts: dict):
-    st = _sum_stats(stats, opts)
+def _chk_sum_stats(stats: SetStats):
+    st = _sum_stats(stats)
     lhs = st.energy_times * st.ratio_count
     rhs = st.pair_mass**2
     return lhs, rhs, float(Fraction(lhs, rhs)), lhs >= rhs
 
 
-def _chk_thm21_chain(stats: SetStats, opts: dict):
+def _chk_thm21_chain(stats: SetStats):
     # Per slope class, |Q| <= min(|S|^2, |P| |S|) gives |Q|^3 <= |S|^4 |P|^2
     # exactly; the used lines then witness that many distinct triples in SxS.
-    st = _sum_stats(stats, opts)
+    st = _sum_stats(stats)
     s_set = stats.combined("+")
     grid_triples = incidence.collinear_triples(s_set)
     ok = st.triples_lower <= grid_triples
@@ -250,7 +249,7 @@ def _chk_thm21_chain(stats: SetStats, opts: dict):
     return lhs, rhs, float(Fraction(lhs, max(1, rhs))), ok and lhs <= rhs
 
 
-def _prop7_parts(stats: SetStats, opts: dict):
+def _prop7_parts(stats: SetStats):
     # count4 on A's integer view (scale s): AA - AA on scale s^2, D - D on scale s,
     # so r_{D-D}(S / x) is read at key S / x when x divides S; mod p at S * x^-1.
     def build():
@@ -277,15 +276,15 @@ def _prop7_parts(stats: SetStats, opts: dict):
     return stats.memo("prop7", build)
 
 
-def _chk_prop7(stats: SetStats, opts: dict):
-    delta, s_size, aa_size, count3, count4 = _prop7_parts(stats, opts)
+def _chk_prop7(stats: SetStats):
+    delta, s_size, aa_size, count3, count4 = _prop7_parts(stats)
     ok = s_size * delta <= aa_size**2 and count4 >= stats.size * count3
     lhs = stats.size * count3
     return lhs, count4, float(Fraction(lhs, max(1, count4))), ok
 
 
-def _chk_prop7_stbd(stats: SetStats, opts: dict):
-    delta, _, _, _, count4 = _prop7_parts(stats, opts)
+def _chk_prop7_stbd(stats: SetStats):
+    delta, _, _, _, count4 = _prop7_parts(stats)
     bound = (stats.size**2 * _m(stats) ** (4 / 3)
              * stats.support("-") ** (4 / 3) * float(delta) ** (-2 / 3))
     return count4, bound, count4 / bound, True
@@ -294,61 +293,61 @@ def _chk_prop7_stbd(stats: SetStats, opts: dict):
 # -- trend ratios on one set ---------------------------------------------------
 
 
-def _chk_elekes(stats: SetStats, opts: dict):
+def _chk_elekes(stats: SetStats):
     lhs = stats.support("+") ** 2 * stats.support("*") ** 2
     rhs = stats.size**5
     return lhs, rhs, float(Fraction(lhs, rhs)), True
 
 
-def _chk_thm_main_diff(stats: SetStats, opts: dict):
+def _chk_thm_main_diff(stats: SetStats):
     lhs = stats.support("-") ** 3 * stats.support("*") ** 5 * math.sqrt(stats.log2())
     rhs = stats.size**10
     return lhs, rhs, lhs / rhs, True
 
 
-def _chk_sh_record(stats: SetStats, opts: dict):
+def _chk_sh_record(stats: SetStats):
     lhs = stats.support("-") ** 6 * stats.support("*") ** 13
     rhs = stats.size**23
     return lhs, rhs, float(Fraction(lhs, rhs)), True
 
 
-def _chk_thm_energy(stats: SetStats, opts: dict):
+def _chk_thm_energy(stats: SetStats):
     lhs = stats.energy()
     rhs = (_m(stats) ** (8 / 5) * stats.size ** (49 / 20) * stats.log2() ** (1 / 5))
     return lhs, rhs, lhs / rhs, True
 
 
-def _chk_cor6_ratio(stats: SetStats, opts: dict):
+def _chk_cor6_ratio(stats: SetStats):
     lhs = stats.tri() * _m(stats) ** 2 * stats.log2()
     rhs = stats.size**3
     return lhs, rhs, lhs / rhs, True
 
 
-def _chk_cor11_t3(stats: SetStats, opts: dict):
+def _chk_cor11_t3(stats: SetStats):
     lhs = stats.t3()
     rhs = _m(stats) ** 12 * stats.size**4 * stats.log2()
     return lhs, rhs, lhs / rhs, True
 
 
-def _chk_sig_estimate(stats: SetStats, opts: dict):
+def _chk_sig_estimate(stats: SetStats):
     lhs = stats.sigma()
     rhs = stats.size ** (23 / 5)
     return lhs, rhs, lhs / rhs, True
 
 
-def _chk_trip_bound(stats: SetStats, opts: dict):
+def _chk_trip_bound(stats: SetStats):
     lhs = incidence.collinear_triples(stats.A)
     rhs = stats.size**4 * stats.log2()
     return lhs, rhs, lhs / rhs, True
 
 
-def _chk_lemma5_b1(stats: SetStats, opts: dict):
+def _chk_lemma5_b1(stats: SetStats):
     lhs = stats.energy3()
     rhs = _m(stats) ** 2 * stats.size**3 * stats.log2()
     return lhs, rhs, lhs / rhs, True
 
 
-def _chk_lemma5_b31(stats: SetStats, opts: dict):
+def _chk_lemma5_b31(stats: SetStats):
     delta = _half_delta(stats)
     _, _, heavy = energy.tail_decompose(stats.A, delta)
     lhs = heavy * delta**3
@@ -356,7 +355,7 @@ def _chk_lemma5_b31(stats: SetStats, opts: dict):
     return lhs, rhs, lhs / rhs, True
 
 
-def _chk_lemma5_b3(stats: SetStats, opts: dict):
+def _chk_lemma5_b3(stats: SetStats):
     delta = _half_delta(stats)
     _, e_high, _ = energy.tail_decompose(stats.A, delta)
     lhs = e_high * delta
@@ -364,7 +363,7 @@ def _chk_lemma5_b3(stats: SetStats, opts: dict):
     return lhs, rhs, lhs / rhs, True
 
 
-def _chk_thm21_sum_est(stats: SetStats, opts: dict):
+def _chk_thm21_sum_est(stats: SetStats):
     lhs = stats.support("+") ** 10 * stats.support("*") ** 17
     rhs = stats.size**33
     return lhs, rhs, float(Fraction(lhs, rhs)), True
@@ -373,7 +372,7 @@ def _chk_thm21_sum_est(stats: SetStats, opts: dict):
 # -- subgroup checks -----------------------------------------------------------
 
 
-def _chk_window_dual(stats: SetStats, opts: dict):
+def _chk_window_dual(stats: SetStats):
     ctx = stats.ctx
     radii = sorted({1, 2, max(1, ctx.p // 10)})
     radii = [h for h in radii if h <= (ctx.p - 1) // 2]
@@ -385,58 +384,58 @@ def _chk_window_dual(stats: SetStats, opts: dict):
     return total, rhs, float(Fraction(total, rhs)), total <= rhs
 
 
-def _chk_orthogonality_fourth(stats: SetStats, opts: dict):
+def _chk_orthogonality_fourth(stats: SetStats):
     rep = subgroups.char_moment_report(stats.ctx)  # raises unless lhs = rhs to MOMENT_TOL
     lhs = rep.t * rep.fourth_moment
     rhs = rep.p * rep.energy - rep.t**4
     return lhs, rhs, rep.fourth_moment / ((rep.p / rep.t) * rep.energy), rep.strict_bound_ok
 
 
-def _chk_parseval_gamma(stats: SetStats, opts: dict):
+def _chk_parseval_gamma(stats: SetStats):
     rep = subgroups.char_moment_report(stats.ctx)
     lhs = rep.t * rep.second_moment
     rhs = rep.t * (rep.p - rep.t)
     return lhs, rhs, lhs / rhs, True  # char_moment_report raised unless lhs = rhs to MOMENT_TOL
 
 
-def _chk_modp2_t3(stats: SetStats, opts: dict):
+def _chk_modp2_t3(stats: SetStats):
     _, table = subgroups.mod_p2_subgroup(stats.ctx)  # raises if T_k grows
     lifted, base = table[3]
     return lifted, base, float(Fraction(lifted, base)), lifted <= base
 
 
-def _chk_ks_margin(stats: SetStats, opts: dict):
+def _chk_ks_margin(stats: SetStats):
     rep = subgroups.ks_criterion(stats.ctx, 1)
     return rep.value, rep.threshold, rep.value / rep.threshold, True
 
 
-def _chk_thm20_gap(stats: SetStats, opts: dict):
+def _chk_thm20_gap(stats: SetStats):
     rep = subgroups.gap_H(stats.ctx)
     rhs = stats.ctx.p ** (437 / 480)
     return rep.gap, rhs, rep.gap / rhs, True
 
 
-def _chk_subgr_energy(stats: SetStats, opts: dict):
+def _chk_subgr_energy(stats: SetStats):
     ctx = stats.ctx
     lhs = stats.energy()  # E(Gamma): the input set is ctx.gamma_set()
     rhs = ctx.t ** (49 / 20) * math.log2(ctx.t) ** (1 / 5)
     return lhs, rhs, lhs / rhs, True
 
 
-def _chk_lemma5_b2(stats: SetStats, opts: dict):
+def _chk_lemma5_b2(stats: SetStats):
     lhs = stats.energy3()
     rhs = stats.ctx.t**3 * math.log2(stats.ctx.t)
     return lhs, rhs, lhs / rhs, True
 
 
-def _chk_subgr_t3_bound(stats: SetStats, opts: dict):
+def _chk_subgr_t3_bound(stats: SetStats):
     ctx = stats.ctx
     lhs = stats.t3()  # T_3(Gamma): the input set is ctx.gamma_set()
     rhs = ctx.t**4 * math.log2(ctx.t)
     return lhs, rhs, lhs / rhs, True
 
 
-def _chk_thm17_ranges(stats: SetStats, opts: dict):
+def _chk_thm17_ranges(stats: SetStats):
     ctx = stats.ctx
     t, p = ctx.t, ctx.p
     grid_triples = incidence.collinear_triples(stats.A)
@@ -450,7 +449,7 @@ def _chk_thm17_ranges(stats: SetStats, opts: dict):
     return grid_triples, rhs, grid_triples / rhs, True
 
 
-def _chk_thm19_energy(stats: SetStats, opts: dict):
+def _chk_thm19_energy(stats: SetStats):
     ctx = stats.ctx
     lt, lp = math.log(ctx.t), math.log(ctx.p)
     main = max((104 * lt - 3 * lp) / 40, (68 * lt - 5 * lp) / 24)
@@ -459,7 +458,7 @@ def _chk_thm19_energy(stats: SetStats, opts: dict):
     return lhs, rhs, lhs / rhs, True
 
 
-def _chk_lemma18_invariant(stats: SetStats, opts: dict):
+def _chk_lemma18_invariant(stats: SetStats):
     ctx = stats.ctx
     t, p = ctx.t, ctx.p
     cosets = max(1, min(ctx.cosets, INVARIANT_PAIRS // (t * t)))
@@ -468,7 +467,7 @@ def _chk_lemma18_invariant(stats: SetStats, opts: dict):
     return lhs, rhs, lhs / rhs, True
 
 
-def _chk_subgr_int_bound(stats: SetStats, opts: dict):
+def _chk_subgr_int_bound(stats: SetStats):
     ctx = stats.ctx
     t, p = ctx.t, ctx.p
     h = max(1, round(p ** (43 / 480)))
@@ -519,70 +518,63 @@ def _needs_tiny_gamma(stats: SetStats) -> bool:
 
 
 _SET_CHECKS = [
-    ("e3_identity", True, _chk_e3_identity, lambda s: s.size <= 64, ""),
-    ("cs_support", True, _chk_cs_support, None, ""),
-    ("cor1_lower", True, _chk_cor1_lower, None, ""),
-    ("lemma_key", True, _chk_lemma_key, None, ""),
-    ("popular_pigeonhole", True, _chk_popular_pigeonhole, None, ""),
-    ("dyadic_level", True, _chk_dyadic_level, None, ""),
-    ("lemma_t3_lines", True, _chk_lemma_t3_lines, _grid_sizes_ok,
-     "with-repeats triple counts on four derived grids"),
-    ("lemma_spectral_final", True, _chk_lemma_spectral_final, _needs_sigma, ""),
-    ("spectral_chain", True, _chk_spectral_chain,
-     lambda s: s.size <= 64 and _needs_sigma(s), "numeric, tol 1e-6"),
-    ("psd_witness", True, _chk_psd_witness, lambda s: s.size <= 128,
-     "lhs = worst quadratic, rhs = worst route gap"),
+    ("e3_identity", True, _chk_e3_identity, lambda s: s.size <= 64),
+    ("cs_support", True, _chk_cs_support, None),
+    ("cor1_lower", True, _chk_cor1_lower, None),
+    ("lemma_key", True, _chk_lemma_key, None),
+    ("popular_pigeonhole", True, _chk_popular_pigeonhole, None),
+    ("dyadic_level", True, _chk_dyadic_level, None),
+    ("lemma_t3_lines", True, _chk_lemma_t3_lines, _grid_sizes_ok),
+    ("lemma_spectral_final", True, _chk_lemma_spectral_final, _needs_sigma),
+    ("spectral_chain", True, _chk_spectral_chain, lambda s: s.size <= 64 and _needs_sigma(s)),
+    ("psd_witness", True, _chk_psd_witness, lambda s: s.size <= 128),
     ("trace_routes", True, _chk_trace_routes,
-     lambda s: s.size <= spectral.TRACE_CAP and _needs_sigma(s), "numeric, tol 1e-6"),
-    ("holder_rem4", True, _chk_holder_rem4, None, "numeric, tol 1e-6"),
+     lambda s: s.size <= spectral.TRACE_CAP and _needs_sigma(s)),
+    ("holder_rem4", True, _chk_holder_rem4, None),
     ("rect_structure", True, _chk_rect_structure,
-     lambda s: rect_mod.RECT_MIN_SIZE <= s.size <= rect_mod.RECT_SET_CAP, ""),
-    ("sum_stats", True, _chk_sum_stats, _needs_sum_stats, ""),
-    ("thm21_chain", True, _chk_thm21_chain, _needs_sum_grid, ""),
-    ("prop7", True, _chk_prop7, _needs_prop7, ""),
-    ("elekes", False, _chk_elekes, None, ""),
-    ("thm_main_diff", False, _chk_thm_main_diff, None, ""),
-    ("sh_record", False, _chk_sh_record, None, ""),
-    ("thm_energy", False, _chk_thm_energy, None, ""),
-    ("cor6_ratio", False, _chk_cor6_ratio, None, ""),
-    ("cor11_t3", False, _chk_cor11_t3, lambda s: s.size <= 64, ""),
-    ("sig_estimate", False, _chk_sig_estimate, _needs_sigma, ""),
-    ("trip_bound", False, _chk_trip_bound, lambda s: s.size <= 32,
-     "full-grid triple count, so the series stops at n = 32"),
-    ("lemma5_b1", False, _chk_lemma5_b1, None, ""),
-    ("lemma5_b31", False, _chk_lemma5_b31, None, ""),
-    ("lemma5_b3", False, _chk_lemma5_b3, None, ""),
-    ("thm21_sum_est", False, _chk_thm21_sum_est, None, ""),
-    ("prop7_stbd", False, _chk_prop7_stbd, _needs_prop7, ""),
+     lambda s: rect_mod.RECT_MIN_SIZE <= s.size <= rect_mod.RECT_SET_CAP),
+    ("sum_stats", True, _chk_sum_stats, _needs_sum_stats),
+    ("thm21_chain", True, _chk_thm21_chain, _needs_sum_grid),
+    ("prop7", True, _chk_prop7, _needs_prop7),
+    ("elekes", False, _chk_elekes, None),
+    ("thm_main_diff", False, _chk_thm_main_diff, None),
+    ("sh_record", False, _chk_sh_record, None),
+    ("thm_energy", False, _chk_thm_energy, None),
+    ("cor6_ratio", False, _chk_cor6_ratio, None),
+    ("cor11_t3", False, _chk_cor11_t3, lambda s: s.size <= 64),
+    ("sig_estimate", False, _chk_sig_estimate, _needs_sigma),
+    # a full-grid triple count, so the series stops at n = 32
+    ("trip_bound", False, _chk_trip_bound, lambda s: s.size <= 32),
+    ("lemma5_b1", False, _chk_lemma5_b1, None),
+    ("lemma5_b31", False, _chk_lemma5_b31, None),
+    ("lemma5_b3", False, _chk_lemma5_b3, None),
+    ("thm21_sum_est", False, _chk_thm21_sum_est, None),
+    ("prop7_stbd", False, _chk_prop7_stbd, _needs_prop7),
 ]
 
 _SUBGROUP_CHECKS = [
-    ("window_dual", True, _chk_window_dual, lambda s: s.ctx.p <= 5000,
-     "the pair route costs 4h^2 ops at h = p/10"),
-    ("orthogonality_fourth", True, _chk_orthogonality_fourth,
-     lambda s: s.ctx.p <= 2_000_000, "numeric, tol 1e-6; strict fourth-moment bound"),
-    ("parseval_gamma", True, _chk_parseval_gamma,
-     lambda s: s.ctx.p <= 2_000_000, "numeric, tol 1e-6"),
-    ("modp2_t3", True, _chk_modp2_t3, lambda s: s.ctx.t <= subgroups.LIFT_T_CAP, ""),
-    ("ks_margin", False, _chk_ks_margin, lambda s: s.ctx.p <= 2_000_000, ""),
-    ("thm20_gap", False, _chk_thm20_gap, lambda s: s.ctx.p <= 1_000_000, ""),
-    ("subgr_energy", False, _chk_subgr_energy,
-     lambda s: s.ctx.t >= 2 and s.ctx.t**2 <= s.ctx.p, ""),
-    ("lemma5_b2", False, _chk_lemma5_b2, lambda s: s.ctx.t >= 2, ""),
+    # the pair route costs 4h^2 ops at h = p/10
+    ("window_dual", True, _chk_window_dual, lambda s: s.ctx.p <= 5000),
+    ("orthogonality_fourth", True, _chk_orthogonality_fourth, lambda s: s.ctx.p <= 2_000_000),
+    ("parseval_gamma", True, _chk_parseval_gamma, lambda s: s.ctx.p <= 2_000_000),
+    ("modp2_t3", True, _chk_modp2_t3, lambda s: s.ctx.t <= subgroups.LIFT_T_CAP),
+    ("ks_margin", False, _chk_ks_margin, lambda s: s.ctx.p <= 2_000_000),
+    ("thm20_gap", False, _chk_thm20_gap, lambda s: s.ctx.p <= 1_000_000),
+    ("subgr_energy", False, _chk_subgr_energy, lambda s: s.ctx.t >= 2 and s.ctx.t**2 <= s.ctx.p),
+    ("lemma5_b2", False, _chk_lemma5_b2, lambda s: s.ctx.t >= 2),
     ("subgr_t3_bound", False, _chk_subgr_t3_bound,
-     lambda s: s.ctx.t >= 2 and s.ctx.t <= 1024 and s.ctx.p <= 2_000_000, ""),
-    ("thm17_ranges", False, _chk_thm17_ranges,
-     lambda s: s.ctx.t >= 2 and _needs_tiny_gamma(s), ""),
+     lambda s: s.ctx.t >= 2 and s.ctx.t <= 1024 and s.ctx.p <= 2_000_000),
+    ("thm17_ranges", False, _chk_thm17_ranges, lambda s: s.ctx.t >= 2 and _needs_tiny_gamma(s)),
     ("thm19_energy", False, _chk_thm19_energy,
      lambda s: 4 <= s.ctx.t <= 1024 and s.ctx.t**2 >= s.ctx.p
-     and s.ctx.t**3 <= s.ctx.p**2, ""),
+     and s.ctx.t**3 <= s.ctx.p**2),
     ("lemma18_invariant", False, _chk_lemma18_invariant,
-     lambda s: s.ctx.t >= 2 and s.ctx.t**3 <= s.ctx.p**2 and s.ctx.p <= 2_000_000, ""),
+     lambda s: s.ctx.t >= 2 and s.ctx.t**3 <= s.ctx.p**2 and s.ctx.p <= 2_000_000),
     ("subgr_int_bound", False, _chk_subgr_int_bound,
-     lambda s: s.ctx.t >= 2 and s.ctx.t**2 >= s.ctx.p, ""),
+     lambda s: s.ctx.t >= 2 and s.ctx.t**2 >= s.ctx.p),
 ]
 
-for _cid, _exact, _fn, _needs, _note in _SET_CHECKS:
-    register(CheckSpec(_cid, "set", _exact, _fn, _needs, _note))
-for _cid, _exact, _fn, _needs, _note in _SUBGROUP_CHECKS:
-    register(CheckSpec(_cid, "subgroup", _exact, _fn, _needs, _note))
+for _cid, _exact, _fn, _needs in _SET_CHECKS:
+    register(CheckSpec(_cid, "set", _exact, _fn, _needs))
+for _cid, _exact, _fn, _needs in _SUBGROUP_CHECKS:
+    register(CheckSpec(_cid, "subgroup", _exact, _fn, _needs))

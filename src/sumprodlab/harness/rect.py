@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .. import energy, setops, subgroups
-from ..errors import CrossCheckMismatch, DegenerateInput, InfeasibleSize, TooLarge
+from ..errors import CrossCheckMismatch, DegenerateInput, TooLarge
 from ..setops import GSet, _find
 
 RECT_MIN_SIZE = 4
@@ -259,7 +259,7 @@ def sum_construction_stats(A: GSet, *, cover: RectCover | None = None) -> SumSta
     """
     quot = subgroups.pair_table(A, "/")
     if quot.support_size() > RATIO_SET_CAP:
-        raise InfeasibleSize(f"|A/A| = {quot.support_size()} exceeds {RATIO_SET_CAP}")
+        raise TooLarge(f"|A/A| = {quot.support_size()} exceeds {RATIO_SET_CAP}")
     ints, scale = A.int_view()
     p, n = A.p, A.size
     dtype = np.int64 if 2 * (p or max(-ints[0], ints[-1])) < 1 << 63 else object

@@ -20,7 +20,8 @@ keys and counts, with the keys' scale: every reader is a numpy reduction, mask
 or searchsorted over them, and decode turns a slice of the keys into a GSet
 without sorting.  support_size and combined_set read |A op B| and A op B off
 combine's table.  Tests pin every op to Fraction/ModP.  Every value derived
-from one set lives in one dict on it, store(A), until release(A).
+from one set lives in one dict on it, store(A), until release(A); keep is
+the only code that writes it.
 """
 
 from __future__ import annotations
@@ -158,10 +159,10 @@ class GSet:
 
 
 def store(A: GSet) -> dict:
-    """The values derived from A, kept on A: the results of the kept functions
-    (pair tables, shift rows, dyadic level, a subgroup's character sums) and
-    SetStats' memo.  run_suite releases an input's store once its checks are
-    done; outside run_suite the store lives as long as A."""
+    """The values derived from A, kept on A and filled only by keep: the results
+    of the kept functions (pair tables, shift rows, dyadic level, a subgroup's
+    character sums) and SetStats' memo.  run_suite releases an input's store
+    once its checks are done; outside run_suite the store lives as long as A."""
     return A.__dict__.setdefault("_store", {})
 
 
@@ -169,14 +170,19 @@ def release(A: GSet) -> None:
     A.__dict__.pop("_store", None)
 
 
+def keep(A: GSet, key, build):
+    """store(A)[key], from build() on the first call; the store's one writer."""
+    values = store(A)
+    if key not in values:
+        values[key] = build()
+    return values[key]
+
+
 def kept(fn):
     """fn(A, *args), built on the first call and kept in store(A) under (fn.__name__, *args)."""
     @wraps(fn)
     def keeper(A: GSet, *args):
-        values, key = store(A), (fn.__name__, *args)
-        if key not in values:
-            values[key] = fn(A, *args)
-        return values[key]
+        return keep(A, (fn.__name__, *args), lambda: fn(A, *args))
     return keeper
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in process through cli.run."""
 
+import inspect
 import json
 
 import pytest
@@ -177,7 +178,7 @@ def test_verify_unknown_check(capsys):
 def test_verify_failed_check_exits_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(
         hbase._REGISTRY, "tmp_red",
-        hbase.CheckSpec("tmp_red", "set", True, lambda s, o: (2, 1, 2.0, False)))
+        hbase.CheckSpec("tmp_red", "set", True, lambda s: (2, 1, 2.0, False)))
     out_file = tmp_path / "red.json"
     rc = cli.run(["verify", "--family", "ap(n=4)", "--checks", "tmp_red",
                   "--out", str(out_file)])
@@ -188,6 +189,17 @@ def test_verify_failed_check_exits_one(tmp_path, capsys, monkeypatch):
     rc = cli.run(["report", str(out_file)])
     out = capsys.readouterr().out
     assert rc == 1 and "FAILED tmp_red" in out
+
+
+def test_checks_read_one_input_and_only_rect_takes_a_profile(capsys):
+    # a check is a function of its input alone, so verify takes no profile
+    assert all(len(inspect.signature(spec.fn).parameters) == 1
+               for spec in hbase.registry().values())
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["verify", "--family", "ap(n=16)", "--profile", "desk"])
+    assert exc.value.code == 2
+    out = run_ok(capsys, ["rect", "--family", "ap(n=16)", "--profile", "desk"])
+    assert "round(s)" in out
 
 
 # -- scan ----------------------------------------------------------------------

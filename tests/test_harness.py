@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from sumprodlab import energy, setops, spectral, subgroups
 from sumprodlab.errors import (BadSpec, CrossCheckMismatch, DegenerateInput,
-                               InfeasibleSize, IoFailure, TooLarge,
-                               UnknownCheck)
+                               IoFailure, TooLarge, UnknownCheck)
 from sumprodlab.families import generate_from_string
 from sumprodlab.harness import (CORPORA, FAILED, PROVED_EXACT, RATIO_ONLY,
                                 DESK_PROFILE, PAPER_PROFILE, RectProfile, SetStats,
@@ -94,10 +93,10 @@ def test_run_check_failure_paths(monkeypatch):
     stats = _stats("ap(n=4)")
     monkeypatch.setitem(
         hbase._REGISTRY, "tmp_bad_exact",
-        hbase.CheckSpec("tmp_bad_exact", "set", True, lambda s, o: (2, 1, 2.0, False)))
+        hbase.CheckSpec("tmp_bad_exact", "set", True, lambda s: (2, 1, 2.0, False)))
     assert run_check("tmp_bad_exact", stats).verdict == FAILED
 
-    def boom(s, o):
+    def boom(s):
         raise CrossCheckMismatch("routes disagree")
 
     monkeypatch.setitem(hbase._REGISTRY, "tmp_boom",
@@ -107,7 +106,7 @@ def test_run_check_failure_paths(monkeypatch):
 
     monkeypatch.setitem(
         hbase._REGISTRY, "tmp_inf",
-        hbase.CheckSpec("tmp_inf", "set", False, lambda s, o: (1, 0, float("inf"), True)))
+        hbase.CheckSpec("tmp_inf", "set", False, lambda s: (1, 0, float("inf"), True)))
     assert run_check("tmp_inf", stats).verdict == FAILED  # trend ratio must be finite
 
 
@@ -292,10 +291,36 @@ def test_run_suite_releases_each_input_store_before_the_next(monkeypatch):
     assert all(setops.store(stats.A) == {} for stats in inputs)
 
 
+def test_keep_is_the_stores_one_writer(monkeypatch):
+    # every check on a set input and a subgroup input: each store, the inputs'
+    # just before release and the derived sets' after the run, holds exactly
+    # the keys setops.keep was asked for
+    written, released = {}, {}
+    keep, release = setops.keep, setops.release
+
+    def recording(A, key, build):
+        written.setdefault(id(A), (A, set()))[1].add(key)
+        return keep(A, key, build)
+
+    def snapshot(A):
+        released[id(A)] = set(setops.store(A))
+        release(A)
+
+    monkeypatch.setattr(setops, "keep", recording)
+    monkeypatch.setattr(setops, "release", snapshot)
+    inputs = [_stats("ap(n=16)"), _stats("subgroup(p=13,t=4)")]
+    run_suite(check_ids("all"), inputs)
+    assert set(released) == {id(stats.A) for stats in inputs}
+    assert all(released[i] == written[i][1] for i in released)
+    assert len(written) > len(inputs)  # A+A, AA, A/AA and the like keep their own
+    assert all(set(setops.store(A)) == keys
+               for i, (A, keys) in written.items() if i not in released)
+
+
 def test_run_suite_releases_the_store_when_a_guard_trips(monkeypatch):
     stats, held = _stats("ap(n=6)"), []
 
-    def tripping(stats, opts):
+    def tripping(stats):
         stats.energy()
         held.append(len(setops.store(stats.A)))
         raise TooLarge("refused")
@@ -313,7 +338,7 @@ def test_worker_reads_the_tables_its_input_carries(monkeypatch):
     stats = _stats("subgroup(p=101,t=20)")
     stats.table()
     cids = ["thm19_energy", "orthogonality_fourth"]
-    payload = pickle.loads(pickle.dumps((stats.A, stats.name, stats.ctx, cids, {})))
+    payload = pickle.loads(pickle.dumps((stats.A, stats.name, stats.ctx, cids)))
     for name in ("combine", "_orbit_table"):  # pair_table's two routes
         monkeypatch.setattr(subgroups, name, lambda *args: pytest.fail("table rebuilt"))
     assert all(r.ok for r in hbase._run_input_batch(payload))
@@ -433,7 +458,7 @@ def test_sum_construction_stats_identities():
     assert st.sum_q_cubes <= st.ratio_count * st.line_bound
     assert st.triples_lower >= 0
     big = generate_from_string("rand(n=110,seed=1)")  # |A/A| = 11,991
-    with pytest.raises(InfeasibleSize):
+    with pytest.raises(TooLarge):
         sum_construction_stats(big)
 
 
@@ -570,14 +595,15 @@ def test_e3_slice_route_checks_each_slice_size():
     table = stats.table()
     table.counts[table.index(np.array([1]))] += 1  # r(1) now disagrees with |A ^ (A+1)| = 2
     with pytest.raises(CrossCheckMismatch, match="d = 1 "):
-        checks._chk_e3_identity(stats, {})
+        checks._chk_e3_identity(stats)
 
 
-def test_e3_sum_route_checks_the_energy():
+def test_e3_sum_route_checks_the_energy(monkeypatch):
     stats = SetStats(gset_rational([1, 2, 3, 5, 8]))
-    stats._cache["energy"] = stats.energy() + 1  # E now disagrees with sum_s r_{A+A}(s)^2
+    wrong = stats.energy() + 1  # E now disagrees with sum_s r_{A+A}(s)^2
+    monkeypatch.setattr(stats, "energy", lambda: wrong)
     with pytest.raises(CrossCheckMismatch, match=r"r_\{A\+A\}"):
-        checks._chk_e3_identity(stats, {})
+        checks._chk_e3_identity(stats)
 
 
 @pytest.mark.parametrize("p,t", [(13, 4), (31, 5)])
@@ -590,19 +616,21 @@ def test_subgroup_pair_table_checks_match_oracles(p, t):
 
 
 def test_sigma_computed_once_per_input(monkeypatch):
-    calls = []
-    real = energy.sigma_sum
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(energy, "sigma_sum", counted)
+    # Sigma is a read of the shift rows, so the four checks that read it build
+    # each input's rows once, by whichever route the rows take
     inputs = [_stats("ap(n=12)"), _stats("geo(q=2,n=10)"), _stats("subgroup(p=31,t=6)")]
+    supports = [s.support("-") for s in inputs]
+    built = []
+
+    def counting(real):
+        return lambda keys, *args: built.append(keys.size) or real(keys, *args)
+
+    for name in ("_rows_lookup", "_rows_cyclotomic"):
+        monkeypatch.setattr(energy, name, counting(getattr(energy, name)))
     cids = ["lemma_spectral_final", "spectral_chain", "trace_routes", "sig_estimate"]
     results = run_suite(cids, inputs)
     assert len(results) == 12 and all(r.ok for r in results)
-    assert calls == [s.A for s in inputs]
+    assert built == supports
 
 
 
